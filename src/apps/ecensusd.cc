@@ -18,6 +18,7 @@
 #include <iostream>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "net/server.h"
@@ -87,6 +88,19 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // This flag's value as an integer in [0, max]; false (a usage error)
+    // when it is missing, malformed or out of range.
+    auto number = [&](std::uint64_t max, auto* out) {
+      const char* v = value(arg.c_str());
+      if (v == nullptr) return false;
+      auto parsed = ParseUint(v, max);
+      if (!parsed.ok()) {
+        std::cerr << arg << ": " << parsed.status().message() << "\n";
+        return false;
+      }
+      *out = static_cast<std::remove_pointer_t<decltype(out)>>(*parsed);
+      return true;
+    };
     if (arg == "--version") {
       std::cout << BuildInfoString() << "\n";
       return 0;
@@ -111,41 +125,26 @@ int main(int argc, char** argv) {
       }
       graphs.emplace_back(spec.substr(0, eq), spec.substr(eq + 1));
     } else if (arg == "--max-inflight") {
-      const char* v = value("--max-inflight");
-      if (v == nullptr) return Usage();
-      options.max_inflight = static_cast<std::uint32_t>(std::stoul(v));
+      if (!number(~0u, &options.max_inflight)) return Usage();
       if (options.max_inflight == 0) {
         std::cerr << "--max-inflight must be >= 1\n";
         return Usage();
       }
     } else if (arg == "--queue-depth") {
-      const char* v = value("--queue-depth");
-      if (v == nullptr) return Usage();
-      options.queue_depth = static_cast<std::size_t>(std::stoull(v));
+      if (!number(~0ull, &options.queue_depth)) return Usage();
     } else if (arg == "--queue-bytes-mb") {
-      const char* v = value("--queue-bytes-mb");
-      if (v == nullptr) return Usage();
-      options.queue_bytes = std::stoull(v) << 20;
+      if (!number(~0ull >> 20, &options.queue_bytes)) return Usage();
+      options.queue_bytes <<= 20;
     } else if (arg == "--drain-ms") {
-      const char* v = value("--drain-ms");
-      if (v == nullptr) return Usage();
-      drain_ms = std::stoull(v);
+      if (!number(~0ull, &drain_ms)) return Usage();
     } else if (arg == "--max-deadline-ms") {
-      const char* v = value("--max-deadline-ms");
-      if (v == nullptr) return Usage();
-      options.max_deadline_ms = std::stoull(v);
+      if (!number(~0ull, &options.max_deadline_ms)) return Usage();
     } else if (arg == "--max-memory-budget-mb") {
-      const char* v = value("--max-memory-budget-mb");
-      if (v == nullptr) return Usage();
-      options.max_memory_budget_mb = std::stoull(v);
+      if (!number(~0ull, &options.max_memory_budget_mb)) return Usage();
     } else if (arg == "--max-threads") {
-      const char* v = value("--max-threads");
-      if (v == nullptr) return Usage();
-      options.max_threads = static_cast<std::uint32_t>(std::stoul(v));
+      if (!number(~0u, &options.max_threads)) return Usage();
     } else if (arg == "--ring") {
-      const char* v = value("--ring");
-      if (v == nullptr) return Usage();
-      options.ring_capacity = static_cast<std::size_t>(std::stoull(v));
+      if (!number(~0ull, &options.ring_capacity)) return Usage();
     } else if (arg == "--obs") {
       obs_on = true;
     } else if (arg == "--log-file") {
@@ -159,17 +158,11 @@ int main(int argc, char** argv) {
       if (v == nullptr) return Usage();
       log_level = v;
     } else if (arg == "--log-rate") {
-      const char* v = value("--log-rate");
-      if (v == nullptr) return Usage();
-      log_rate = std::stoull(v);
+      if (!number(~0ull, &log_rate)) return Usage();
     } else if (arg == "--slow-query-ms") {
-      const char* v = value("--slow-query-ms");
-      if (v == nullptr) return Usage();
-      options.slow_query_threshold_ms = std::stoull(v);
+      if (!number(~0ull, &options.slow_query_threshold_ms)) return Usage();
     } else if (arg == "--slow-ring") {
-      const char* v = value("--slow-ring");
-      if (v == nullptr) return Usage();
-      options.slow_ring_capacity = static_cast<std::size_t>(std::stoull(v));
+      if (!number(~0ull, &options.slow_ring_capacity)) return Usage();
     } else {
       std::cerr << "unknown flag: " << arg << "\n";
       return Usage();

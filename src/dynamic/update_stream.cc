@@ -3,6 +3,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "util/strings.h"
+
 namespace egocensus {
 namespace {
 
@@ -12,14 +14,9 @@ namespace {
 }
 
 bool ParseNodeId(const std::string& token, NodeId* out) {
-  if (token.empty()) return false;
-  std::uint64_t value = 0;
-  for (char c : token) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
-    if (value > 0xFFFFFFFFull) return false;
-  }
-  *out = static_cast<NodeId>(value);
+  auto value = ParseUint(token, 0xFFFFFFFFull);
+  if (!value.ok()) return false;
+  *out = static_cast<NodeId>(*value);
   return true;
 }
 

@@ -4,6 +4,8 @@
 #include <ostream>
 #include <sstream>
 
+#include "util/strings.h"
+
 namespace egocensus {
 
 [[nodiscard]] Status SaveGraph(const Graph& graph, const std::string& path) {
@@ -85,20 +87,17 @@ class LineReader {
   if (!reader.NextToken(&token)) {
     return reader.Error("missing " + what);
   }
-  std::uint64_t value = 0;
-  for (char c : token) {
-    if (c < '0' || c > '9') {
-      return reader.Error("bad " + what + " '" + token +
-                          "' (expected unsigned integer)");
-    }
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
-    if (value > max) {
-      return reader.Error(what + " '" + token + "' out of range (max " +
-                          std::to_string(max) + ")");
-    }
+  auto value = ParseUint(token, max);
+  if (value.ok()) {
+    *out = *value;
+    return Status::Ok();
   }
-  *out = value;
-  return Status::Ok();
+  if (value.status().code() == StatusCode::kOutOfRange) {
+    return reader.Error(what + " '" + token + "' out of range (max " +
+                        std::to_string(max) + ")");
+  }
+  return reader.Error("bad " + what + " '" + token +
+                      "' (expected unsigned integer)");
 }
 
 }  // namespace

@@ -126,26 +126,12 @@ StatusCode StatusCodeFromName(const std::string& name) {
   }
 }
 
-namespace {
-
-std::uint64_t HeaderUint(const Message& response, const char* name) {
-  std::string text = response.Header(name, "");
-  std::uint64_t value = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') return 0;
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  return value;
-}
-
-}  // namespace
-
 BusyInfo BusyInfoFromResponse(const Message& response) {
   BusyInfo info;
-  info.retry_after_ms = HeaderUint(response, "retry_after_ms");
-  info.inflight = HeaderUint(response, "inflight");
-  info.capacity = HeaderUint(response, "capacity");
-  info.queued = HeaderUint(response, "queued");
+  info.retry_after_ms = response.HeaderInt("retry_after_ms", 0);
+  info.inflight = response.HeaderInt("inflight", 0);
+  info.capacity = response.HeaderInt("capacity", 0);
+  info.queued = response.HeaderInt("queued", 0);
   info.draining = response.Header("draining", "") == "1";
   info.request_id = response.Header("request_id", "");
   return info;

@@ -44,10 +44,9 @@ class Client {
 
   // -- Request builders (the header names of docs/SERVER.md) --------------
 
-  /// QUERY against a loaded graph; `query_text` rides as the body. Optional
-  /// census-shaping headers (deadline_ms, memory_budget_mb, threads,
-  /// algorithm, matcher, top, seed, format, degrade-approx) are added by
-  /// the caller before Call.
+  /// QUERY against a loaded graph; `query_text` rides as the body. The
+  /// optional census-shaping headers are the wire names of the option
+  /// table in lang/query_spec.h; the caller adds them before Call.
   static Message QueryRequest(const std::string& graph,
                               const std::string& query_text);
 

@@ -67,14 +67,8 @@ std::uint64_t Message::HeaderInt(const std::string& key,
                                  std::uint64_t fallback) const {
   auto it = headers.find(key);
   if (it == headers.end()) return fallback;
-  const std::string& text = it->second;
-  if (text.empty()) return fallback;
-  std::uint64_t value = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') return fallback;
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  return value;
+  auto value = ParseUint(it->second, ~0ull);
+  return value.ok() ? *value : fallback;
 }
 
 std::vector<std::uint8_t> EncodeFrame(const Message& message) {

@@ -34,7 +34,9 @@ namespace egocensus::net {
 
 /// Protocol revision, carried in every HELLO-free exchange via the server's
 /// STATUS payload and bumped on any incompatible frame/header change.
-inline constexpr std::uint32_t kProtocolVersion = 1;
+/// 2: the QUERY header `degrade-approx: <permille>` became
+/// `degrade_approx: <RATE>`, and malformed option values became errors.
+inline constexpr std::uint32_t kProtocolVersion = 2;
 
 /// First byte of every frame.
 inline constexpr std::uint8_t kFrameMagic = 0xEC;
@@ -78,7 +80,8 @@ struct Message {
   std::map<std::string, std::string> headers;
   std::string body;
 
-  /// Header accessors with defaults (missing key = fallback).
+  /// Header accessors with defaults: a missing key — and for HeaderInt a
+  /// value that is not an unsigned 64-bit integer — reads as `fallback`.
   std::string Header(const std::string& key, const std::string& fallback) const;
   std::uint64_t HeaderInt(const std::string& key, std::uint64_t fallback) const;
   bool HasHeader(const std::string& key) const {

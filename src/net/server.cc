@@ -12,6 +12,7 @@
 #include "dynamic/update_stream.h"
 #include "exec/governor.h"
 #include "lang/engine.h"
+#include "lang/query_spec.h"
 #include "obs/log.h"
 #include "obs/obs.h"
 #include "util/build_info.h"
@@ -120,75 +121,6 @@ class QueueSlot {
  private:
   FairRequestQueue* queue_;
 };
-
-/// Parses the census-shaping headers shared by the CLI and the wire
-/// protocol into QueryEngine options. Returns the first invalid header as
-/// a status.
-[[nodiscard]] Status QueryOptionsFromHeaders(const Message& request,
-                                             QueryEngine::Options* options) {
-  options->rnd_seed = request.HeaderInt("seed", 99);
-  options->census.num_threads =
-      static_cast<std::uint32_t>(request.HeaderInt("threads", 1));
-  std::string algorithm = request.Header("algorithm", "");
-  if (!algorithm.empty()) {
-    options->auto_algorithm = false;
-    static const std::map<std::string, CensusAlgorithm> kNames = {
-        {"nd-bas", CensusAlgorithm::kNdBas},
-        {"nd-pvot", CensusAlgorithm::kNdPvot},
-        {"nd-diff", CensusAlgorithm::kNdDiff},
-        {"pt-bas", CensusAlgorithm::kPtBas},
-        {"pt-opt", CensusAlgorithm::kPtOpt},
-        {"pt-rnd", CensusAlgorithm::kPtRnd},
-    };
-    auto it = kNames.find(ToLower(algorithm));
-    if (it == kNames.end()) {
-      return Status::InvalidArgument("unknown algorithm " + algorithm);
-    }
-    options->census.algorithm = it->second;
-  }
-  std::string matcher = ToLower(request.Header("matcher", "cn"));
-  if (matcher == "gql") {
-    options->census.use_gql_matcher = true;
-  } else if (matcher != "cn") {
-    return Status::InvalidArgument("unknown matcher " + matcher +
-                                   " (expected cn or gql)");
-  }
-  // Fast-path routing, mirroring the CLI rule: an explicit algorithm or
-  // matcher header without a fast_path header pins the fast path off, so a
-  // client that picked an engine gets that engine.
-  std::string fast_path = ToLower(request.Header("fast_path", ""));
-  if (fast_path.empty()) {
-    if (request.HasHeader("algorithm") || request.HasHeader("matcher")) {
-      options->census.fast_path = FastPathMode::kOff;
-    }
-  } else if (fast_path == "auto") {
-    options->census.fast_path = FastPathMode::kAuto;
-  } else if (fast_path == "force") {
-    options->census.fast_path = FastPathMode::kForce;
-  } else if (fast_path == "off") {
-    options->census.fast_path = FastPathMode::kOff;
-  } else {
-    return Status::InvalidArgument("unknown fast_path " + fast_path +
-                                   " (expected auto, force or off)");
-  }
-  if (request.HasHeader("degrade-approx")) {
-    options->census.degrade_to_approx = true;
-    std::uint64_t permille = request.HeaderInt("degrade-approx", 0);
-    if (permille > 0 && permille <= 1000) {
-      options->census.degrade_sample_rate =
-          static_cast<double>(permille) / 1000.0;
-    }
-  }
-  return Status::Ok();
-}
-
-/// Highest sortable column for top-N (mirrors the CLI: trailing .state
-/// columns of interrupted governed runs do not sort).
-std::size_t TopSortColumn(const ResultTable& table) {
-  std::size_t cols = table.NumColumns();
-  while (cols > 0 && EndsWith(table.columns()[cols - 1], ".state")) --cols;
-  return cols;
-}
 
 /// Exposition label-value escaping for the always-compiled daemon families
 /// (graph names are user strings). Kept local so this file never touches
@@ -447,12 +379,18 @@ Message CensusServer::Dispatch(const Message& request, int client_fd,
     case FrameType::kUpdate: {
       ctx.tenant = request.Header("tenant", "");
       if (!ValidTenant(ctx.tenant)) ctx.tenant = kDefaultTenant;
+      // A malformed option is refused before it can take a queue slot.
+      auto spec = ParseQuerySpec(request.headers, OptionSurface::kWire);
+      if (!spec.ok()) {
+        response = ErrorResponse(ctx, spec.status());
+        break;
+      }
       // Absolute deadline anchored at frame receipt, computed before
       // admission: time spent queued is charged against the same budget
       // the Governor enforces, and a request whose deadline dies in the
       // queue is evicted without ever executing.
-      std::uint64_t deadline_ms = ClampLimit(
-          request.HeaderInt("deadline_ms", 0), options_.max_deadline_ms);
+      std::uint64_t deadline_ms =
+          ClampLimit(spec->deadline_ms, options_.max_deadline_ms);
       if (deadline_ms > 0) {
         ctx.deadline_us = ctx.received_us + deadline_ms * 1000;
       }
@@ -463,7 +401,7 @@ Message CensusServer::Dispatch(const Message& request, int client_fd,
         case AdmitOutcome::kGranted: {
           QueueSlot slot(&queue_);
           response = request.type == FrameType::kQuery
-                         ? HandleQuery(request, client_fd, ctx)
+                         ? HandleQuery(request, *spec, client_fd, ctx)
                          : HandleUpdate(request, client_fd, ctx);
           break;
         }
@@ -543,7 +481,8 @@ Message CensusServer::Dispatch(const Message& request, int client_fd,
   return response;
 }
 
-Message CensusServer::HandleQuery(const Message& request, int client_fd,
+Message CensusServer::HandleQuery(const Message& request,
+                                  const QuerySpec& spec, int client_fd,
                                   RequestContext& ctx) {
   std::string graph_name = request.Header("graph", "");
   if (graph_name.empty()) {
@@ -557,9 +496,7 @@ Message CensusServer::HandleQuery(const Message& request, int client_fd,
   auto entry = registry_.Get(graph_name);
   if (!entry.ok()) return ErrorResponse(ctx, entry.status());
 
-  QueryEngine::Options options;
-  Status parsed = QueryOptionsFromHeaders(request, &options);
-  if (!parsed.ok()) return ErrorResponse(ctx, parsed);
+  QueryEngine::Options options = spec.options;
   options.census.num_threads = static_cast<std::uint32_t>(ClampLimit(
       options.census.num_threads, options_.max_threads));
 
@@ -574,8 +511,8 @@ Message CensusServer::HandleQuery(const Message& request, int client_fd,
   if (ctx.deadline_us > 0) {
     governor.SetDeadline(Deadline::AtMicros(ctx.deadline_us));
   }
-  std::uint64_t budget_mb = ClampLimit(request.HeaderInt("memory_budget_mb", 0),
-                                       options_.max_memory_budget_mb);
+  std::uint64_t budget_mb =
+      ClampLimit(spec.memory_budget_mb, options_.max_memory_budget_mb);
   if (budget_mb > 0) {
     governor.SetMemoryLimitBytes(budget_mb * 1024ull * 1024ull);
   }
@@ -642,9 +579,6 @@ Message CensusServer::HandleQuery(const Message& request, int client_fd,
     graph.fastpath_routed.fetch_add(routed, std::memory_order_relaxed);
     graph.fastpath_generic.fetch_add(generic,
                                          std::memory_order_relaxed);
-    if (request.HasHeader("top") && TopSortColumn(*table) >= 2) {
-      table->SortByColumnDesc(TopSortColumn(*table) - 1);
-    }
     ctx.rows = table->NumRows();
     response.type = FrameType::kResult;
     response.headers["exec_status"] = StatusCodeName(exec_status.code());
@@ -660,15 +594,7 @@ Message CensusServer::HandleQuery(const Message& request, int client_fd,
     response.headers["graph_version"] =
         std::to_string(graph.dynamic.version());
     std::ostringstream body;
-    if (request.Header("format", "csv") == "text") {
-      std::size_t limit = request.HasHeader("top")
-                              ? static_cast<std::size_t>(
-                                    request.HeaderInt("top", 20))
-                              : table->NumRows();
-      body << table->ToString(limit);
-    } else {
-      table->WriteCsv(body);
-    }
+    WriteQueryResult(*table, spec, body);
     response.body = body.str();
   }
 #if EGO_OBS_ENABLED

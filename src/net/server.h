@@ -20,8 +20,9 @@
 // within a budget, then shut down.
 //
 // Every QUERY/UPDATE runs under its own exec::Governor built from the
-// request's deadline_ms / memory_budget_mb / threads headers, each clamped
-// by the server-wide caps, with a disconnect watcher polling the client
+// request's deadline_ms / memory_budget_mb / threads headers (parsed by
+// lang/query_spec.h, like every query option), each clamped by the
+// server-wide caps, with a disconnect watcher polling the client
 // socket: a client that vanishes mid-request cancels its census at the
 // next cooperative checkpoint instead of burning the server for nothing.
 //
@@ -42,6 +43,7 @@
 #include <thread>
 #include <vector>
 
+#include "lang/query_spec.h"
 #include "net/frame.h"
 #include "net/queue.h"
 #include "net/registry.h"
@@ -230,8 +232,8 @@ class CensusServer {
   /// SHUTDOWN.
   Message Dispatch(const Message& request, int client_fd, bool* close_after);
 
-  Message HandleQuery(const Message& request, int client_fd,
-                      RequestContext& ctx);
+  Message HandleQuery(const Message& request, const QuerySpec& spec,
+                      int client_fd, RequestContext& ctx);
   Message HandleUpdate(const Message& request, int client_fd,
                        RequestContext& ctx);
   Message HandleStatus(const Message& request, RequestContext& ctx);

@@ -15,6 +15,8 @@
 
 #include <cstring>
 
+#include "util/strings.h"
+
 namespace egocensus::net {
 
 namespace {
@@ -82,26 +84,14 @@ std::string Endpoint::ToString() const {
     return Status::InvalidArgument("--connect target '" + text +
                                    "' is not HOST:PORT");
   }
+  auto port = ParseUint(std::string_view(text).substr(colon + 1), 65535);
+  if (!port.ok()) {
+    return Status::InvalidArgument("--connect target '" + text +
+                                   "' needs a port in [0, 65535]");
+  }
   Endpoint endpoint;
   endpoint.host = text.substr(0, colon);
-  std::string port_text = text.substr(colon + 1);
-  if (port_text.empty()) {
-    return Status::InvalidArgument("--connect target '" + text +
-                                   "' has an empty port");
-  }
-  std::uint32_t port = 0;
-  for (char c : port_text) {
-    if (c < '0' || c > '9') {
-      return Status::InvalidArgument("--connect target '" + text +
-                                     "' has a non-numeric port");
-    }
-    port = port * 10 + static_cast<std::uint32_t>(c - '0');
-    if (port > 65535) {
-      return Status::InvalidArgument("--connect target '" + text +
-                                     "' has a port above 65535");
-    }
-  }
-  endpoint.port = static_cast<std::uint16_t>(port);
+  endpoint.port = static_cast<std::uint16_t>(*port);
   return endpoint;
 }
 

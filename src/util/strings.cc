@@ -1,8 +1,37 @@
 #include "util/strings.h"
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
 
 namespace egocensus {
+
+[[nodiscard]] Result<std::uint64_t> ParseUint(std::string_view text,
+                                              std::uint64_t max) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (stop != end || error == std::errc::invalid_argument) {
+    return Status::InvalidArgument("'" + std::string(text) +
+                                   "' is not an unsigned integer");
+  }
+  if (error == std::errc::result_out_of_range || value > max) {
+    return Status::OutOfRange("'" + std::string(text) + "' exceeds " +
+                              std::to_string(max));
+  }
+  return value;
+}
+
+[[nodiscard]] Result<double> ParseDouble(std::string_view text) {
+  double value = 0;
+  const char* end = text.data() + text.size();
+  auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (stop != end || error != std::errc() || !std::isfinite(value)) {
+    return Status::InvalidArgument("'" + std::string(text) +
+                                   "' is not a finite number");
+  }
+  return value;
+}
 
 std::string_view StripWhitespace(std::string_view s) {
   std::size_t begin = 0;

@@ -1,11 +1,26 @@
 #ifndef EGOCENSUS_UTIL_STRINGS_H_
 #define EGOCENSUS_UTIL_STRINGS_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "util/status.h"
+
 namespace egocensus {
+
+/// The one decimal parser for untrusted text (flags, headers, files): the
+/// whole of `text` must be ASCII digits — no sign, no whitespace, no
+/// trailing bytes. INVALID_ARGUMENT when it is not; OUT_OF_RANGE when the
+/// number exceeds `max` (including anything past 2^64 - 1, which never
+/// wraps).
+[[nodiscard]] Result<std::uint64_t> ParseUint(std::string_view text,
+                                              std::uint64_t max);
+
+/// Strict finite decimal (the std::from_chars grammar) spanning all of
+/// `text`; INVALID_ARGUMENT otherwise.
+[[nodiscard]] Result<double> ParseDouble(std::string_view text);
 
 /// Returns `s` with leading/trailing ASCII whitespace removed.
 std::string_view StripWhitespace(std::string_view s);

@@ -2,9 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <map>
+#include <set>
+#include <sstream>
+#include <tuple>
+
 #include "graph/generators.h"
+#include "lang/query_spec.h"
 #include "pattern/catalog.h"
 #include "tests/test_util.h"
+#include "util/strings.h"
 
 namespace egocensus {
 namespace {
@@ -327,6 +335,182 @@ TEST(EngineCachingTest, RepeatedQueriesConsistent) {
     EXPECT_EQ(std::get<std::int64_t>(first->At(r, 1)),
               std::get<std::int64_t>(second->At(r, 1)));
   }
+}
+
+}  // namespace
+}  // namespace egocensus
+
+// ---- request options (lang/query_spec.h) --------------------------------
+
+namespace egocensus {
+namespace {
+
+/// Sample values per wire header: valid ones, then malformed or
+/// out-of-range ones. Every row of the option table needs an entry, so a
+/// new option cannot slip past the parity checks.
+struct OptionSamples {
+  std::vector<std::string> valid;
+  std::vector<std::string> bad;
+};
+
+const std::map<std::string, OptionSamples>& Samples() {
+  static const auto* samples = new std::map<std::string, OptionSamples>{
+      {"algorithm", {{"", "nd-bas", "PT-OPT", "pt-rnd"}, {"bogus", "nd_bas"}}},
+      {"matcher", {{"", "cn", "gql", "GQL"}, {"vf2", "1"}}},
+      {"fast_path", {{"", "auto", "force", "off"}, {"on", "1"}}},
+      {"threads",
+       {{"", "0", "1", "4", "256"},
+        {"257", "4000000000", "99999999999999999999999", "-1", "abc", "2x"}}},
+      {"seed",
+       {{"", "0", "7", "18446744073709551615"},
+        {"18446744073709551616", "x", "+7"}}},
+      {"deadline_ms",
+       {{"", "0", "10", "4294967295"}, {"10x", "4294967296", "-5"}}},
+      {"memory_budget_mb",
+       {{"", "64", "4294967295"}, {"64mb", "4294967296", " 64"}}},
+      {"degrade_approx",
+       {{"", "0.5", "1", "1e-3"}, {"0", "5", "1.5", "-0.1", "nan", "x"}}},
+      {"top", {{"", "0", "5", "20"}, {"x", "-1", "5 "}}},
+      {"format", {{"", "csv", "text"}, {"xml", "1"}}},
+  };
+  return *samples;
+}
+
+/// Every QuerySpec field an option can set.
+auto Fields(const QuerySpec& spec) {
+  const CensusOptions& census = spec.options.census;
+  return std::make_tuple(spec.options.auto_algorithm, census.algorithm,
+                         census.use_gql_matcher, census.fast_path,
+                         census.num_threads, census.degrade_to_approx,
+                         census.degrade_sample_rate, spec.options.rnd_seed,
+                         spec.deadline_ms, spec.memory_budget_mb, spec.top,
+                         spec.format);
+}
+
+QuerySpec MustParse(const std::map<std::string, std::string>& values,
+                    OptionSurface surface) {
+  auto spec = ParseQuerySpec(values, surface);
+  EXPECT_TRUE(spec.ok()) << spec.status().ToString();
+  return spec.ok() ? *spec : QuerySpec{};
+}
+
+/// The spelling of the option with wire name `header` on `surface`.
+std::string Key(const std::string& header, OptionSurface surface) {
+  for (const QueryOption& option : QueryOptions()) {
+    if (header == option.header) {
+      return surface == OptionSurface::kCli ? option.flag : option.header;
+    }
+  }
+  ADD_FAILURE() << "no option " << header;
+  return header;
+}
+
+TEST(QuerySpecTest, CliAndWireFormsOfEveryValueAgree) {
+  for (const QueryOption& option : QueryOptions()) {
+    auto samples = Samples().find(option.header);
+    ASSERT_NE(samples, Samples().end()) << option.header << " has no samples";
+    for (const std::string& value : samples->second.valid) {
+      SCOPED_TRACE(std::string(option.flag) + " '" + value + "'");
+      std::map<std::string, std::string> flags = {{option.flag, value}};
+      std::map<std::string, std::string> headers;
+      ForwardQueryOptions(flags, &headers);
+      EXPECT_EQ(headers.at(option.header), value);
+      EXPECT_TRUE(Fields(MustParse(flags, OptionSurface::kCli)) ==
+                  Fields(MustParse(headers, OptionSurface::kWire)));
+    }
+  }
+  // With no flags the CLI prints text, and forwards that choice.
+  std::map<std::string, std::string> headers;
+  ForwardQueryOptions({}, &headers);
+  EXPECT_EQ(headers, (std::map<std::string, std::string>{{"format", "text"}}));
+  EXPECT_EQ(MustParse({}, OptionSurface::kCli).format, ResultFormat::kText);
+  EXPECT_EQ(MustParse({}, OptionSurface::kWire).format, ResultFormat::kCsv);
+}
+
+TEST(QuerySpecTest, BadValuesAreInvalidArgumentNamingTheOption) {
+  const OptionSurface kSurfaces[] = {OptionSurface::kCli, OptionSurface::kWire};
+  for (const QueryOption& option : QueryOptions()) {
+    for (const std::string& value : Samples().at(option.header).bad) {
+      for (OptionSurface surface : kSurfaces) {
+        std::string key = Key(option.header, surface);
+        std::string name = surface == OptionSurface::kCli ? "--" + key : key;
+        auto spec = ParseQuerySpec({{key, value}}, surface);
+        ASSERT_FALSE(spec.ok()) << name << " '" << value << "'";
+        EXPECT_EQ(spec.status().code(), StatusCode::kInvalidArgument);
+        EXPECT_EQ(spec.status().message().rfind(name + ": ", 0), 0u)
+            << spec.status().message();
+      }
+    }
+  }
+}
+
+TEST(QuerySpecTest, EmptyValueMeansTheDocumentedDefault) {
+  for (OptionSurface surface : {OptionSurface::kCli, OptionSurface::kWire}) {
+    QuerySpec spec = MustParse({{Key("top", surface), ""},
+                                {Key("degrade_approx", surface), ""},
+                                {Key("format", surface), ""},
+                                {Key("threads", surface), ""}},
+                               surface);
+    EXPECT_EQ(spec.top, std::optional<std::uint64_t>(20));
+    EXPECT_TRUE(spec.options.census.degrade_to_approx);
+    EXPECT_EQ(spec.options.census.degrade_sample_rate, 0.1);
+    EXPECT_EQ(spec.format, ResultFormat::kCsv);
+    EXPECT_EQ(spec.options.census.num_threads, 1u);
+  }
+}
+
+TEST(QuerySpecTest, ExplicitEngineTurnsTheFastPathOffUnlessChosen) {
+  EXPECT_EQ(MustParse({}, OptionSurface::kWire).options.census.fast_path,
+            FastPathMode::kAuto);
+  EXPECT_EQ(MustParse({{"matcher", "cn"}}, OptionSurface::kWire)
+                .options.census.fast_path,
+            FastPathMode::kOff);
+  QuerySpec picked = MustParse({{"algorithm", "pt-opt"}}, OptionSurface::kWire);
+  EXPECT_FALSE(picked.options.auto_algorithm);
+  EXPECT_EQ(picked.options.census.algorithm, CensusAlgorithm::kPtOpt);
+  EXPECT_EQ(picked.options.census.fast_path, FastPathMode::kOff);
+  EXPECT_EQ(MustParse({{"algorithm", "pt-opt"}, {"fast_path", "force"}},
+                      OptionSurface::kWire)
+                .options.census.fast_path,
+            FastPathMode::kForce);
+}
+
+TEST(QuerySpecTest, WriteQueryResultSortsOnTheLastCountColumn) {
+  ResultTable table({"ID", "c", "c.state"});
+  table.AddRow({std::int64_t{0}, std::int64_t{1}, std::string("complete")});
+  table.AddRow({std::int64_t{1}, std::int64_t{5}, std::string("pending")});
+  table.AddRow({std::int64_t{2}, std::int64_t{3}, std::string("complete")});
+  QuerySpec spec;
+  spec.top = 1;
+  std::ostringstream csv;
+  WriteQueryResult(table, spec, csv);
+  // csv keeps every row, sorted by c (not by the .state column).
+  EXPECT_EQ(csv.str(),
+            "ID,c,c.state\n1,5,pending\n2,3,complete\n0,1,complete\n");
+  spec.format = ResultFormat::kText;
+  std::ostringstream text;
+  WriteQueryResult(table, spec, text);
+  EXPECT_EQ(text.str(), table.ToString(1));
+}
+
+TEST(QuerySpecTest, ServerDocListsExactlyTheQueryHeaders) {
+  std::ifstream in(EGOCENSUS_REPO_DOCS "/SERVER.md");
+  ASSERT_TRUE(in) << "cannot open docs/SERVER.md";
+  // The header table of the "### QUERY" section: rows "| `name` | ...".
+  std::set<std::string> documented;
+  bool in_query = false;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (StartsWith(line, "### ")) in_query = line == "### QUERY";
+    if (in_query && StartsWith(line, "| `")) {
+      documented.insert(line.substr(3, line.find('`', 3) - 3));
+    }
+  }
+  std::set<std::string> expected = {"graph", "tenant", "request_id"};
+  for (const QueryOption& option : QueryOptions()) {
+    expected.insert(option.header);
+  }
+  EXPECT_EQ(documented, expected);
 }
 
 }  // namespace

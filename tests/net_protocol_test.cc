@@ -158,8 +158,10 @@ TEST(FrameTest, HeaderIntFallsBackOnGarbage) {
   Message m;
   m.headers["deadline_ms"] = "12x4";
   m.headers["threads"] = "";
+  m.headers["top"] = "99999999999999999999";  // past 2^64 - 1: no wrap
   EXPECT_EQ(m.HeaderInt("deadline_ms", 7), 7u);
   EXPECT_EQ(m.HeaderInt("threads", 7), 7u);
+  EXPECT_EQ(m.HeaderInt("top", 7), 7u);
   EXPECT_EQ(m.HeaderInt("absent", 7), 7u);
 }
 
@@ -170,7 +172,7 @@ TEST(EndpointTest, ParseAcceptsAndRejects) {
   EXPECT_EQ(ok->port, 7471);
 
   for (const char* bad : {"noport", "host:", "host:notanumber", ":",
-                          "host:99999", ""}) {
+                          "host:99999", "host:+80", ""}) {
     auto parsed = ParseEndpoint(bad);
     EXPECT_FALSE(parsed.ok()) << bad;
     EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << bad;

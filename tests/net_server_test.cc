@@ -253,6 +253,16 @@ TEST(NetServerTest, DeadlinedQueryIsPartialWhileOthersComplete) {
                 response->HeaderInt("focal_approx", 0),
             0u);
 
+  // The same stop with degrade_approx re-covers every unfinished focal
+  // node with a sampled estimate: approx, never pending.
+  request.headers["degrade_approx"] = "0.5";
+  auto degraded = client->Call(request);
+  ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
+  EXPECT_EQ(degraded->type, FrameType::kResult);
+  EXPECT_EQ(degraded->Header("stop_reason", ""), "deadline_exceeded");
+  EXPECT_GT(degraded->HeaderInt("focal_approx", 0), 0u);
+  EXPECT_EQ(degraded->HeaderInt("focal_pending", ~0ull), 0u);
+
   for (auto& thread : threads) thread.join();
   for (const std::string& failure : failures) EXPECT_EQ(failure, "");
 }
@@ -279,6 +289,36 @@ TEST(NetServerTest, ServerCapClampsRequestedDeadline) {
   auto uncapped = client->Call(Client::QueryRequest("g", kHeavyQuery));
   ASSERT_TRUE(uncapped.ok());
   EXPECT_EQ(uncapped->Header("stop_reason", ""), "deadline_exceeded");
+}
+
+TEST(NetServerTest, MalformedOptionHeadersAreInvalidArgument) {
+  // A default server: no caps stand between a bad value and the engine.
+  auto server = StartServer(TestGraph(300, 4, 23), {});
+  auto client = Client::Connect(EndpointOf(*server));
+  ASSERT_TRUE(client.ok());
+  const std::pair<const char*, const char*> kBad[] = {
+      {"threads", "4000000000"},
+      {"threads", "99999999999999999999999"},
+      {"deadline_ms", "10x"},
+      {"top", "x"},
+      {"format", "xml"},
+      {"degrade_approx", "5"},
+  };
+  for (const auto& [header, value] : kBad) {
+    Message request = Client::QueryRequest("g", kTriangleQuery);
+    request.headers[header] = value;
+    auto response = client->Call(request);
+    ASSERT_TRUE(response.ok()) << header << ": " << value;
+    EXPECT_EQ(response->type, FrameType::kError) << header << ": " << value;
+    EXPECT_EQ(response->Header("code", ""), "INVALID_ARGUMENT") << header;
+    EXPECT_EQ(response->body.rfind(std::string(header) + ": ", 0), 0u)
+        << "the error must name the header: " << response->body;
+  }
+  // The daemon is still serving.
+  auto plain = client->Call(Client::QueryRequest("g", kTriangleQuery));
+  ASSERT_TRUE(plain.ok());
+  EXPECT_EQ(plain->type, FrameType::kResult);
+  EXPECT_EQ(plain->Header("exec_status", ""), "OK");
 }
 
 TEST(NetServerTest, AdmissionQueuesBurstsAndRejectsBeyondDepth) {
@@ -410,7 +450,7 @@ TEST(NetServerTest, StatusJsonCarriesBuildInfoAndRing) {
   for (const char* key :
        {"\"server\"", "\"build\"", "egocensus", "\"admission\"",
         "\"counters\"", "\"graphs\"", "\"recent\"", "\"QUERY\"",
-        "\"protocol\": 1"}) {
+        "\"protocol\": 2"}) {
     EXPECT_NE(json.find(key), std::string::npos) << "missing " << key;
   }
 

@@ -280,6 +280,42 @@ TEST(StringsTest, Split) {
   EXPECT_EQ(Split("a,,b", ',').size(), 3u);
 }
 
+TEST(StringsTest, ParseUintIsStrict) {
+  auto code = [](std::string_view text, std::uint64_t max) {
+    auto value = ParseUint(text, max);
+    return value.ok() ? StatusCode::kOk : value.status().code();
+  };
+  EXPECT_EQ(code("", 10), StatusCode::kInvalidArgument);
+  EXPECT_EQ(code("-1", 10), StatusCode::kInvalidArgument);
+  EXPECT_EQ(code("+1", 10), StatusCode::kInvalidArgument);
+  EXPECT_EQ(code(" 1", 10), StatusCode::kInvalidArgument);
+  EXPECT_EQ(code("1 ", 10), StatusCode::kInvalidArgument);
+  EXPECT_EQ(code("10x", 100), StatusCode::kInvalidArgument);
+  // 20 digits: past 2^64 - 1, which must not wrap into range.
+  EXPECT_EQ(code("99999999999999999999", ~0ull), StatusCode::kOutOfRange);
+  EXPECT_EQ(code("18446744073709551616", ~0ull), StatusCode::kOutOfRange);
+  auto max64 = ParseUint("18446744073709551615", ~0ull);
+  ASSERT_TRUE(max64.ok());
+  EXPECT_EQ(*max64, ~0ull);
+  // Exactly max parses; max + 1 is out of range.
+  auto at_max = ParseUint("256", 256);
+  ASSERT_TRUE(at_max.ok());
+  EXPECT_EQ(*at_max, 256u);
+  EXPECT_EQ(code("257", 256), StatusCode::kOutOfRange);
+  auto zero = ParseUint("007", 10);
+  ASSERT_TRUE(zero.ok());
+  EXPECT_EQ(*zero, 7u);
+}
+
+TEST(StringsTest, ParseDoubleIsStrict) {
+  auto half = ParseDouble("0.5");
+  ASSERT_TRUE(half.ok());
+  EXPECT_EQ(*half, 0.5);
+  for (const char* bad : {"", "abc", "0.5x", " 0.5", "nan", "inf", "1e999"}) {
+    EXPECT_FALSE(ParseDouble(bad).ok()) << bad;
+  }
+}
+
 TEST(StringsTest, CaseHelpers) {
   EXPECT_EQ(ToUpper("aBc"), "ABC");
   EXPECT_EQ(ToLower("aBc"), "abc");

@@ -34,6 +34,7 @@
 #include "graph/io.h"
 #include "lang/engine.h"
 #include "lang/maintain.h"
+#include "lang/query_spec.h"
 #include "net/client.h"
 #include "net/socket.h"
 #include "obs/metrics.h"
@@ -65,28 +66,46 @@ class Args {
         } else if (i + 1 < argc && !StartsWith(argv[i + 1], "--")) {
           values_[key] = argv[++i];
         } else {
-          values_[key] = "1";  // boolean flag
+          values_[key] = "";  // valueless flag: the option's default value
         }
       }
     }
   }
 
+  const std::map<std::string, std::string>& values() const { return values_; }
   std::string Get(const std::string& key, const std::string& fallback) const {
     auto it = values_.find(key);
     return it == values_.end() ? fallback : it->second;
   }
-  std::uint64_t GetInt(const std::string& key, std::uint64_t fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stoull(it->second);
-  }
-  double GetDouble(const std::string& key, double fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stod(it->second);
-  }
   bool Has(const std::string& key) const { return values_.count(key) != 0; }
 
+  /// Strict numeric values; `fallback` when the flag is absent. A malformed
+  /// or out-of-range value reads as `fallback` and latches the first such
+  /// error into status(), which the caller checks before acting.
+  std::uint64_t GetUint(const std::string& key, std::uint64_t fallback,
+                        std::uint64_t max = ~0ull) {
+    return Has(key) ? Latch(key, ParseUint(values_[key], max), fallback)
+                    : fallback;
+  }
+  double GetDouble(const std::string& key, double fallback) {
+    return Has(key) ? Latch(key, ParseDouble(values_[key]), fallback)
+                    : fallback;
+  }
+  [[nodiscard]] const Status& status() const { return status_; }
+
  private:
+  template <typename T>
+  T Latch(const std::string& key, const Result<T>& value, T fallback) {
+    if (value.ok()) return *value;
+    if (status_.ok()) {
+      status_ = Status::InvalidArgument("--" + key + ": " +
+                                        value.status().message());
+    }
+    return fallback;
+  }
+
   std::map<std::string, std::string> values_;
+  Status status_;
 };
 
 /// Single exit path for every failing subcommand: renders the Status and
@@ -203,20 +222,14 @@ int WriteObsExports(const ObsExport& o) {
   return 0;
 }
 
-/// Builds a Governor from --timeout-ms / --memory-budget-mb; true when
-/// either limit was requested (callers then thread the governor through).
-bool GovernorFromArgs(const Args& args, Governor* governor) {
-  bool governed = false;
-  if (args.Has("timeout-ms")) {
-    governor->SetDeadline(Deadline::AfterMillis(args.GetInt("timeout-ms", 0)));
-    governed = true;
+/// Arms `governor` with the spec's deadline and memory budget; true when
+/// either is set (callers then thread the governor through).
+bool GovernorFromSpec(const QuerySpec& spec, Governor* governor) {
+  if (spec.deadline_ms > 0) {
+    governor->SetDeadline(Deadline::AfterMillis(spec.deadline_ms));
   }
-  if (args.Has("memory-budget-mb")) {
-    governor->SetMemoryLimitBytes(args.GetInt("memory-budget-mb", 0) *
-                                  1024ull * 1024ull);
-    governed = true;
-  }
-  return governed;
+  governor->SetMemoryLimitBytes(spec.memory_budget_mb << 20);
+  return spec.deadline_ms > 0 || spec.memory_budget_mb > 0;
 }
 
 /// Per-aggregate execution outcome of an interrupted query (stderr, next to
@@ -258,26 +271,23 @@ void WriteStatsCsv(const std::vector<CensusStats>& stats,
   }
 }
 
-/// Highest sortable column for --top: count columns sort, trailing .state
-/// columns (appended on interrupted governed runs) do not.
-std::size_t TopSortColumn(const ResultTable& table) {
-  std::size_t cols = table.NumColumns();
-  while (cols > 0 && EndsWith(table.columns()[cols - 1], ".state")) --cols;
-  return cols;
+/// The whole file at `path`; NOT_FOUND naming `what` when it cannot open.
+[[nodiscard]] Result<std::string> ReadFile(const std::string& path,
+                                           const std::string& what) {
+  std::ifstream in(path);
+  if (!in) return Status::NotFound("cannot open " + what + ": " + path);
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
 }
 
 /// Reads --query inline text or --query-file contents.
 [[nodiscard]] Result<std::string> ReadQueryArg(const Args& args) {
   std::string query = args.Get("query", "");
   if (query.empty() && args.Has("query-file")) {
-    std::ifstream in(args.Get("query-file", ""));
-    if (!in) {
-      return Status::NotFound("cannot open query file: " +
-                              args.Get("query-file", ""));
-    }
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    query = ss.str();
+    auto text = ReadFile(args.Get("query-file", ""), "query file");
+    if (!text.ok()) return text.status();
+    query = *text;
   }
   if (query.empty()) {
     return Status::InvalidArgument("--query or --query-file is required");
@@ -285,36 +295,36 @@ std::size_t TopSortColumn(const ResultTable& table) {
   return query;
 }
 
-int RunGenerate(const Args& args) {
+int RunGenerate(Args& args) {
   std::string type = args.Get("type", "pa");
   std::string out = args.Get("out", "");
   if (out.empty()) {
     return Fail(Status::InvalidArgument("generate: --out is required"));
   }
-  std::uint32_t nodes = static_cast<std::uint32_t>(args.GetInt("nodes", 10000));
-  std::uint32_t labels = static_cast<std::uint32_t>(args.GetInt("labels", 1));
-  std::uint64_t seed = args.GetInt("seed", 42);
+  auto nodes = static_cast<std::uint32_t>(args.GetUint("nodes", 10000, ~0u));
+  auto labels = static_cast<std::uint32_t>(args.GetUint("labels", 1, ~0u));
+  auto edges_per_node =
+      static_cast<std::uint32_t>(args.GetUint("edges-per-node", 5, ~0u));
+  std::uint64_t edges = args.GetUint("edges", nodes * 5ull);
+  std::uint64_t seed = args.GetUint("seed", 42);
+  double rewire = args.GetDouble("rewire", 0.1);
+  if (!args.status().ok()) return Fail(args.status());
   Graph graph;
   if (type == "pa") {
     GeneratorOptions gen;
     gen.num_nodes = nodes;
-    gen.edges_per_node =
-        static_cast<std::uint32_t>(args.GetInt("edges-per-node", 5));
+    gen.edges_per_node = edges_per_node;
     gen.num_labels = labels;
     gen.seed = seed;
     graph = GeneratePreferentialAttachment(gen);
   } else if (type == "er") {
-    graph = GenerateErdosRenyi(nodes, args.GetInt("edges", nodes * 5ull),
-                               labels, seed);
+    graph = GenerateErdosRenyi(nodes, edges, labels, seed);
   } else if (type == "ws") {
-    graph = GenerateWattsStrogatz(
-        nodes, static_cast<std::uint32_t>(args.GetInt("edges-per-node", 5)),
-        args.GetDouble("rewire", 0.1), labels, seed);
+    graph = GenerateWattsStrogatz(nodes, edges_per_node, rewire, labels, seed);
   } else if (type == "rmat") {
     std::uint32_t scale = 1;
     while ((1u << scale) < nodes) ++scale;
-    graph = GenerateRmat(scale, args.GetInt("edges", nodes * 5ull), 0.45,
-                         0.22, 0.22, labels, seed);
+    graph = GenerateRmat(scale, edges, 0.45, 0.22, 0.22, labels, seed);
   } else {
     return Fail(Status::InvalidArgument("generate: unknown --type " + type));
   }
@@ -425,6 +435,8 @@ void PrintMetricsTables(const obs::MetricsSnapshot& snap, std::ostream& os) {
 }
 
 int RunQuery(const Args& args, bool stats_mode) {
+  auto spec = ParseQuerySpec(args.values(), OptionSurface::kCli);
+  if (!spec.ok()) return Fail(spec.status());
   auto graph = LoadGraph(args.Get("graph", ""));
   if (!graph.ok()) return Fail(graph.status());
   auto query = ReadQueryArg(args);
@@ -434,91 +446,37 @@ int RunQuery(const Args& args, bool stats_mode) {
   if (stats_mode) obs::SetEnabled(true);
 
   QueryEngine engine(*graph);
-  QueryEngine::Options options;
-  options.rnd_seed = args.GetInt("seed", 99);
-  options.census.num_threads =
-      static_cast<std::uint32_t>(args.GetInt("threads", 1));
+  QueryEngine::Options options = spec->options;
   Governor governor;
-  if (GovernorFromArgs(args, &governor)) {
+  if (GovernorFromSpec(*spec, &governor)) {
     options.census.governor = &governor;
-  }
-  if (args.Has("degrade-approx")) {
-    options.census.degrade_to_approx = true;
-    double rate = args.GetDouble("degrade-approx", 0.0);
-    if (rate > 0.0 && rate <= 1.0) options.census.degrade_sample_rate = rate;
-  }
-  std::string algorithm = args.Get("algorithm", "");
-  if (!algorithm.empty()) {
-    options.auto_algorithm = false;
-    static const std::map<std::string, CensusAlgorithm> kNames = {
-        {"nd-bas", CensusAlgorithm::kNdBas},
-        {"nd-pvot", CensusAlgorithm::kNdPvot},
-        {"nd-diff", CensusAlgorithm::kNdDiff},
-        {"pt-bas", CensusAlgorithm::kPtBas},
-        {"pt-opt", CensusAlgorithm::kPtOpt},
-        {"pt-rnd", CensusAlgorithm::kPtRnd},
-    };
-    auto it = kNames.find(ToLower(algorithm));
-    if (it == kNames.end()) {
-      return Fail(Status::InvalidArgument("unknown --algorithm " + algorithm));
-    }
-    options.census.algorithm = it->second;
-  }
-  std::string matcher = ToLower(args.Get("matcher", "cn"));
-  if (matcher == "gql") {
-    options.census.use_gql_matcher = true;
-  } else if (matcher != "cn") {
-    return Fail(Status::InvalidArgument("unknown --matcher " + matcher +
-                                        " (expected cn or gql)"));
-  }
-  // Fast-path routing. An explicit --algorithm/--matcher without
-  // --fast-path pins the fast path off: asking for a specific engine means
-  // that engine should actually run (and its matcher stats appear).
-  std::string fast_path = ToLower(args.Get("fast-path", ""));
-  if (fast_path.empty()) {
-    if (args.Has("algorithm") || args.Has("matcher")) {
-      options.census.fast_path = FastPathMode::kOff;
-    }
-  } else if (fast_path == "auto") {
-    options.census.fast_path = FastPathMode::kAuto;
-  } else if (fast_path == "force") {
-    options.census.fast_path = FastPathMode::kForce;
-  } else if (fast_path == "off") {
-    options.census.fast_path = FastPathMode::kOff;
-  } else {
-    return Fail(Status::InvalidArgument("unknown --fast-path " + fast_path +
-                                        " (expected auto, force or off)"));
   }
   auto result = engine.Execute(*query, options);
   if (!result.ok()) return Fail(result.status());
   // A governed run that stopped early still produced a (partial) table;
   // print it, then exit non-zero with the stop reason.
   Status exec_status = engine.last_exec_status();
-  if (args.Has("top") && TopSortColumn(*result) >= 2) {
-    result->SortByColumnDesc(TopSortColumn(*result) - 1);
-  }
   if (stats_mode) {
     // Result rows are elided: the subcommand's product is the metric view.
     std::cout << "query returned " << result->NumRows() << " rows\n\n";
     // egolint: allow-obs(Registry is declared unconditionally and stubbed under EGO_OBS_ENABLED=0 — stats mode degrades to an empty table)
     PrintMetricsTables(obs::Registry::Global().Snapshot(), std::cout);
-  } else if (args.Has("csv")) {
-    result->WriteCsv(std::cout);
-    WriteStatsCsv(engine.last_stats(), engine.last_exec(), std::cerr);
   } else {
-    std::size_t limit = args.Has("top")
-                            ? static_cast<std::size_t>(args.GetInt("top", 20))
-                            : result->NumRows();
-    std::cout << result->ToString(limit);
-    for (std::size_t i = 0; i < engine.last_stats().size(); ++i) {
-      const CensusStats& s = engine.last_stats()[i];
-      std::cout << "aggregate " << i << ": "
-                << (s.fastpath_routed != 0 ? "engine=fastpath " : "")
-                << "threads=" << s.threads_used
-                << " matches=" << s.num_matches << " match=" << s.match_seconds
-                << "s index=" << s.index_seconds
-                << "s census=" << s.census_seconds
-                << "s peak_neighborhood=" << s.peak_neighborhood << "\n";
+    WriteQueryResult(*result, *spec, std::cout);
+    if (spec->format == ResultFormat::kCsv) {
+      WriteStatsCsv(engine.last_stats(), engine.last_exec(), std::cerr);
+    } else {
+      for (std::size_t i = 0; i < engine.last_stats().size(); ++i) {
+        const CensusStats& s = engine.last_stats()[i];
+        std::cout << "aggregate " << i << ": "
+                  << (s.fastpath_routed != 0 ? "engine=fastpath " : "")
+                  << "threads=" << s.threads_used
+                  << " matches=" << s.num_matches
+                  << " match=" << s.match_seconds
+                  << "s index=" << s.index_seconds
+                  << "s census=" << s.census_seconds
+                  << "s peak_neighborhood=" << s.peak_neighborhood << "\n";
+      }
     }
   }
   if (!exec_status.ok()) {
@@ -529,7 +487,9 @@ int RunQuery(const Args& args, bool stats_mode) {
   return WriteObsExports(obs_export);
 }
 
-int RunUpdate(const Args& args) {
+int RunUpdate(Args& args) {
+  auto spec = ParseQuerySpec(args.values(), OptionSurface::kCli);
+  if (!spec.ok()) return Fail(spec.status());
   auto graph = LoadGraph(args.Get("graph", ""));
   if (!graph.ok()) return Fail(graph.status());
   auto query = ReadQueryArg(args);
@@ -541,21 +501,21 @@ int RunUpdate(const Args& args) {
   }
   auto updates = LoadUpdateStream(updates_path);
   if (!updates.ok()) return Fail(updates.status());
+  std::size_t batch_size = static_cast<std::size_t>(
+      std::max<std::uint64_t>(args.GetUint("batch-size", updates->size()), 1));
+  if (!args.status().ok()) return Fail(args.status());
 
   DynamicGraph dynamic(std::move(*graph));
   MaintainSession::Options options;
-  options.rnd_seed = args.GetInt("seed", 99);
+  options.rnd_seed = spec->options.rnd_seed;
   Governor governor;
-  if (GovernorFromArgs(args, &governor)) {
+  if (GovernorFromSpec(*spec, &governor)) {
     options.governor = &governor;
   }
   auto session = MaintainSession::Create(&dynamic, *query, options);
   if (!session.ok()) return Fail(session.status());
 
-  std::size_t batch_size =
-      static_cast<std::size_t>(args.GetInt("batch-size", updates->size()));
-  if (batch_size == 0) batch_size = 1;
-  bool csv = args.Has("csv");
+  bool csv = spec->format == ResultFormat::kCsv;
   MaintenanceStats total;
   std::span<const GraphUpdate> remaining(*updates);
   std::size_t batch_index = 0;
@@ -576,17 +536,9 @@ int RunUpdate(const Args& args) {
   }
 
   ResultTable counts = session->CountsTable();
-  if (args.Has("top") && TopSortColumn(counts) >= 2) {
-    counts.SortByColumnDesc(TopSortColumn(counts) - 1);
-  }
-  if (csv) {
-    counts.WriteCsv(std::cout);
-  } else {
-    std::cout << "maintained counts:\n";
-    std::size_t limit = args.Has("top")
-                            ? static_cast<std::size_t>(args.GetInt("top", 20))
-                            : counts.NumRows();
-    std::cout << counts.ToString(limit);
+  if (!csv) std::cout << "maintained counts:\n";
+  WriteQueryResult(counts, *spec, std::cout);
+  if (!csv) {
     std::cout << "stats: applied=" << total.updates_applied
               << " noop=" << total.noop_updates
               << " delta_matches=" << total.delta_matches
@@ -609,7 +561,7 @@ int RunUpdate(const Args& args) {
 /// local contract: the response's status crosses the wire as text and maps
 /// back through the same Fail() (2 for usage errors, 1 for everything else,
 /// including governed stops reported in exec_status).
-int RunRemote(const std::string& action, const Args& args) {
+int RunRemote(const std::string& action, Args& args) {
   std::string connect = args.Get("connect", "");
   if (connect.empty()) {
     std::cerr << "remote: --connect HOST:PORT is required\n";
@@ -627,70 +579,32 @@ int RunRemote(const std::string& action, const Args& args) {
   std::string request_id = args.Get("request-id", "");
 
   net::Message request;
-  if (action == "query") {
+  if (action == "query" || action == "update") {
+    // Validated here so a bad value exits 2 without a round trip; the
+    // daemon then parses the same strings under their wire names.
+    auto spec = ParseQuerySpec(args.values(), OptionSurface::kCli);
+    if (!spec.ok()) return Fail(spec.status());
     std::string graph = args.Get("graph", "");
     if (graph.empty()) {
-      return Fail(Status::InvalidArgument("remote query: --graph NAME names "
-                                          "a graph loaded in the daemon"));
+      return Fail(Status::InvalidArgument("remote " + action +
+                                          ": --graph NAME names a graph "
+                                          "loaded in the daemon"));
     }
-    auto query = ReadQueryArg(args);
-    if (!query.ok()) return Fail(query.status());
-    request = net::Client::QueryRequest(graph, *query);
-    if (args.Has("timeout-ms")) {
-      request.headers["deadline_ms"] =
-          std::to_string(args.GetInt("timeout-ms", 0));
+    if (action == "query") {
+      auto query = ReadQueryArg(args);
+      if (!query.ok()) return Fail(query.status());
+      request = net::Client::QueryRequest(graph, *query);
+    } else {
+      std::string path = args.Get("updates", "");
+      if (path.empty()) {
+        return Fail(Status::InvalidArgument(
+            "remote update: --updates FILE is required"));
+      }
+      auto updates = ReadFile(path, "update stream");
+      if (!updates.ok()) return Fail(updates.status());
+      request = net::Client::UpdateRequest(graph, *updates);
     }
-    if (args.Has("memory-budget-mb")) {
-      request.headers["memory_budget_mb"] =
-          std::to_string(args.GetInt("memory-budget-mb", 0));
-    }
-    if (args.Has("threads")) {
-      request.headers["threads"] = std::to_string(args.GetInt("threads", 1));
-    }
-    if (args.Has("algorithm")) {
-      request.headers["algorithm"] = args.Get("algorithm", "");
-    }
-    if (args.Has("matcher")) {
-      request.headers["matcher"] = args.Get("matcher", "cn");
-    }
-    if (args.Has("fast-path")) {
-      request.headers["fast_path"] = args.Get("fast-path", "auto");
-    }
-    if (args.Has("top")) {
-      request.headers["top"] = std::to_string(args.GetInt("top", 20));
-    }
-    if (args.Has("seed")) {
-      request.headers["seed"] = std::to_string(args.GetInt("seed", 99));
-    }
-    if (args.Has("degrade-approx")) {
-      // Wire format is integer permille (headers are integers); the CLI's
-      // fractional RATE is converted here.
-      double rate = args.GetDouble("degrade-approx", 0.0);
-      request.headers["degrade-approx"] = std::to_string(
-          rate > 0.0 && rate <= 1.0
-              ? static_cast<std::uint64_t>(rate * 1000.0)
-              : 0);
-    }
-    if (!args.Has("csv")) request.headers["format"] = "text";
-  } else if (action == "update") {
-    std::string graph = args.Get("graph", "");
-    std::string updates_path = args.Get("updates", "");
-    if (graph.empty() || updates_path.empty()) {
-      return Fail(Status::InvalidArgument(
-          "remote update: --graph NAME and --updates FILE are required"));
-    }
-    std::ifstream in(updates_path);
-    if (!in) {
-      return Fail(Status::NotFound("cannot open update stream: " +
-                                   updates_path));
-    }
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    request = net::Client::UpdateRequest(graph, ss.str());
-    if (args.Has("timeout-ms")) {
-      request.headers["deadline_ms"] =
-          std::to_string(args.GetInt("timeout-ms", 0));
-    }
+    ForwardQueryOptions(args.values(), &request.headers);
   } else if (action == "status") {
     request = net::Client::StatusRequest();
     if (args.Has("slow-trace")) {
@@ -728,25 +642,26 @@ int RunRemote(const std::string& action, const Args& args) {
   // server-side rather than erroring.
   if (args.Has("tenant")) request.headers["tenant"] = args.Get("tenant", "");
 
+  constexpr std::uint64_t kMaxInt = 0x7FFFFFFF;
   net::Client::Options client_options;
   client_options.connect_timeout_ms =
-      static_cast<int>(args.GetInt("connect-timeout-ms", 5000));
+      static_cast<int>(args.GetUint("connect-timeout-ms", 5000, kMaxInt));
   client_options.io_timeout_ms =
-      static_cast<int>(args.GetInt("io-timeout-ms", 0));
+      static_cast<int>(args.GetUint("io-timeout-ms", 0, kMaxInt));
+  net::RetryPolicy policy;
+  policy.max_retries = static_cast<int>(args.GetUint("retries", 0, kMaxInt));
+  policy.budget_ms = args.GetUint("retry-budget-ms", 15000);
+  if (!args.status().ok()) return Fail(args.status());
 
   // Retries are opt-in, and gated for UPDATE: a retried update whose first
   // attempt actually executed (the response just never arrived) would
   // apply twice. --idempotent is the caller asserting that is safe.
-  int retries = static_cast<int>(args.GetInt("retries", 0));
-  if (retries > 0 && action == "update" && !args.Has("idempotent")) {
+  if (policy.max_retries > 0 && action == "update" &&
+      !args.Has("idempotent")) {
     return Fail(Status::InvalidArgument(
         "remote update: --retries requires --idempotent (a retried update "
         "may apply twice when only the response was lost)"));
   }
-  net::RetryPolicy policy;
-  policy.max_retries = retries;
-  policy.budget_ms =
-      static_cast<std::uint64_t>(args.GetInt("retry-budget-ms", 15000));
   net::RetryStats retry_stats;
   auto response = net::CallWithRetry(*endpoint, request, client_options,
                                      policy, &retry_stats);
@@ -802,7 +717,8 @@ int main(int argc, char** argv) {
                    "(query|update|status|metrics|load|unload|shutdown)\n";
       return Usage();
     }
-    return RunRemote(argv[2], Args(argc, argv, 3));
+    Args args(argc, argv, 3);
+    return RunRemote(argv[2], args);
   }
   Args args(argc, argv, 2);
   if (command == "generate") return RunGenerate(args);
