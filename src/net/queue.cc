@@ -4,7 +4,6 @@
 #include <sys/socket.h>
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 
 #include "exec/failpoints.h"
@@ -34,11 +33,6 @@ bool ClientGone(int fd) {
     return n == 0;
   }
   return false;
-}
-
-std::size_t WaitBucket(std::uint64_t wait_us) {
-  if (wait_us == 0) return 0;
-  return std::min<std::size_t>(std::bit_width(wait_us), 32);
 }
 
 }  // namespace
@@ -89,11 +83,12 @@ FairRequestQueue::Tenant& FairRequestQueue::TenantLocked(
 
 void FairRequestQueue::RecordWaitLocked(Tenant& tenant,
                                         std::uint64_t wait_us) {
-  TenantQueueStats& s = tenant.stats;
-  ++s.wait_count;
-  s.wait_sum_us += wait_us;
-  s.wait_max_us = std::max(s.wait_max_us, wait_us);
-  ++s.wait_buckets[WaitBucket(wait_us)];
+  auto& wait = tenant.stats.wait;
+  ++wait.count;
+  wait.sum += wait_us;
+  wait.max = std::max(wait.max, wait_us);
+  // egolint: allow-obs(HistogramBucket compiles in both obs builds)
+  ++wait.buckets[obs::HistogramBucket(wait_us)];
 }
 
 void FairRequestQueue::ScheduleLocked() {
@@ -291,29 +286,23 @@ std::uint32_t FairRequestQueue::active() const {
   return active_;
 }
 
-std::uint32_t FairRequestQueue::peak_active() const {
-  MutexLock lock(mu_);
-  return peak_active_;
-}
-
 std::size_t FairRequestQueue::depth() const {
   MutexLock lock(mu_);
   return depth_;
 }
 
-std::uint64_t FairRequestQueue::queued_bytes() const {
+QueueSnapshot FairRequestQueue::Snapshot() const {
   MutexLock lock(mu_);
-  return queued_bytes_;
-}
-
-std::vector<TenantQueueStats> FairRequestQueue::TenantStats() const {
-  MutexLock lock(mu_);
-  std::vector<TenantQueueStats> out;
-  out.reserve(tenants_.size());
+  QueueSnapshot out;
+  out.active = active_;
+  out.peak_active = peak_active_;
+  out.depth = depth_;
+  out.queued_bytes = queued_bytes_;
+  out.draining = draining_;
+  out.tenants.reserve(tenants_.size());
   for (const auto& [name, t] : tenants_) {
-    TenantQueueStats s = t.stats;
-    s.depth = t.fifo.size();
-    out.push_back(std::move(s));
+    out.tenants.push_back(t.stats);
+    out.tenants.back().depth = t.fifo.size();
   }
   return out;
 }

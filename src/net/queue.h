@@ -30,7 +30,6 @@
 // non-grant outcome — so at quiescence enqueue hits equal dequeue plus
 // evict hits exactly, the conservation law the chaos test asserts.
 
-#include <array>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -38,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 
@@ -77,9 +77,8 @@ enum class AdmitOutcome : std::uint8_t {
 const char* AdmitOutcomeName(AdmitOutcome outcome);
 
 /// Monotone per-tenant accounting, surfaced in STATUS ("tenants") and the
-/// Prometheus exposition. wait_buckets is a log2 histogram of granted
-/// queue waits in microseconds: bucket 0 counts zero-wait grants, bucket
-/// b >= 1 counts waits in [2^(b-1), 2^b).
+/// Prometheus exposition. `wait` is the obs log2 histogram of granted
+/// queue waits in microseconds.
 struct TenantQueueStats {
   std::string tenant;
   std::uint64_t depth = 0;  // currently queued (point-in-time)
@@ -89,10 +88,18 @@ struct TenantQueueStats {
   std::uint64_t evicted_deadline = 0;
   std::uint64_t evicted_disconnect = 0;
   std::uint64_t evicted_drain = 0;
-  std::uint64_t wait_count = 0;
-  std::uint64_t wait_sum_us = 0;
-  std::uint64_t wait_max_us = 0;
-  std::array<std::uint64_t, 33> wait_buckets{};
+  // egolint: allow-obs(HistogramSnapshot compiles in both obs builds)
+  obs::HistogramSnapshot wait;
+};
+
+/// One consistent read of the queue: every field taken under one lock.
+struct QueueSnapshot {
+  std::uint32_t active = 0;
+  std::uint32_t peak_active = 0;
+  std::size_t depth = 0;
+  std::uint64_t queued_bytes = 0;
+  bool draining = false;
+  std::vector<TenantQueueStats> tenants;  // every tenant ever seen, by name
 };
 
 class FairRequestQueue {
@@ -134,12 +141,9 @@ class FairRequestQueue {
   bool Idle() const;
 
   std::uint32_t active() const;
-  std::uint32_t peak_active() const;
   std::size_t depth() const;
-  std::uint64_t queued_bytes() const;
 
-  /// Snapshot of every tenant ever seen, sorted by tenant name.
-  std::vector<TenantQueueStats> TenantStats() const;
+  QueueSnapshot Snapshot() const;
 
   const QueueOptions& options() const { return options_; }
 

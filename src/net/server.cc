@@ -14,14 +14,12 @@
 #include "lang/engine.h"
 #include "lang/query_spec.h"
 #include "obs/log.h"
+#include "obs/metrics.h"
 #include "obs/obs.h"
+#include "obs/prometheus.h"
 #include "util/build_info.h"
 #include "util/strings.h"
 #include "util/timer.h"
-#if EGO_OBS_ENABLED
-#include "obs/metrics.h"
-#include "obs/prometheus.h"
-#endif
 
 namespace egocensus::net {
 
@@ -122,30 +120,6 @@ class QueueSlot {
   FairRequestQueue* queue_;
 };
 
-/// Exposition label-value escaping for the always-compiled daemon families
-/// (graph names are user strings). Kept local so this file never touches
-/// the obs exporter outside its EGO_OBS_ENABLED gate.
-std::string PromLabel(std::string_view value) {
-  std::string out;
-  out.reserve(value.size());
-  for (char c : value) {
-    switch (c) {
-      case '\\':
-        out += "\\\\";
-        break;
-      case '"':
-        out += "\\\"";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
-
 std::uint64_t SecondsToMicros(double seconds) {
   return seconds <= 0 ? 0 : static_cast<std::uint64_t>(seconds * 1e6);
 }
@@ -159,6 +133,205 @@ std::string ResponseExecStatus(const Message& response) {
       "exec_status",
       response.Header(
           "code", response.type == FrameType::kError ? "INTERNAL" : "OK"));
+}
+
+using DaemonSnapshot = CensusServer::DaemonSnapshot;
+
+/// The STATUS JSON document (docs/SERVER.md, "STATUS JSON").
+std::string RenderStatus(const DaemonSnapshot& s,
+                         const CensusServer::Options& options) {
+  BuildInfo build = GetBuildInfo();
+  std::ostringstream os;
+  os << "{\n";
+  // Versioned STATUS schema (docs/SERVER.md): bump on any rename/removal;
+  // additive fields keep the version. 2 added the fair-queue admission
+  // fields, the tenants array, and tenant/queue_us on recent entries.
+  os << "  \"schema\": 2,\n";
+  os << "  \"server\": {\"build\": \"" << JsonEscape(BuildInfoString())
+     << "\", \"git\": \"" << JsonEscape(build.git_describe)
+     << "\", \"build_type\": \"" << JsonEscape(build.build_type)
+     << "\", \"obs\": " << (build.obs_enabled ? "true" : "false")
+     << ", \"failpoints\": " << (build.failpoints_enabled ? "true" : "false")
+     << ", \"protocol\": " << kProtocolVersion
+     << ", \"pid\": " << ::getpid()
+     << ", \"uptime_us\": " << s.uptime_us << "},\n";
+  os << "  \"admission\": {\"inflight\": " << s.queue.active
+     << ", \"capacity\": " << options.max_inflight
+     << ", \"peak_inflight\": " << s.queue.peak_active
+     << ", \"queued\": " << s.queue.depth
+     << ", \"queue_capacity\": " << options.queue_depth
+     << ", \"queued_bytes\": " << s.queue.queued_bytes
+     << ", \"queue_bytes_capacity\": " << options.queue_bytes
+     << ", \"draining\": " << (s.queue.draining ? "true" : "false")
+     << ", \"busy_rejected\": " << s.counters.busy_rejected << "},\n";
+  os << "  \"tenants\": [";
+  bool first = true;
+  for (const TenantQueueStats& t : s.queue.tenants) {
+    if (!first) os << ", ";
+    first = false;
+    os << "{\"tenant\": \"" << JsonEscape(t.tenant)
+       << "\", \"queued\": " << t.depth << ", \"enqueued\": " << t.enqueued
+       << ", \"granted\": " << t.granted
+       << ", \"busy_overflow\": " << t.busy_overflow
+       << ", \"evicted\": {\"deadline\": " << t.evicted_deadline
+       << ", \"disconnect\": " << t.evicted_disconnect
+       << ", \"drain\": " << t.evicted_drain
+       << "}, \"wait\": {\"count\": " << t.wait.count
+       << ", \"sum_us\": " << t.wait.sum << ", \"max_us\": " << t.wait.max
+       << "}}";
+  }
+  os << "],\n";
+  os << "  \"caps\": {\"max_deadline_ms\": " << options.max_deadline_ms
+     << ", \"max_memory_budget_mb\": " << options.max_memory_budget_mb
+     << ", \"max_threads\": " << options.max_threads << "},\n";
+  os << "  \"counters\": {\"connections\": " << s.counters.connections
+     << ", \"requests\": " << s.counters.requests
+     << ", \"completed\": " << s.counters.completed
+     << ", \"protocol_errors\": " << s.counters.protocol_errors
+     << ", \"disconnect_cancels\": " << s.counters.disconnect_cancels
+     << ", \"verbs\": {";
+  first = true;
+  for (const auto& [verb, count] : s.verbs) {
+    if (!first) os << ", ";
+    first = false;
+    os << "\"" << FrameTypeName(verb) << "\": " << count;
+  }
+  os << "}},\n";
+  os << "  \"graphs\": [";
+  first = true;
+  for (const GraphSummary& graph : s.graphs) {
+    if (!first) os << ", ";
+    first = false;
+    os << "{\"name\": \"" << JsonEscape(graph.name)
+       << "\", \"nodes\": " << graph.nodes << ", \"edges\": " << graph.edges
+       << ", \"version\": " << graph.version
+       << ", \"updates_applied\": " << graph.updates_applied
+       << ", \"fastpath\": {\"routed\": " << graph.fastpath_routed
+       << ", \"generic\": " << graph.fastpath_generic << "}}";
+  }
+  os << "],\n";
+  os << "  \"recent\": [";
+  first = true;
+  for (const CensusServer::RequestRecord& record : s.recent) {
+    if (!first) os << ", ";
+    first = false;
+    os << "{\"request_id\": \"" << JsonEscape(record.request_id)
+       << "\", \"type\": \"" << JsonEscape(record.type) << "\", \"graph\": \""
+       << JsonEscape(record.graph) << "\", \"tenant\": \""
+       << JsonEscape(record.tenant) << "\", \"exec_status\": \""
+       << JsonEscape(record.exec_status) << "\", \"stop_reason\": \""
+       << JsonEscape(record.stop_reason)
+       << "\", \"latency_us\": " << record.latency_us
+       << ", \"queue_us\": " << record.queue_us
+       << ", \"bytes_in\": " << record.bytes_in
+       << ", \"bytes_out\": " << record.bytes_out << "}";
+  }
+  os << "],\n";
+  os << "  \"slow_queries\": [";
+  first = true;
+  for (const CensusServer::SlowQueryRecord& record : s.slow_queries) {
+    if (!first) os << ", ";
+    first = false;
+    os << "{\"request_id\": \"" << JsonEscape(record.request_id)
+       << "\", \"type\": \"" << JsonEscape(record.type) << "\", \"graph\": \""
+       << JsonEscape(record.graph) << "\", \"exec_status\": \""
+       << JsonEscape(record.exec_status) << "\", \"stop_reason\": \""
+       << JsonEscape(record.stop_reason)
+       << "\", \"latency_us\": " << record.latency_us
+       << ", \"spans\": " << record.spans.size() << "}";
+  }
+  os << "]";
+#if EGO_OBS_ENABLED
+  if (obs::Enabled()) {
+    os << ",\n  \"metrics\": ";
+    obs::Registry::Global().Snapshot().WriteJson(os);
+  }
+#endif
+  os << "\n}\n";
+  return os.str();
+}
+
+/// The slow-query capture `request_id` (empty or "latest" = the newest)
+/// rendered as a Chrome trace: one complete event per phase span plus a
+/// request-spanning root. Empty string when no capture matches.
+std::string RenderSlowQueryTrace(
+    const std::deque<CensusServer::SlowQueryRecord>& captures,
+    const std::string& request_id) {
+  const bool newest = request_id.empty() || request_id == "latest";
+  auto it = std::find_if(
+      captures.begin(), captures.end(),
+      [&](const CensusServer::SlowQueryRecord& candidate) {
+        return newest || candidate.request_id == request_id;
+      });
+  if (it == captures.end()) return "";
+  const CensusServer::SlowQueryRecord& record = *it;
+  // Chrome trace-event JSON (chrome://tracing, Perfetto): all events on one
+  // logical track, timestamps absolute on the server's steady clock.
+  std::ostringstream os;
+  os << "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n";
+  os << "  {\"name\": \"" << JsonEscape(record.type) << " "
+     << JsonEscape(record.request_id) << "\", \"ph\": \"X\", \"ts\": "
+     << record.received_us << ", \"dur\": " << record.latency_us
+     << ", \"pid\": 1, \"tid\": 1, \"args\": {\"graph\": \""
+     << JsonEscape(record.graph) << "\", \"exec_status\": \""
+     << JsonEscape(record.exec_status) << "\", \"stop_reason\": \""
+     << JsonEscape(record.stop_reason) << "\"}}";
+  for (const PhaseSpan& span : record.spans) {
+    os << ",\n  {\"name\": \"" << JsonEscape(span.name)
+       << "\", \"ph\": \"X\", \"ts\": " << (record.received_us + span.begin_us)
+       << ", \"dur\": " << span.dur_us << ", \"pid\": 1, \"tid\": 1}";
+  }
+  os << "\n]}\n";
+  return os.str();
+}
+
+/// The always-compiled daemon families of METRICS, named as registry
+/// metrics so the obs exporter renders them like every other family
+/// (`daemon/requests{verb="QUERY"}` becomes a `_total` counter family
+/// under the exporter's `egocensus_` prefix).
+// egolint: allow-obs(MetricsSnapshot compiles in both obs builds)
+obs::MetricsSnapshot DaemonMetrics(const DaemonSnapshot& s) {
+  // egolint: allow-obs(MetricsSnapshot compiles in both obs builds)
+  obs::MetricsSnapshot m;
+  // egolint: allow-obs(LabeledName compiles in both obs builds)
+  const auto label = &obs::LabeledName;
+  m.gauges["daemon/uptime_seconds"] = s.uptime_us / 1'000'000;
+  m.gauges["daemon/inflight"] = s.queue.active;
+  m.gauges["daemon/draining"] = s.queue.draining ? 1 : 0;
+  m.gauges["daemon/slow_queries"] = s.slow_queries.size();
+  m.counters["daemon/connections"] = s.counters.connections;
+  m.counters["daemon/busy_rejected"] = s.counters.busy_rejected;
+  m.counters["daemon/protocol_errors"] = s.counters.protocol_errors;
+  m.counters["daemon/disconnect_cancels"] = s.counters.disconnect_cancels;
+  for (const auto& [verb, count] : s.verbs) {
+    m.counters[label("daemon/requests", {{"verb", FrameTypeName(verb)}})] =
+        count;
+  }
+  for (const TenantQueueStats& t : s.queue.tenants) {
+    m.gauges[label("daemon/queue_depth", {{"tenant", t.tenant}})] = t.depth;
+    m.counters[label("daemon/queue_granted", {{"tenant", t.tenant}})] =
+        t.granted;
+    m.histograms[label("daemon/queue_wait_us", {{"tenant", t.tenant}})] =
+        t.wait;
+    const std::pair<const char*, std::uint64_t> reasons[] = {
+        {"overflow", t.busy_overflow},
+        {"deadline", t.evicted_deadline},
+        {"disconnect", t.evicted_disconnect},
+        {"drain", t.evicted_drain}};
+    for (const auto& [reason, count] : reasons) {
+      m.counters[label("daemon/queue_rejected",
+                       {{"tenant", t.tenant}, {"reason", reason}})] = count;
+    }
+  }
+  for (const GraphSummary& graph : s.graphs) {
+    m.counters[label("daemon/fastpath",
+                     {{"graph", graph.name}, {"route", "routed"}})] =
+        graph.fastpath_routed;
+    m.counters[label("daemon/fastpath",
+                     {{"graph", graph.name}, {"route", "generic"}})] =
+        graph.fastpath_generic;
+  }
+  return m;
 }
 
 }  // namespace
@@ -200,7 +373,6 @@ void CensusServer::RequestShutdown() {
 }
 
 CensusServer::DrainResult CensusServer::Drain(std::uint64_t drain_ms) {
-  draining_.store(true, std::memory_order_relaxed);
   queue_.BeginDrain();
   DrainResult result;
   const std::uint64_t deadline_us = Timer::NowMicros() + drain_ms * 1000;
@@ -236,22 +408,32 @@ CensusServer::DrainResult CensusServer::Drain(std::uint64_t drain_ms) {
   return result;
 }
 
-CensusServer::Counters CensusServer::counters() const {
-  Counters counters;
-  counters.connections = connections_count_.load(std::memory_order_relaxed);
-  counters.requests = requests_.load(std::memory_order_relaxed);
-  counters.completed = completed_.load(std::memory_order_relaxed);
-  counters.busy_rejected = busy_rejected_.load(std::memory_order_relaxed);
-  counters.protocol_errors =
+CensusServer::DaemonSnapshot CensusServer::Snapshot() const {
+  DaemonSnapshot s;
+  s.uptime_us = Timer::NowMicros() - started_micros_;
+  s.counters.connections = connections_count_.load(std::memory_order_relaxed);
+  s.counters.requests = requests_.load(std::memory_order_relaxed);
+  s.counters.completed = completed_.load(std::memory_order_relaxed);
+  s.counters.busy_rejected = busy_rejected_.load(std::memory_order_relaxed);
+  s.counters.protocol_errors =
       protocol_errors_.load(std::memory_order_relaxed);
-  counters.disconnect_cancels =
+  s.counters.disconnect_cancels =
       disconnect_cancels_.load(std::memory_order_relaxed);
-  return counters;
-}
-
-std::deque<CensusServer::RequestRecord> CensusServer::RecentRequests() const {
-  MutexLock lock(ring_mutex_);
-  return ring_;
+  for (std::uint8_t b = 1; b < verb_counts_.size(); ++b) {
+    s.verbs[static_cast<FrameType>(b)] =
+        verb_counts_[b].load(std::memory_order_relaxed);
+  }
+  s.queue = queue_.Snapshot();
+  s.graphs = registry_.Summaries();
+  {
+    MutexLock lock(ring_mutex_);
+    s.recent = ring_;
+  }
+  {
+    MutexLock lock(slow_mutex_);
+    s.slow_queries = slow_ring_;
+  }
+  return s;
 }
 
 void CensusServer::AcceptLoop() {
@@ -259,7 +441,7 @@ void CensusServer::AcceptLoop() {
     // Draining: stop accepting. Closing the listener here is safe — the
     // accept thread owns it — and turns new connection attempts into
     // ECONNREFUSED instead of a socket that would only ever see BUSY.
-    if (draining_.load(std::memory_order_relaxed) && listener_.valid()) {
+    if (queue_.draining() && listener_.valid()) {
       listener_.Close();
     }
     Result<Socket> accepted = Status::NotFound("listener closed for drain");
@@ -692,22 +874,23 @@ Message CensusServer::HandleUpdate(const Message& request, int client_fd,
 Message CensusServer::HandleStatus(const Message& request,
                                    RequestContext& ctx) {
   ctx.exec_begin_us = Timer::NowMicros();
+  const DaemonSnapshot snapshot = Snapshot();
   Message response;
   response.type = FrameType::kResult;
   response.headers["content"] = "application/json";
   // `slow_trace: <request_id>` (empty value = newest capture) swaps the
   // body for that slow query's Chrome trace (docs/OBSERVABILITY.md).
   if (request.HasHeader("slow_trace")) {
-    std::string trace = SlowQueryTraceJson(request.Header("slow_trace", ""));
+    const std::string id = request.Header("slow_trace", "");
+    std::string trace = RenderSlowQueryTrace(snapshot.slow_queries, id);
     if (trace.empty()) {
       return ErrorResponse(ctx, Status::NotFound(
-          "no slow-query capture for request id '" +
-          request.Header("slow_trace", "") + "'"));
+          "no slow-query capture for request id '" + id + "'"));
     }
     response.body = std::move(trace);
     return response;
   }
-  response.body = StatusJson();
+  response.body = RenderStatus(snapshot, options_);
   return response;
 }
 
@@ -718,7 +901,8 @@ Message CensusServer::HandleMetrics(const Message& request,
   response.type = FrameType::kResult;
   response.headers["content"] = "text/plain; version=0.0.4";
   std::ostringstream os;
-  WriteDaemonExposition(os);
+  // egolint: allow-obs(WritePrometheus compiles in both obs builds)
+  obs::WritePrometheus(DaemonMetrics(Snapshot()), os);
 #if EGO_OBS_ENABLED
   // The engine-level registry families render from a point-in-time shard
   // merge — recording threads never block on exposition.
@@ -760,289 +944,6 @@ Message CensusServer::HandleUnload(const Message& request,
   response.type = FrameType::kResult;
   response.body = "unloaded '" + name + "'\n";
   return response;
-}
-
-std::string CensusServer::StatusJson() const {
-  BuildInfo build = GetBuildInfo();
-  Counters counters = this->counters();
-  std::ostringstream os;
-  os << "{\n";
-  // Versioned STATUS schema (docs/SERVER.md): bump on any rename/removal;
-  // additive fields keep the version. 2 added the fair-queue admission
-  // fields, the tenants array, and tenant/queue_us on recent entries.
-  os << "  \"schema\": 2,\n";
-  os << "  \"server\": {\"build\": \"" << JsonEscape(BuildInfoString())
-     << "\", \"git\": \"" << JsonEscape(build.git_describe)
-     << "\", \"build_type\": \"" << JsonEscape(build.build_type)
-     << "\", \"obs\": " << (build.obs_enabled ? "true" : "false")
-     << ", \"failpoints\": " << (build.failpoints_enabled ? "true" : "false")
-     << ", \"protocol\": " << kProtocolVersion
-     << ", \"pid\": " << ::getpid()
-     << ", \"uptime_us\": " << (Timer::NowMicros() - started_micros_)
-     << "},\n";
-  os << "  \"admission\": {\"inflight\": " << inflight()
-     << ", \"capacity\": " << options_.max_inflight
-     << ", \"peak_inflight\": " << queue_.peak_active()
-     << ", \"queued\": " << queue_.depth()
-     << ", \"queue_capacity\": " << options_.queue_depth
-     << ", \"queued_bytes\": " << queue_.queued_bytes()
-     << ", \"queue_bytes_capacity\": " << options_.queue_bytes
-     << ", \"draining\": " << (draining() ? "true" : "false")
-     << ", \"busy_rejected\": " << counters.busy_rejected << "},\n";
-  os << "  \"tenants\": [";
-  {
-    bool first_tenant = true;
-    for (const TenantQueueStats& t : queue_.TenantStats()) {
-      if (!first_tenant) os << ", ";
-      first_tenant = false;
-      os << "{\"tenant\": \"" << JsonEscape(t.tenant)
-         << "\", \"queued\": " << t.depth << ", \"enqueued\": " << t.enqueued
-         << ", \"granted\": " << t.granted
-         << ", \"busy_overflow\": " << t.busy_overflow
-         << ", \"evicted\": {\"deadline\": " << t.evicted_deadline
-         << ", \"disconnect\": " << t.evicted_disconnect
-         << ", \"drain\": " << t.evicted_drain
-         << "}, \"wait\": {\"count\": " << t.wait_count
-         << ", \"sum_us\": " << t.wait_sum_us
-         << ", \"max_us\": " << t.wait_max_us << "}}";
-    }
-  }
-  os << "],\n";
-  os << "  \"caps\": {\"max_deadline_ms\": " << options_.max_deadline_ms
-     << ", \"max_memory_budget_mb\": " << options_.max_memory_budget_mb
-     << ", \"max_threads\": " << options_.max_threads << "},\n";
-  os << "  \"counters\": {\"connections\": " << counters.connections
-     << ", \"requests\": " << counters.requests
-     << ", \"completed\": " << counters.completed
-     << ", \"protocol_errors\": " << counters.protocol_errors
-     << ", \"disconnect_cancels\": " << counters.disconnect_cancels
-     << ", \"verbs\": {";
-  {
-    static constexpr FrameType kVerbs[] = {
-        FrameType::kQuery,  FrameType::kUpdate,   FrameType::kStatus,
-        FrameType::kLoad,   FrameType::kUnload,   FrameType::kShutdown,
-        FrameType::kMetrics};
-    bool first_verb = true;
-    for (FrameType verb : kVerbs) {
-      if (!first_verb) os << ", ";
-      first_verb = false;
-      os << "\"" << FrameTypeName(verb) << "\": " << VerbCount(verb);
-    }
-  }
-  os << "}},\n";
-  os << "  \"graphs\": [";
-  bool first = true;
-  for (const GraphSummary& graph : registry_.Summaries()) {
-    if (!first) os << ", ";
-    first = false;
-    os << "{\"name\": \"" << JsonEscape(graph.name)
-       << "\", \"nodes\": " << graph.nodes << ", \"edges\": " << graph.edges
-       << ", \"version\": " << graph.version
-       << ", \"updates_applied\": " << graph.updates_applied
-       << ", \"fastpath\": {\"routed\": " << graph.fastpath_routed
-       << ", \"generic\": " << graph.fastpath_generic << "}}";
-  }
-  os << "],\n";
-  os << "  \"recent\": [";
-  first = true;
-  for (const RequestRecord& record : RecentRequests()) {
-    if (!first) os << ", ";
-    first = false;
-    os << "{\"request_id\": \"" << JsonEscape(record.request_id)
-       << "\", \"type\": \"" << JsonEscape(record.type) << "\", \"graph\": \""
-       << JsonEscape(record.graph) << "\", \"tenant\": \""
-       << JsonEscape(record.tenant) << "\", \"exec_status\": \""
-       << JsonEscape(record.exec_status) << "\", \"stop_reason\": \""
-       << JsonEscape(record.stop_reason)
-       << "\", \"latency_us\": " << record.latency_us
-       << ", \"queue_us\": " << record.queue_us
-       << ", \"bytes_in\": " << record.bytes_in
-       << ", \"bytes_out\": " << record.bytes_out << "}";
-  }
-  os << "],\n";
-  os << "  \"slow_queries\": [";
-  first = true;
-  for (const SlowQueryRecord& record : SlowQueries()) {
-    if (!first) os << ", ";
-    first = false;
-    os << "{\"request_id\": \"" << JsonEscape(record.request_id)
-       << "\", \"type\": \"" << JsonEscape(record.type) << "\", \"graph\": \""
-       << JsonEscape(record.graph) << "\", \"exec_status\": \""
-       << JsonEscape(record.exec_status) << "\", \"stop_reason\": \""
-       << JsonEscape(record.stop_reason)
-       << "\", \"latency_us\": " << record.latency_us
-       << ", \"spans\": " << record.spans.size() << "}";
-  }
-  os << "]";
-#if EGO_OBS_ENABLED
-  if (obs::Enabled()) {
-    os << ",\n  \"metrics\": ";
-    obs::Registry::Global().Snapshot().WriteJson(os);
-  }
-#endif
-  os << "\n}\n";
-  return os.str();
-}
-
-std::uint64_t CensusServer::VerbCount(FrameType type) const {
-  std::uint8_t byte = static_cast<std::uint8_t>(type);
-  if (byte >= verb_counts_.size()) return 0;
-  return verb_counts_[byte].load(std::memory_order_relaxed);
-}
-
-std::deque<CensusServer::SlowQueryRecord> CensusServer::SlowQueries() const {
-  MutexLock lock(slow_mutex_);
-  return slow_ring_;
-}
-
-std::string CensusServer::SlowQueryTraceJson(
-    const std::string& request_id) const {
-  SlowQueryRecord record;
-  {
-    MutexLock lock(slow_mutex_);
-    if (slow_ring_.empty()) return "";
-    if (request_id.empty() || request_id == "latest") {
-      record = slow_ring_.front();
-    } else {
-      bool found = false;
-      for (const SlowQueryRecord& candidate : slow_ring_) {
-        if (candidate.request_id == request_id) {
-          record = candidate;
-          found = true;
-          break;
-        }
-      }
-      if (!found) return "";
-    }
-  }
-  // Chrome trace-event JSON (chrome://tracing, Perfetto): one complete
-  // ("ph":"X") event per span plus a request-spanning root, all on one
-  // logical track, timestamps absolute on the server's steady clock.
-  std::ostringstream os;
-  os << "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n";
-  os << "  {\"name\": \"" << JsonEscape(record.type) << " "
-     << JsonEscape(record.request_id) << "\", \"ph\": \"X\", \"ts\": "
-     << record.received_us << ", \"dur\": " << record.latency_us
-     << ", \"pid\": 1, \"tid\": 1, \"args\": {\"graph\": \""
-     << JsonEscape(record.graph) << "\", \"exec_status\": \""
-     << JsonEscape(record.exec_status) << "\", \"stop_reason\": \""
-     << JsonEscape(record.stop_reason) << "\"}}";
-  for (const PhaseSpan& span : record.spans) {
-    os << ",\n  {\"name\": \"" << JsonEscape(span.name)
-       << "\", \"ph\": \"X\", \"ts\": " << (record.received_us + span.begin_us)
-       << ", \"dur\": " << span.dur_us << ", \"pid\": 1, \"tid\": 1}";
-  }
-  os << "\n]}\n";
-  return os.str();
-}
-
-void CensusServer::WriteDaemonExposition(std::ostream& os) const {
-  Counters counters = this->counters();
-  os << "# HELP egocensus_daemon_uptime_seconds seconds since Start()\n"
-     << "# TYPE egocensus_daemon_uptime_seconds gauge\n"
-     << "egocensus_daemon_uptime_seconds "
-     << static_cast<double>(Timer::NowMicros() - started_micros_) / 1e6
-     << "\n";
-  os << "# HELP egocensus_daemon_inflight executing QUERY/UPDATE requests\n"
-     << "# TYPE egocensus_daemon_inflight gauge\n"
-     << "egocensus_daemon_inflight " << inflight() << "\n";
-  os << "# HELP egocensus_daemon_requests_total dispatched frames by verb\n"
-     << "# TYPE egocensus_daemon_requests_total counter\n";
-  static constexpr FrameType kVerbs[] = {
-      FrameType::kQuery,  FrameType::kUpdate,   FrameType::kStatus,
-      FrameType::kLoad,   FrameType::kUnload,   FrameType::kShutdown,
-      FrameType::kMetrics};
-  for (FrameType verb : kVerbs) {
-    os << "egocensus_daemon_requests_total{verb=\"" << FrameTypeName(verb)
-       << "\"} " << VerbCount(verb) << "\n";
-  }
-  os << "# HELP egocensus_daemon_connections_total accepted sockets\n"
-     << "# TYPE egocensus_daemon_connections_total counter\n"
-     << "egocensus_daemon_connections_total " << counters.connections << "\n";
-  os << "# HELP egocensus_daemon_busy_rejected_total admission rejections\n"
-     << "# TYPE egocensus_daemon_busy_rejected_total counter\n"
-     << "egocensus_daemon_busy_rejected_total " << counters.busy_rejected
-     << "\n";
-  os << "# HELP egocensus_daemon_draining 1 while a graceful drain is in "
-        "progress\n"
-     << "# TYPE egocensus_daemon_draining gauge\n"
-     << "egocensus_daemon_draining " << (draining() ? 1 : 0) << "\n";
-  const std::vector<TenantQueueStats> tenants = queue_.TenantStats();
-  os << "# HELP egocensus_daemon_queue_depth requests queued per tenant\n"
-     << "# TYPE egocensus_daemon_queue_depth gauge\n";
-  for (const TenantQueueStats& t : tenants) {
-    os << "egocensus_daemon_queue_depth{tenant=\"" << PromLabel(t.tenant)
-       << "\"} " << t.depth << "\n";
-  }
-  os << "# HELP egocensus_daemon_queue_granted_total execution slots "
-        "granted per tenant\n"
-     << "# TYPE egocensus_daemon_queue_granted_total counter\n";
-  for (const TenantQueueStats& t : tenants) {
-    os << "egocensus_daemon_queue_granted_total{tenant=\""
-       << PromLabel(t.tenant) << "\"} " << t.granted << "\n";
-  }
-  os << "# HELP egocensus_daemon_queue_rejected_total requests that left "
-        "the queue without executing, by reason\n"
-     << "# TYPE egocensus_daemon_queue_rejected_total counter\n";
-  for (const TenantQueueStats& t : tenants) {
-    const std::pair<const char*, std::uint64_t> reasons[] = {
-        {"overflow", t.busy_overflow},
-        {"deadline", t.evicted_deadline},
-        {"disconnect", t.evicted_disconnect},
-        {"drain", t.evicted_drain}};
-    for (const auto& [reason, count] : reasons) {
-      os << "egocensus_daemon_queue_rejected_total{tenant=\""
-         << PromLabel(t.tenant) << "\",reason=\"" << reason << "\"} " << count
-         << "\n";
-    }
-  }
-  // Queue-wait histogram per tenant, cumulative buckets in the same log2
-  // layout as the obs exporter: upper bounds 0, 2^b - 1, +Inf.
-  os << "# HELP egocensus_daemon_queue_wait_us fair-queue wait of granted "
-        "requests\n"
-     << "# TYPE egocensus_daemon_queue_wait_us histogram\n";
-  for (const TenantQueueStats& t : tenants) {
-    std::uint64_t cumulative = 0;
-    for (std::size_t b = 0; b < t.wait_buckets.size(); ++b) {
-      cumulative += t.wait_buckets[b];
-      std::uint64_t upper = b == 0 ? 0 : (1ull << b) - 1;
-      os << "egocensus_daemon_queue_wait_us_bucket{tenant=\""
-         << PromLabel(t.tenant) << "\",le=\"" << upper << "\"} " << cumulative
-         << "\n";
-    }
-    os << "egocensus_daemon_queue_wait_us_bucket{tenant=\""
-       << PromLabel(t.tenant) << "\",le=\"+Inf\"} " << t.wait_count << "\n";
-    os << "egocensus_daemon_queue_wait_us_sum{tenant=\""
-       << PromLabel(t.tenant) << "\"} " << t.wait_sum_us << "\n";
-    os << "egocensus_daemon_queue_wait_us_count{tenant=\""
-       << PromLabel(t.tenant) << "\"} " << t.wait_count << "\n";
-  }
-  os << "# HELP egocensus_daemon_protocol_errors_total corrupt frames\n"
-     << "# TYPE egocensus_daemon_protocol_errors_total counter\n"
-     << "egocensus_daemon_protocol_errors_total " << counters.protocol_errors
-     << "\n";
-  os << "# HELP egocensus_daemon_disconnect_cancels_total censuses cancelled "
-        "by client hangup\n"
-     << "# TYPE egocensus_daemon_disconnect_cancels_total counter\n"
-     << "egocensus_daemon_disconnect_cancels_total "
-     << counters.disconnect_cancels << "\n";
-  os << "# HELP egocensus_daemon_fastpath_total census aggregates by graph "
-        "and routing\n"
-     << "# TYPE egocensus_daemon_fastpath_total counter\n";
-  for (const GraphSummary& graph : registry_.Summaries()) {
-    os << "egocensus_daemon_fastpath_total{graph=\"" << PromLabel(graph.name)
-       << "\",route=\"routed\"} " << graph.fastpath_routed << "\n";
-    os << "egocensus_daemon_fastpath_total{graph=\"" << PromLabel(graph.name)
-       << "\",route=\"generic\"} " << graph.fastpath_generic << "\n";
-  }
-  std::size_t slow = 0;
-  {
-    MutexLock lock(slow_mutex_);
-    slow = slow_ring_.size();
-  }
-  os << "# HELP egocensus_daemon_slow_queries captured slow-query ring size\n"
-     << "# TYPE egocensus_daemon_slow_queries gauge\n"
-     << "egocensus_daemon_slow_queries " << slow << "\n";
 }
 
 std::uint64_t CensusServer::RetryAfterMsHint() const {
@@ -1160,9 +1061,8 @@ void CensusServer::FinishRequest(const RequestContext& ctx,
     }
   }
 
-  // Slow-query capture: the request's span tree + metric deltas, bounded
-  // ring, retrievable via STATUS (headers slow_trace / the slow_queries
-  // summary array).
+  // Slow-query capture: the request's span tree, bounded ring, retrievable
+  // via STATUS (headers slow_trace / the slow_queries summary array).
   if (options_.slow_query_threshold_ms > 0 &&
       latency_us >= options_.slow_query_threshold_ms * 1000) {
     SlowQueryRecord slow;
@@ -1181,7 +1081,6 @@ void CensusServer::FinishRequest(const RequestContext& ctx,
       slow.spans.insert(slow.spans.begin() + (queue_us > 0 ? 1 : 0),
                         PhaseSpan{"execute", queue_us, execute_us});
     }
-    slow.counters = ctx.obs_delta;
     MutexLock lock(slow_mutex_);
     slow_ring_.push_front(std::move(slow));
     while (slow_ring_.size() > options_.slow_ring_capacity) {

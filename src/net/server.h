@@ -30,12 +30,17 @@
 // entry's lock shared, UPDATE exclusive, so updates serialize against
 // in-flight queries per graph and queries always see a consistent
 // snapshot + indexes.
+//
+// STATUS and METRICS render one DaemonSnapshot. Snapshot() reads the
+// counters, the fair queue (under one lock), the graph summaries and the
+// request rings once; STATUS serializes that value as JSON, and METRICS
+// names the same facts as registry metrics (`daemon/...`) and renders them
+// with the obs Prometheus exporter, so a fact reads the same in both.
 
 #include <array>
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <iosfwd>
 #include <list>
 #include <map>
 #include <memory>
@@ -93,17 +98,16 @@ class CensusServer {
     /// cancelled client's census keeps running.
     int disconnect_poll_ms = 5;
 
-    /// Requests slower than this capture their span tree + metric deltas
-    /// into the slow-query ring (docs/OBSERVABILITY.md, "Request
-    /// telemetry"). 0 disables capture.
+    /// Requests slower than this capture their span tree into the
+    /// slow-query ring (docs/OBSERVABILITY.md, "Request telemetry").
+    /// 0 disables capture.
     std::uint64_t slow_query_threshold_ms = 0;
 
     /// Entries kept in the slow-query ring.
     std::size_t slow_ring_capacity = 16;
   };
 
-  /// Execution counters (monotone since Start), surfaced by STATUS and by
-  /// tests asserting on server behavior without scraping JSON.
+  /// Execution counters (monotone since Start).
   struct Counters {
     std::uint64_t connections = 0;        // accepted sockets
     std::uint64_t requests = 0;           // frames dispatched
@@ -128,10 +132,9 @@ class CensusServer {
   };
 
   /// One captured slow request: the ring entry behind STATUS
-  /// "slow_queries" and the Chrome-trace dump (SlowQueryTraceJson). Spans
-  /// are request-local (queue wait, execute window, per-aggregate census
-  /// phases), so capture never races the global tracer; counters are the
-  /// request's obs snapshot delta (empty when obs is off or compiled out).
+  /// "slow_queries" and the `slow_trace` Chrome-trace dump. Spans are
+  /// request-local (queue wait, execute window, per-aggregate census
+  /// phases), so capture never races the global tracer.
   struct SlowQueryRecord {
     std::string request_id;
     std::string type;
@@ -141,7 +144,20 @@ class CensusServer {
     std::uint64_t received_us = 0;  // server clock at dispatch
     std::uint64_t latency_us = 0;
     std::vector<PhaseSpan> spans;
-    std::map<std::string, std::uint64_t> counters;
+  };
+
+  /// One read of everything STATUS and METRICS report. Snapshot() is the
+  /// only code that reads the live state behind those two surfaces; both
+  /// render this value, so a fact reads the same in each.
+  struct DaemonSnapshot {
+    std::uint64_t uptime_us = 0;
+    Counters counters;
+    /// Requests dispatched per request verb, in frame-type order.
+    std::map<FrameType, std::uint64_t> verbs;
+    QueueSnapshot queue;
+    std::vector<GraphSummary> graphs;
+    std::deque<RequestRecord> recent;           // newest first
+    std::deque<SlowQueryRecord> slow_queries;  // newest first
   };
 
   explicit CensusServer(Options options);
@@ -178,8 +194,6 @@ class CensusServer {
   /// afterwards as usual. Safe from any thread except the accept thread.
   DrainResult Drain(std::uint64_t drain_ms);
 
-  bool draining() const { return draining_.load(std::memory_order_relaxed); }
-
   bool ShutdownRequested() const {
     return shutdown_.load(std::memory_order_relaxed);
   }
@@ -190,32 +204,15 @@ class CensusServer {
   /// Graph registry; pre-load graphs before Start or via LOAD frames after.
   GraphRegistry& registry() { return registry_; }
 
-  Counters counters() const;
-
   /// Currently executing QUERY/UPDATE requests.
   std::uint32_t inflight() const { return queue_.active(); }
 
-  /// The fair admission queue (tests assert on depth/peak/tenant stats).
+  /// The fair admission queue (tests wait on its depth).
   const FairRequestQueue& queue() const { return queue_; }
 
-  /// The STATUS response body (tests call this directly; the daemon's
-  /// monitoring surface is exactly this JSON).
-  std::string StatusJson() const;
-
-  /// Recent requests, newest first (the STATUS ring).
-  std::deque<RequestRecord> RecentRequests() const;
-
-  /// Captured slow requests, newest first.
-  std::deque<SlowQueryRecord> SlowQueries() const;
-
-  /// The captured slow request rendered as a Chrome trace (one complete
-  /// event per phase span). Empty `request_id` = most recent capture;
-  /// unknown id = empty string.
-  std::string SlowQueryTraceJson(const std::string& request_id) const;
-
-  /// Requests dispatched per frame verb since Start (indexed by the
-  /// request-type byte; response types are always 0).
-  std::uint64_t VerbCount(FrameType type) const;
+  /// Reads the server's counters, queue, graphs and rings (each under its
+  /// own lock) into one value.
+  DaemonSnapshot Snapshot() const;
 
  private:
   struct Connection {
@@ -252,11 +249,6 @@ class CensusServer {
   /// times, clamped to [25ms, 10s].
   std::uint64_t RetryAfterMsHint() const;
 
-  /// The always-compiled daemon families of the METRICS exposition
-  /// (uptime, per-verb requests, per-graph fastpath routing) — available
-  /// even when the obs registry is off or compiled out.
-  void WriteDaemonExposition(std::ostream& os) const;
-
   // egolint: no-guard(immutable after construction, read lock-free)
   Options options_;
   /// Owned by the accept thread after Start (AcceptLoop closes it).
@@ -276,7 +268,6 @@ class CensusServer {
   // egolint: no-guard(Start/Wait lifecycle only, never concurrent)
   std::thread accept_thread_;
   std::atomic<bool> shutdown_{false};
-  std::atomic<bool> draining_{false};
 
   Mutex connections_mutex_;
   std::list<std::unique_ptr<Connection>> connections_

@@ -4,12 +4,12 @@
 #include <atomic>
 #include <bit>
 #include <cmath>
-#include <cstdio>
 #include <deque>
 #include <unordered_map>
 #include <vector>
 
 #include "util/mutex.h"
+#include "util/strings.h"
 #include "util/thread_annotations.h"
 
 namespace egocensus::obs {
@@ -317,57 +317,28 @@ void Registry::Reset() {
 
 // ---- Exporters ---------------------------------------------------------
 
-namespace {
-
-/// Minimal JSON string escape (metric names are plain identifiers, but be
-/// safe against quotes/backslashes/control bytes).
-void WriteJsonString(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
-}  // namespace
-
 void MetricsSnapshot::WriteJson(std::ostream& os) const {
   os << "{\n  \"counters\": {";
   bool first = true;
   for (const auto& [name, value] : counters) {
     os << (first ? "\n    " : ",\n    ");
-    WriteJsonString(os, name);
-    os << ": " << value;
+    os << '"' << JsonEscape(name) << "\": " << value;
     first = false;
   }
   os << (first ? "" : "\n  ") << "},\n  \"gauges\": {";
   first = true;
   for (const auto& [name, value] : gauges) {
     os << (first ? "\n    " : ",\n    ");
-    WriteJsonString(os, name);
-    os << ": " << value;
+    os << '"' << JsonEscape(name) << "\": " << value;
     first = false;
   }
   os << (first ? "" : "\n  ") << "},\n  \"histograms\": {";
   first = true;
   for (const auto& [name, hist] : histograms) {
     os << (first ? "\n    " : ",\n    ");
-    WriteJsonString(os, name);
-    os << ": {\"count\": " << hist.count << ", \"sum\": " << hist.sum
-       << ", \"max\": " << hist.max << ", \"mean\": " << hist.Mean()
+    os << '"' << JsonEscape(name) << "\": {\"count\": " << hist.count
+       << ", \"sum\": " << hist.sum << ", \"max\": " << hist.max
+       << ", \"mean\": " << hist.Mean()
        << ", \"p50\": " << hist.ApproxPercentile(0.5)
        << ", \"p99\": " << hist.ApproxPercentile(0.99) << ", \"buckets\": [";
     bool first_bucket = true;

@@ -234,12 +234,13 @@ TEST(NetChaosTest, ConservationAcrossBurstsDisconnectsAndDrain) {
 
   // No double execution: grants recorded by the queue match the dequeue
   // failpoint exactly, and concurrency never exceeded the slot count.
+  const QueueSnapshot queue = server->Snapshot().queue;
   std::uint64_t granted = 0;
-  for (const TenantQueueStats& stats : server->queue().TenantStats()) {
+  for (const TenantQueueStats& stats : queue.tenants) {
     granted += stats.granted;
   }
   EXPECT_EQ(granted, dequeued);
-  EXPECT_LE(server->queue().peak_active(), options.max_inflight);
+  EXPECT_LE(queue.peak_active, options.max_inflight);
   failpoints::DisarmAll();
 }
 

@@ -2,14 +2,16 @@
 // telemetry"): request ids assigned uniquely under concurrency and echoed
 // when client-propagated, the canonical wide log event (exactly one JSON
 // line per request), the METRICS Prometheus exposition validated with a
-// hand-rolled parser, the slow-query ring + Chrome-trace dump, and the
-// governor annotation that stamps request ids into stop messages. Binds
-// ephemeral ports and synchronizes on failpoints/counters, never sleeps.
+// hand-rolled parser and cross-checked against STATUS, the slow-query ring
+// + Chrome-trace dump, and the governor annotation that stamps request ids
+// into stop messages. Binds ephemeral ports and synchronizes on
+// failpoints/counters, never sleeps.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -20,6 +22,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "exec/failpoints.h"
@@ -170,8 +173,9 @@ TEST(NetObservabilityTest, ClientRequestIdEchoesOnEveryResponseType) {
   EXPECT_EQ(status->Header("request_id", ""), "corr-status_3");
   EXPECT_NE(status->body.find("corr-query.1"), std::string::npos)
       << "STATUS recent ring must carry request ids";
-  EXPECT_EQ(server->VerbCount(FrameType::kQuery), 2u);
-  EXPECT_EQ(server->VerbCount(FrameType::kStatus), 1u);
+  const auto verbs = server->Snapshot().verbs;
+  EXPECT_EQ(verbs.at(FrameType::kQuery), 2u);
+  EXPECT_EQ(verbs.at(FrameType::kStatus), 1u);
 }
 
 // ---- the wide log event --------------------------------------------------
@@ -380,7 +384,7 @@ TEST(NetObservabilityTest, SlowQueryRingCapturesDelayedRequest) {
   ASSERT_TRUE(slow.ok());
   ASSERT_EQ(slow->Header("exec_status", ""), "OK");
 
-  auto captured = server->SlowQueries();
+  auto captured = server->Snapshot().slow_queries;
   ASSERT_GE(captured.size(), 1u);
   EXPECT_EQ(captured.front().request_id, "slow-one")
       << "the delayed request is the newest capture";
@@ -439,7 +443,7 @@ TEST(NetObservabilityTest, GovernedStopMessageCarriesRequestId) {
 
 // ---- STATUS schema ---------------------------------------------------------
 
-TEST(NetObservabilityTest, StatusJsonCarriesSchemaAndVerbCounters) {
+TEST(NetObservabilityTest, StatusCarriesSchemaAndVerbTallies) {
   auto server = StartServer(TestGraph(300, 4, 37), {});
   auto client = Client::Connect(EndpointOf(*server));
   ASSERT_TRUE(client.ok());
@@ -458,6 +462,138 @@ TEST(NetObservabilityTest, StatusJsonCarriesSchemaAndVerbCounters) {
   EXPECT_NE(body.find("\"QUERY\": 1"), std::string::npos);
   EXPECT_NE(body.find("\"STATUS\": 1"), std::string::npos);
   EXPECT_NE(body.find("\"uptime_us\""), std::string::npos);
+}
+
+// ---- STATUS and METRICS agree ----------------------------------------------
+
+/// Sample values of an exposition, keyed by `name{labels}`.
+std::map<std::string, std::uint64_t> ExpositionSamples(
+    const std::string& text) {
+  std::map<std::string, std::uint64_t> samples;
+  for (const std::string& line : SplitLines(text)) {
+    if (line.empty() || line[0] == '#') continue;
+    std::size_t space = line.rfind(' ');
+    samples[line.substr(0, space)] =
+        std::strtoull(line.c_str() + space + 1, nullptr, 10);
+  }
+  return samples;
+}
+
+/// The unsigned value of the first `"key": ` at or after `from` in a STATUS
+/// body. STATUS objects keep a fixed key order, so searching from an
+/// object's start finds that object's own field.
+std::uint64_t StatusValue(const std::string& json, const std::string& key,
+                          std::size_t from = 0) {
+  const std::string needle = "\"" + key + "\": ";
+  std::size_t at = json.find(needle, from);
+  EXPECT_NE(at, std::string::npos) << "no " << key << " in " << json;
+  if (at == std::string::npos) return ~std::uint64_t{0};
+  return std::strtoull(json.c_str() + at + needle.size(), nullptr, 10);
+}
+
+TEST(NetObservabilityTest, StatusAndMetricsReportTheSameSnapshot) {
+  if (!failpoints::CompiledIn()) GTEST_SKIP() << "failpoints compiled out";
+  failpoints::DisarmAll();
+  CensusServer::Options options;
+  options.max_inflight = 1;
+  options.queue_depth = 0;  // reject-on-full: the second request overflows
+  auto server = StartServer(TestGraph(600, 4, 41), options);
+  Endpoint endpoint = EndpointOf(*server);
+
+  // Tenant alpha holds the only slot, parked at a governed checkpoint.
+  std::atomic<bool> release{false};
+  failpoints::Arm("exec/checkpoint", 1, [&release] {
+    for (int i = 0; i < 2000 && !release.load(); ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  });
+  std::thread holder([&] {
+    auto client = Client::Connect(endpoint);
+    ASSERT_TRUE(client.ok());
+    Message query = Client::QueryRequest("g", kTriangleQuery);
+    query.headers["tenant"] = "alpha";
+    auto response = client->Call(query);
+    ASSERT_TRUE(response.ok());
+    EXPECT_EQ(response->Header("exec_status", ""), "OK");
+  });
+  ASSERT_TRUE(WaitFor([] { return failpoints::Hits("exec/checkpoint") >= 1; }));
+  ASSERT_TRUE(WaitFor([&server] { return server->inflight() == 1; }));
+
+  // Tenant beta overflows, then (slot free again) applies one UPDATE.
+  auto client = Client::Connect(endpoint);
+  ASSERT_TRUE(client.ok());
+  Message overflow = Client::QueryRequest("g", kTriangleQuery);
+  overflow.headers["tenant"] = "beta";
+  auto busy = client->Call(overflow);
+  ASSERT_TRUE(busy.ok());
+  EXPECT_EQ(busy->type, FrameType::kBusy);
+  release.store(true);
+  holder.join();
+  failpoints::DisarmAll();
+  Message update = Client::UpdateRequest("g", "ae 0 599\n");
+  update.headers["tenant"] = "beta";
+  auto updated = client->Call(update);
+  ASSERT_TRUE(updated.ok());
+  EXPECT_EQ(updated->Header("exec_status", ""), "OK");
+
+  auto metrics = client->Call(Client::MetricsRequest());
+  ASSERT_TRUE(metrics.ok());
+  auto status = client->Call(Client::StatusRequest());
+  ASSERT_TRUE(status.ok());
+  const std::map<std::string, std::uint64_t> prom =
+      ExpositionSamples(metrics->body);
+  const std::string& json = status->body;
+  auto sample = [&prom](const std::string& name) {
+    auto it = prom.find("egocensus_daemon_" + name);
+    EXPECT_NE(it, prom.end()) << "no sample " << name;
+    return it == prom.end() ? ~std::uint64_t{0} : it->second;
+  };
+
+  for (const char* verb : {"QUERY", "UPDATE"}) {
+    EXPECT_EQ(sample("requests_total{verb=\"" + std::string(verb) + "\"}"),
+              StatusValue(json, verb, json.find("\"verbs\"")))
+        << verb;
+  }
+  EXPECT_EQ(sample("busy_rejected_total"), 1u);
+  EXPECT_EQ(sample("busy_rejected_total"),
+            StatusValue(json, "busy_rejected", json.find("\"admission\"")));
+
+  for (const std::string tenant : {"alpha", "beta"}) {
+    const std::size_t at = json.find("{\"tenant\": \"" + tenant + "\"");
+    ASSERT_NE(at, std::string::npos) << tenant;
+    const std::string label = "{tenant=\"" + tenant + "\"";
+    EXPECT_EQ(sample("queue_granted_total" + label + "}"),
+              StatusValue(json, "granted", at));
+    EXPECT_EQ(sample("queue_wait_us_count" + label + "}"),
+              StatusValue(json, "count", at));
+    EXPECT_EQ(sample("queue_wait_us_sum" + label + "}"),
+              StatusValue(json, "sum_us", at));
+    const std::pair<const char*, const char*> reasons[] = {
+        {"overflow", "busy_overflow"},
+        {"deadline", "deadline"},
+        {"disconnect", "disconnect"},
+        {"drain", "drain"}};
+    for (const auto& [reason, key] : reasons) {
+      EXPECT_EQ(sample("queue_rejected_total" + label + ",reason=\"" +
+                       reason + "\"}"),
+                StatusValue(json, key, at))
+          << tenant << " " << reason;
+    }
+  }
+  EXPECT_EQ(sample("queue_granted_total{tenant=\"alpha\"}"), 1u);
+  EXPECT_EQ(sample("queue_granted_total{tenant=\"beta\"}"), 1u);
+  EXPECT_EQ(sample("queue_rejected_total{tenant=\"beta\",reason=\"overflow\"}"),
+            1u);
+
+  const std::size_t graph = json.find("{\"name\": \"g\"");
+  ASSERT_NE(graph, std::string::npos);
+  for (const char* route : {"routed", "generic"}) {
+    EXPECT_EQ(sample("fastpath_total{graph=\"g\",route=\"" +
+                     std::string(route) + "\"}"),
+              StatusValue(json, route, graph))
+        << route;
+  }
+  EXPECT_EQ(sample("fastpath_total{graph=\"g\",route=\"routed\"}"), 1u);
 }
 
 }  // namespace

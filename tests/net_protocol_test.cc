@@ -222,7 +222,7 @@ TEST_F(ProtocolServerTest, TruncatedFrameCountsAsProtocolError) {
   ASSERT_TRUE(socket->SendRaw(partial, sizeof(partial)).ok());
   socket->ShutdownWrite();
   EXPECT_TRUE(WaitFor(
-      [this] { return server_->counters().protocol_errors >= 1; }));
+      [this] { return server_->Snapshot().counters.protocol_errors >= 1; }));
 }
 
 TEST_F(ProtocolServerTest, GarbageBytesGetErrorResponse) {
@@ -236,7 +236,7 @@ TEST_F(ProtocolServerTest, GarbageBytesGetErrorResponse) {
   EXPECT_EQ(response->type, FrameType::kError);
   EXPECT_EQ(response->Header("code", ""), "PARSE_ERROR");
   EXPECT_TRUE(WaitFor(
-      [this] { return server_->counters().protocol_errors >= 1; }));
+      [this] { return server_->Snapshot().counters.protocol_errors >= 1; }));
 }
 
 TEST_F(ProtocolServerTest, OversizedLengthPrefixTearsDownConnection) {
@@ -252,7 +252,7 @@ TEST_F(ProtocolServerTest, OversizedLengthPrefixTearsDownConnection) {
   auto after = socket->RecvFrame();
   EXPECT_FALSE(after.ok());
   EXPECT_TRUE(WaitFor(
-      [this] { return server_->counters().protocol_errors >= 1; }));
+      [this] { return server_->Snapshot().counters.protocol_errors >= 1; }));
 }
 
 TEST_F(ProtocolServerTest, ResponseTypedRequestIsRejected) {
@@ -265,7 +265,7 @@ TEST_F(ProtocolServerTest, ResponseTypedRequestIsRejected) {
   ASSERT_TRUE(response.ok());
   EXPECT_EQ(response->type, FrameType::kError);
   EXPECT_TRUE(WaitFor(
-      [this] { return server_->counters().protocol_errors >= 1; }));
+      [this] { return server_->Snapshot().counters.protocol_errors >= 1; }));
 }
 
 TEST_F(ProtocolServerTest, MidRequestDisconnectCancelsCensus) {
@@ -293,9 +293,9 @@ TEST_F(ProtocolServerTest, MidRequestDisconnectCancelsCensus) {
   (void)response;
 
   EXPECT_TRUE(WaitFor(
-      [this] { return server_->counters().disconnect_cancels >= 1; }));
+      [this] { return server_->Snapshot().counters.disconnect_cancels >= 1; }));
   EXPECT_TRUE(WaitFor([this] {
-    for (const auto& record : server_->RecentRequests()) {
+    for (const auto& record : server_->Snapshot().recent) {
       if (record.type == std::string("QUERY") &&
           record.stop_reason == "cancelled") {
         return true;

@@ -46,7 +46,7 @@ TEST(FairRequestQueueTest, GrantsImmediatelyWhenSlotsFree) {
   EXPECT_EQ(queue.depth(), 0u);
   queue.Release();
   EXPECT_TRUE(queue.Idle());
-  auto stats = queue.TenantStats();
+  auto stats = queue.Snapshot().tenants;
   ASSERT_EQ(stats.size(), 1u);
   EXPECT_EQ(stats[0].tenant, "a");
   EXPECT_EQ(stats[0].granted, 1u);
@@ -69,7 +69,7 @@ TEST(FairRequestQueueTest, OverflowBeyondDepthBound) {
   queue.Release();
   waiter.join();
   EXPECT_TRUE(queue.Idle());
-  auto stats = queue.TenantStats();
+  auto stats = queue.Snapshot().tenants;
   ASSERT_EQ(stats.size(), 1u);
   EXPECT_EQ(stats[0].busy_overflow, 1u);
   EXPECT_EQ(stats[0].granted, 2u);
@@ -87,14 +87,15 @@ TEST(FairRequestQueueTest, OverflowBeyondByteBound) {
     EXPECT_EQ(queue.Acquire("a", 90, 0, -1, &w), AdmitOutcome::kGranted);
     queue.Release();
   });
-  ASSERT_TRUE(WaitFor([&queue] { return queue.queued_bytes() == 90; }));
+  ASSERT_TRUE(
+      WaitFor([&queue] { return queue.Snapshot().queued_bytes == 90; }));
 
   // 90 queued + 20 would breach max_bytes = 100.
   EXPECT_EQ(queue.Acquire("a", 20, 0, -1, &wait_us), AdmitOutcome::kOverflow);
   queue.Release();
   waiter.join();
   EXPECT_TRUE(queue.Idle());
-  EXPECT_EQ(queue.queued_bytes(), 0u);
+  EXPECT_EQ(queue.Snapshot().queued_bytes, 0u);
 }
 
 TEST(FairRequestQueueTest, RejectOnFullCompatWhenDepthZero) {
@@ -116,7 +117,7 @@ TEST(FairRequestQueueTest, DeadOnArrivalDeadlineNeverQueues) {
   EXPECT_EQ(queue.Acquire("a", 1, Timer::NowMicros() - 1, -1, &wait_us),
             AdmitOutcome::kDeadlineExpired);
   queue.Release();
-  auto stats = queue.TenantStats();
+  auto stats = queue.Snapshot().tenants;
   ASSERT_EQ(stats.size(), 1u);
   EXPECT_EQ(stats[0].evicted_deadline, 1u);
 }
@@ -162,7 +163,7 @@ TEST(FairRequestQueueTest, ClientDisconnectEvictsWhileQueued) {
   ::close(pair[0]);
   queue.Release();
   EXPECT_TRUE(queue.Idle());
-  auto stats = queue.TenantStats();
+  auto stats = queue.Snapshot().tenants;
   ASSERT_EQ(stats.size(), 1u);
   EXPECT_EQ(stats[0].evicted_disconnect, 1u);
 }
@@ -197,6 +198,14 @@ TEST(FairRequestQueueTest, DrrInterleavesTenantsInsteadOfFifo) {
   for (int i = 0; i < 6; ++i) spawn("a");
   spawn("b");
   spawn("b");
+
+  // One snapshot reads the global depth and every tenant's under one lock,
+  // so the per-tenant depths of the parked waiters add up to it exactly.
+  const QueueSnapshot parked = queue.Snapshot();
+  EXPECT_EQ(parked.depth, 8u);
+  std::size_t tenant_depths = 0;
+  for (const TenantQueueStats& t : parked.tenants) tenant_depths += t.depth;
+  EXPECT_EQ(tenant_depths, parked.depth);
 
   queue.Release();  // open the floodgates
   for (auto& waiter : waiters) waiter.join();
@@ -285,7 +294,7 @@ TEST(FairRequestQueueTest, FailpointsObeyConservationLaw) {
   EXPECT_EQ(dequeued, 4u);
   EXPECT_EQ(evicted, 2u);
   EXPECT_EQ(enqueued, dequeued + evicted);
-  EXPECT_EQ(queue.peak_active(), 2u);
+  EXPECT_EQ(queue.Snapshot().peak_active, 2u);
   failpoints::DisarmAll();
 }
 

@@ -118,11 +118,11 @@ TEST(NetServerTest, EightConcurrentClientsBitIdenticalToSerial) {
   }
   for (auto& thread : threads) thread.join();
   for (const std::string& failure : failures) EXPECT_EQ(failure, "");
-  EXPECT_EQ(server->counters().busy_rejected, 0u);
+  EXPECT_EQ(server->Snapshot().counters.busy_rejected, 0u);
   // `completed` bumps after the response hit the wire, so the last client
   // can observe its reply before the server's counter increment lands.
   EXPECT_TRUE(WaitFor([&server] {
-    return server->counters().completed == kClients * kQueriesEach;
+    return server->Snapshot().counters.completed == kClients * kQueriesEach;
   }));
 }
 
@@ -397,7 +397,7 @@ TEST(NetServerTest, AdmissionQueuesBurstsAndRejectsBeyondDepth) {
   holder.join();
   queued.join();
   failpoints::DisarmAll();
-  EXPECT_EQ(server->counters().busy_rejected, 1u);
+  EXPECT_EQ(server->Snapshot().counters.busy_rejected, 1u);
 }
 
 TEST(NetServerTest, LoadUnloadLifecycle) {
@@ -436,7 +436,7 @@ TEST(NetServerTest, LoadUnloadLifecycle) {
   std::remove(path.c_str());
 }
 
-TEST(NetServerTest, StatusJsonCarriesBuildInfoAndRing) {
+TEST(NetServerTest, StatusCarriesBuildInfoAndRing) {
   auto server = StartServer(TestGraph(300, 4, 23), {});
   auto client = Client::Connect(EndpointOf(*server));
   ASSERT_TRUE(client.ok());
@@ -455,7 +455,7 @@ TEST(NetServerTest, StatusJsonCarriesBuildInfoAndRing) {
   }
 
   // The ring records the query with its latency and byte sizes.
-  auto recent = server->RecentRequests();
+  auto recent = server->Snapshot().recent;
   bool found = false;
   for (const auto& record : recent) {
     if (record.type == "QUERY" && record.exec_status == "OK" &&
