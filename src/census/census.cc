@@ -75,6 +75,7 @@ void InitFocalState(const CensusContext& ctx, CensusResult* result) {
 void MarkAllFocal(const CensusContext& ctx, CensusResult* result,
                   FocalState state) {
   // egolint: no-checkpoint(O(|focal|) state-flag stores, no match work)
+  for (NodeId n : ctx.focal) result->focal_state[n] = state;
 }
 
 void FinishExecStatus(const CensusContext& ctx, const char* engine,

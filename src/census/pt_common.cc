@@ -100,7 +100,6 @@ PtSetup BuildPtSetup(const Graph& graph, const Pattern& pattern,
     case ClusteringMode::kNone:
       break;
     case ClusteringMode::kRandom:
-      // egolint: no-checkpoint(one RNG draw per match, setup before counting)
       for (std::size_t m = 0; m < num_matches; ++m) {
         assignment[m] =
             static_cast<std::uint32_t>(rng.NextBounded(num_clusters));
@@ -119,7 +118,6 @@ PtSetup BuildPtSetup(const Graph& graph, const Pattern& pattern,
       if (feature_centers == 0) break;  // no features: degenerate to none
       const std::size_t dim = feature_centers * static_cast<std::size_t>(t);
       std::vector<float> features(num_matches * dim);
-      // egolint: no-checkpoint(one-time feature build, setup before counting)
       for (std::size_t m = 0; m < num_matches; ++m) {
         float* f = features.data() + m * dim;
         for (std::size_t c = 0; c < feature_centers; ++c) {
@@ -138,13 +136,11 @@ PtSetup BuildPtSetup(const Graph& graph, const Pattern& pattern,
 
   if (!clustered) {
     setup.clusters.resize(num_matches);
-    // egolint: no-checkpoint(O(matches) singleton-cluster fill, setup pass)
     for (std::uint32_t m = 0; m < num_matches; ++m) {
       setup.clusters[m].push_back(m);
     }
   } else {
     setup.clusters.resize(num_clusters);
-    // egolint: no-checkpoint(O(matches) cluster-assignment fill, setup pass)
     for (std::uint32_t m = 0; m < num_matches; ++m) {
       setup.clusters[assignment[m]].push_back(m);
     }

@@ -1,8 +1,5 @@
 #include "net/queue.h"
 
-#include <poll.h>
-#include <sys/socket.h>
-
 #include <algorithm>
 #include <chrono>
 
@@ -12,48 +9,15 @@
 namespace egocensus::net {
 namespace {
 
-/// True when the queued request's client has already hung up. Same probe
-/// as the mid-execute DisconnectWatcher: POLLRDHUP catches half-closes,
-/// and a zero-byte MSG_PEEK distinguishes "request pipelined behind this
-/// one" (readable data) from "peer gone" (readable EOF).
-bool ClientGone(int fd) {
-  if (fd < 0) return false;
-  struct pollfd pfd;
-  pfd.fd = fd;
-  pfd.events = POLLIN | POLLRDHUP;
-  pfd.revents = 0;
-  int rc = ::poll(&pfd, 1, 0);
-  if (rc <= 0) return false;
-  if ((pfd.revents & (POLLERR | POLLHUP | POLLRDHUP | POLLNVAL)) != 0) {
-    return true;
-  }
-  if ((pfd.revents & POLLIN) != 0) {
-    char probe = 0;
-    ssize_t n = ::recv(fd, &probe, 1, MSG_PEEK | MSG_DONTWAIT);
-    return n == 0;
-  }
-  return false;
-}
+/// DRR quantum: requests granted per tenant per scheduling round. At 1 the
+/// scheduler is plain round-robin across backlogged tenants.
+constexpr std::uint64_t kQuantum = 1;
 
 }  // namespace
-
-const char* AdmitOutcomeName(AdmitOutcome outcome) {
-  switch (outcome) {
-    case AdmitOutcome::kGranted: return "granted";
-    case AdmitOutcome::kOverflow: return "overflow";
-    case AdmitOutcome::kDeadlineExpired: return "deadline";
-    case AdmitOutcome::kDisconnected: return "disconnect";
-    case AdmitOutcome::kDraining: return "draining";
-  }
-  return "?";
-}
 
 struct FairRequestQueue::Waiter {
   Tenant* tenant = nullptr;
   std::uint64_t bytes = 0;
-  std::uint64_t deadline_us = 0;
-  int client_fd = -1;
-  bool queued = false;  // still linked into the tenant FIFO
   AdmitOutcome outcome = AdmitOutcome::kGranted;
   bool decided = false;  // granted or evicted
 };
@@ -68,8 +32,6 @@ struct FairRequestQueue::Tenant {
 FairRequestQueue::FairRequestQueue(const QueueOptions& options)
     : options_(options) {
   if (options_.slots == 0) options_.slots = 1;
-  if (options_.quantum == 0) options_.quantum = 1;
-  if (options_.poll_ms <= 0) options_.poll_ms = 1;
 }
 
 FairRequestQueue::~FairRequestQueue() = default;
@@ -105,7 +67,7 @@ void FairRequestQueue::ScheduleLocked() {
     }
     if (t->deficit == 0) {
       // Out of credit this round: top up and rotate to the back.
-      t->deficit = options_.quantum;
+      t->deficit = kQuantum;
       ring_.pop_front();
       ring_.push_back(t);
       continue;
@@ -113,7 +75,6 @@ void FairRequestQueue::ScheduleLocked() {
     --t->deficit;  // cost = 1 request
     Waiter* w = t->fifo.front();
     t->fifo.pop_front();
-    w->queued = false;
     --depth_;
     queued_bytes_ -= w->bytes;
     w->outcome = AdmitOutcome::kGranted;
@@ -128,7 +89,6 @@ void FairRequestQueue::EvictLocked(Waiter* waiter, AdmitOutcome outcome) {
   Tenant& t = *waiter->tenant;
   auto it = std::find(t.fifo.begin(), t.fifo.end(), waiter);
   if (it != t.fifo.end()) t.fifo.erase(it);
-  waiter->queued = false;
   --depth_;
   queued_bytes_ -= waiter->bytes;
   waiter->outcome = outcome;
@@ -147,7 +107,7 @@ void FairRequestQueue::EvictLocked(Waiter* waiter, AdmitOutcome outcome) {
 AdmitOutcome FairRequestQueue::Acquire(const std::string& tenant,
                                        std::uint64_t bytes,
                                        std::uint64_t deadline_us,
-                                       int client_fd,
+                                       const CancelToken& cancel,
                                        std::uint64_t* wait_us) {
   EGO_FAILPOINT("net/queue/enqueue");
   const std::uint64_t enqueue_us = Timer::NowMicros();
@@ -191,12 +151,9 @@ AdmitOutcome FairRequestQueue::Acquire(const std::string& tenant,
 
     waiter.tenant = &t;
     waiter.bytes = bytes;
-    waiter.deadline_us = deadline_us;
-    waiter.client_fd = client_fd;
-    waiter.queued = true;
     t.fifo.push_back(&waiter);
     if (!t.in_ring) {
-      t.deficit = options_.quantum;
+      t.deficit = kQuantum;
       t.in_ring = true;
       ring_.push_back(&t);
     }
@@ -204,14 +161,18 @@ AdmitOutcome FairRequestQueue::Acquire(const std::string& tenant,
     queued_bytes_ += bytes;
     ScheduleLocked();  // a slot may already be free
 
+    // Sleep until a grant or a drain flush decides us, the deadline
+    // passes, or the token is cancelled (Wake() follows every cancel).
     while (!waiter.decided) {
-      lock.WaitFor(cv_, std::chrono::milliseconds(options_.poll_ms));
-      if (waiter.decided) break;
       const std::uint64_t now = Timer::NowMicros();
-      if (waiter.deadline_us != 0 && now >= waiter.deadline_us) {
+      if (deadline_us != 0 && now >= deadline_us) {
         EvictLocked(&waiter, AdmitOutcome::kDeadlineExpired);
-      } else if (ClientGone(waiter.client_fd)) {
+      } else if (cancel.Cancelled()) {
         EvictLocked(&waiter, AdmitOutcome::kDisconnected);
+      } else if (deadline_us != 0) {
+        lock.WaitFor(cv_, std::chrono::microseconds(deadline_us - now));
+      } else {
+        lock.Wait(cv_);
       }
     }
     const std::uint64_t waited = Timer::NowMicros() - enqueue_us;
@@ -221,7 +182,7 @@ AdmitOutcome FairRequestQueue::Acquire(const std::string& tenant,
     }
   }
   // Our enqueue or eviction may have let the scheduler grant other
-  // waiters; wake them now instead of leaving them to their poll tick.
+  // waiters, who sleep until notified.
   cv_.notify_all();
   if (waiter.outcome == AdmitOutcome::kGranted) {
     EGO_FAILPOINT("net/queue/dequeue");
@@ -237,6 +198,13 @@ void FairRequestQueue::Release() {
     if (active_ > 0) --active_;
     ScheduleLocked();
   }
+  cv_.notify_all();
+}
+
+void FairRequestQueue::Wake() {
+  // Notifying under mu_ orders the wake after any waiter's check-then-wait,
+  // so a cancel that lands between a waiter's check and its wait is seen.
+  MutexLock lock(mu_);
   cv_.notify_all();
 }
 
@@ -257,7 +225,6 @@ std::size_t FairRequestQueue::FlushForDrain() {
       while (!t.fifo.empty()) {
         Waiter* w = t.fifo.front();
         t.fifo.pop_front();
-        w->queued = false;
         --depth_;
         queued_bytes_ -= w->bytes;
         w->outcome = AdmitOutcome::kDraining;

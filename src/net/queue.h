@@ -15,15 +15,15 @@
 // BUSY, now with a retry_after_ms hint.
 //
 // Waiters are the connection threads themselves: Acquire() blocks the
-// calling thread until it is granted a slot or evicted. While queued, each
-// waiter self-checks every poll_ms for the three ways a queued request can
-// die early: its deadline expires (the wait is charged against the
+// calling thread on a condition variable until it is granted a slot or
+// evicted. Nothing polls on a timer; a queued request dies early in one of
+// three ways: its deadline expires (the wait is charged against the
 // request's Governor deadline, so a request that would wake up dead is
-// evicted as DEADLINE_EXCEEDED without executing), its client hangs up
-// (cancel-on-disconnect works in the queue, not just mid-execute), or the
-// server starts draining and flushes the queue. Grants win races: a
-// request granted in the same tick its client vanished executes normally
-// and is cancelled by the regular disconnect watcher.
+// evicted as DEADLINE_EXCEEDED without executing), its cancel token fires
+// (the server's hangup watcher cancels it when the client hangs up, then
+// calls Wake()), or the server starts draining and flushes the queue.
+// Grants win races: a request granted as its client vanished executes with
+// its governor already cancelled and stops at the first checkpoint.
 //
 // Failpoints (exec/failpoints.h): `net/queue/enqueue` fires once per
 // Acquire, `net/queue/dequeue` once per grant, `net/queue/evict` once per
@@ -37,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "exec/governor.h"
 #include "obs/metrics.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
@@ -53,15 +54,6 @@ struct QueueOptions {
 
   /// Total request payload bytes that may sit queued at once.
   std::uint64_t max_bytes = 32ull << 20;
-
-  /// DRR quantum: requests granted per tenant per scheduling round. With
-  /// the default 1 the scheduler is plain round-robin across backlogged
-  /// tenants; larger values trade fairness granularity for FIFO runs.
-  std::uint64_t quantum = 1;
-
-  /// Waiter self-check period (deadline expiry, client disconnect, drain
-  /// flush). Small: it bounds how long a dead request occupies the queue.
-  int poll_ms = 5;
 };
 
 /// Why Acquire() returned without a grant — mapped by the server onto
@@ -70,11 +62,9 @@ enum class AdmitOutcome : std::uint8_t {
   kGranted,          // slot held; caller must Release()
   kOverflow,         // depth or byte bound hit -> BUSY + retry_after_ms
   kDeadlineExpired,  // dead on arrival or died waiting -> ERROR
-  kDisconnected,     // client hung up while queued -> no response possible
+  kDisconnected,     // cancelled while queued (client hung up) -> no reader
   kDraining,         // server drain in progress -> BUSY (do not retry here)
 };
-
-const char* AdmitOutcomeName(AdmitOutcome outcome);
 
 /// Monotone per-tenant accounting, surfaced in STATUS ("tenants") and the
 /// Prometheus exposition. `wait` is the obs log2 histogram of granted
@@ -116,16 +106,22 @@ class FairRequestQueue {
   /// Blocks until a slot is granted or the request is evicted. `bytes` is
   /// the request payload size (charged against max_bytes while queued);
   /// `deadline_us` is the request's absolute steady-clock deadline in
-  /// Timer::NowMicros() terms (0 = none); `client_fd` (-1 = none) is
-  /// polled for hangup while queued. On return `*wait_us` holds the time
-  /// spent in Acquire. Only kGranted holds a slot; pair it with Release().
+  /// Timer::NowMicros() terms (0 = none); a queued request whose `cancel`
+  /// token fires is evicted as kDisconnected once Wake() runs. On return
+  /// `*wait_us` holds the time spent in Acquire. Only kGranted holds a
+  /// slot; pair it with Release().
   [[nodiscard]] AdmitOutcome Acquire(const std::string& tenant,
                                      std::uint64_t bytes,
-                                     std::uint64_t deadline_us, int client_fd,
+                                     std::uint64_t deadline_us,
+                                     const CancelToken& cancel,
                                      std::uint64_t* wait_us);
 
   /// Frees a granted slot and wakes the scheduler.
   void Release();
+
+  /// Wakes every waiter to re-check its cancel token. Call after
+  /// cancelling a queued request's token.
+  void Wake();
 
   /// Drain phase 1: new Acquire() calls return kDraining immediately;
   /// already-queued waiters keep being served as slots free.
@@ -144,8 +140,6 @@ class FairRequestQueue {
   std::size_t depth() const;
 
   QueueSnapshot Snapshot() const;
-
-  const QueueOptions& options() const { return options_; }
 
  private:
   struct Waiter;

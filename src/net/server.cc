@@ -1,8 +1,11 @@
 #include "net/server.h"
 
-#include <poll.h>
+#include <sys/epoll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
+
+#include <cerrno>
 
 #include <algorithm>
 #include <chrono>
@@ -43,68 +46,6 @@ std::uint64_t PayloadBytes(const Message& message) {
   }
   return bytes;
 }
-
-/// Watches a client socket while its request executes; a hangup cancels
-/// the request's governor at the next cooperative checkpoint. Polls with
-/// POLLRDHUP (half-close detection) plus a zero-byte MSG_PEEK probe on
-/// POLLIN so pipelined request bytes are not mistaken for a disconnect.
-class DisconnectWatcher {
- public:
-  DisconnectWatcher(int fd, Governor* governor, int poll_ms,
-                    std::atomic<std::uint64_t>* cancel_counter)
-      : fd_(fd), governor_(governor), poll_ms_(poll_ms),
-        cancel_counter_(cancel_counter) {
-    thread_ = std::thread([this] { Loop(); });
-  }
-
-  ~DisconnectWatcher() {
-    stop_.store(true, std::memory_order_relaxed);
-    thread_.join();
-  }
-
-  DisconnectWatcher(const DisconnectWatcher&) = delete;
-  DisconnectWatcher& operator=(const DisconnectWatcher&) = delete;
-
- private:
-  void Loop() {
-    while (!stop_.load(std::memory_order_relaxed)) {
-      pollfd pfd{fd_, POLLIN | POLLRDHUP, 0};
-      int rc = ::poll(&pfd, 1, poll_ms_);
-      if (rc < 0) continue;  // EINTR: retry
-      if (rc == 0) continue;  // tick: re-check stop flag
-      if ((pfd.revents & (POLLRDHUP | POLLHUP | POLLERR | POLLNVAL)) != 0) {
-        Cancel();
-        return;
-      }
-      if ((pfd.revents & POLLIN) != 0) {
-        char probe;
-        ssize_t n = ::recv(fd_, &probe, 1, MSG_PEEK | MSG_DONTWAIT);
-        if (n == 0) {  // orderly EOF
-          Cancel();
-          return;
-        }
-        // n > 0: the client pipelined its next request; keep watching but
-        // back off to plain hangup polling (POLLIN would spin otherwise).
-        if (n > 0) {
-          pollfd hup{fd_, POLLRDHUP, 0};
-          ::poll(&hup, 1, poll_ms_);
-        }
-      }
-    }
-  }
-
-  void Cancel() {
-    governor_->RequestCancel();
-    cancel_counter_->fetch_add(1, std::memory_order_relaxed);
-  }
-
-  int fd_;
-  Governor* governor_;
-  int poll_ms_;
-  std::atomic<std::uint64_t>* cancel_counter_;
-  std::atomic<bool> stop_{false};
-  std::thread thread_;
-};
 
 /// RAII release of a granted fair-queue slot: Dispatch holds it across the
 /// handler, and release (not the response send) is what frees the slot for
@@ -334,22 +275,87 @@ obs::MetricsSnapshot DaemonMetrics(const DaemonSnapshot& s) {
   return m;
 }
 
+/// Epoll tag of the stop eventfd; registrations count up from 1.
+constexpr std::uint64_t kStopTag = 0;
+
 }  // namespace
 
-namespace {
-QueueOptions QueueOptionsFrom(const CensusServer::Options& options) {
-  QueueOptions queue;
-  queue.slots = options.max_inflight;
-  queue.max_depth = options.queue_depth;
-  queue.max_bytes = options.queue_bytes;
-  queue.quantum = options.queue_quantum;
-  queue.poll_ms = options.queue_poll_ms;
-  return queue;
+HangupWatcher::HangupWatcher(FairRequestQueue* queue)
+    : queue_(queue),
+      epoll_fd_(::epoll_create1(EPOLL_CLOEXEC)),
+      stop_fd_(::eventfd(0, EFD_CLOEXEC)) {
+  // Without epoll or the stop eventfd no thread starts, and every Watch
+  // leaves its request unwatched: it still runs, it only cannot be
+  // cancelled by a hangup.
+  epoll_event stop{};
+  stop.events = EPOLLIN;
+  stop.data.u64 = kStopTag;
+  if (epoll_fd_ >= 0 && stop_fd_ >= 0 &&
+      ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, stop_fd_, &stop) == 0) {
+    thread_ = std::thread([this] { Loop(); });
+  }
 }
-}  // namespace
+
+HangupWatcher::~HangupWatcher() {
+  if (thread_.joinable()) {
+    const std::uint64_t one = 1;
+    ssize_t wrote = ::write(stop_fd_, &one, sizeof(one));
+    (void)wrote;  // an eventfd write of 1 cannot fail short of overflow
+    thread_.join();
+  }
+  if (epoll_fd_ >= 0) ::close(epoll_fd_);
+  if (stop_fd_ >= 0) ::close(stop_fd_);
+}
+
+void HangupWatcher::Loop() {
+  epoll_event events[16]{};
+  for (;;) {
+    const int n = ::epoll_wait(epoll_fd_, events, 16, -1);
+    if (n < 0 && errno != EINTR) return;
+    bool hung_up = false;
+    for (int i = 0; i < n; ++i) {
+      if (events[i].data.u64 == kStopTag) return;
+      MutexLock lock(mu_);
+      auto it = watched_.find(events[i].data.u64);
+      if (it == watched_.end()) continue;  // that request already finished
+      it->second.Cancel();
+      cancels_.fetch_add(1, std::memory_order_relaxed);
+      hung_up = true;
+    }
+    if (hung_up) queue_->Wake();
+  }
+}
+
+HangupWatcher::Watch::Watch(HangupWatcher* watcher, int fd,
+                            const CancelToken& cancel)
+    : watcher_(watcher), fd_(fd) {
+  if (!watcher_->thread_.joinable() || fd_ < 0) return;
+  // Add and record under one lock: a socket that hung up already reports
+  // at once, and the event must find its registration.
+  MutexLock lock(watcher_->mu_);
+  const std::uint64_t id = watcher_->next_id_++;
+  epoll_event event{};
+  event.events = EPOLLRDHUP | EPOLLONESHOT;  // EPOLLHUP/ERR are implicit
+  event.data.u64 = id;
+  // A failed add leaves the request unwatched; it still runs.
+  if (::epoll_ctl(watcher_->epoll_fd_, EPOLL_CTL_ADD, fd_, &event) == 0) {
+    watcher_->watched_.emplace(id, cancel);
+    id_ = id;
+  }
+}
+
+HangupWatcher::Watch::~Watch() {
+  if (id_ == 0) return;
+  MutexLock lock(watcher_->mu_);
+  ::epoll_ctl(watcher_->epoll_fd_, EPOLL_CTL_DEL, fd_, nullptr);
+  watcher_->watched_.erase(id_);
+}
 
 CensusServer::CensusServer(Options options)
-    : options_(std::move(options)), queue_(QueueOptionsFrom(options_)) {}
+    : options_(std::move(options)),
+      queue_(QueueOptions{options_.max_inflight, options_.queue_depth,
+                          options_.queue_bytes}),
+      hangups_(&queue_) {}
 
 CensusServer::~CensusServer() {
   RequestShutdown();
@@ -417,8 +423,7 @@ CensusServer::DaemonSnapshot CensusServer::Snapshot() const {
   s.counters.busy_rejected = busy_rejected_.load(std::memory_order_relaxed);
   s.counters.protocol_errors =
       protocol_errors_.load(std::memory_order_relaxed);
-  s.counters.disconnect_cancels =
-      disconnect_cancels_.load(std::memory_order_relaxed);
+  s.counters.disconnect_cancels = hangups_.cancels();
   for (std::uint8_t b = 1; b < verb_counts_.size(); ++b) {
     s.verbs[static_cast<FrameType>(b)] =
         verb_counts_[b].load(std::memory_order_relaxed);
@@ -567,24 +572,38 @@ Message CensusServer::Dispatch(const Message& request, int client_fd,
         response = ErrorResponse(ctx, spec.status());
         break;
       }
-      // Absolute deadline anchored at frame receipt, computed before
-      // admission: time spent queued is charged against the same budget
-      // the Governor enforces, and a request whose deadline dies in the
-      // queue is evicted without ever executing.
+      // Every QUERY/UPDATE is governed: the governor carries the
+      // cancel-on-hangup token, and the server caps apply whatever the
+      // client asked. The deadline is absolute from frame receipt, so queue
+      // wait is charged against it, and a request whose deadline dies in
+      // the queue is evicted without ever executing.
+      Governor governor;
+      governor.SetAnnotation("request " + ctx.id);
       std::uint64_t deadline_ms =
           ClampLimit(spec->deadline_ms, options_.max_deadline_ms);
       if (deadline_ms > 0) {
         ctx.deadline_us = ctx.received_us + deadline_ms * 1000;
+        governor.SetDeadline(Deadline::AtMicros(ctx.deadline_us));
       }
+      std::uint64_t budget_mb =
+          ClampLimit(spec->memory_budget_mb, options_.max_memory_budget_mb);
+      if (budget_mb > 0) {
+        governor.SetMemoryLimitBytes(budget_mb * 1024ull * 1024ull);
+      }
+      // One registration covers the queue wait and the execution, until
+      // the response is composed.
+      HangupWatcher::Watch watch(&hangups_, client_fd,
+                                 governor.cancel_token());
       AdmitOutcome admitted =
-          queue_.Acquire(ctx.tenant, ctx.bytes_in, ctx.deadline_us, client_fd,
-                         &ctx.queue_wait_us);
+          queue_.Acquire(ctx.tenant, ctx.bytes_in, ctx.deadline_us,
+                         governor.cancel_token(), &ctx.queue_wait_us);
       switch (admitted) {
         case AdmitOutcome::kGranted: {
           QueueSlot slot(&queue_);
+          governor.SetQueueWaitMicros(ctx.queue_wait_us);
           response = request.type == FrameType::kQuery
-                         ? HandleQuery(request, *spec, client_fd, ctx)
-                         : HandleUpdate(request, client_fd, ctx);
+                         ? HandleQuery(request, *spec, governor, ctx)
+                         : HandleUpdate(request, governor, ctx);
           break;
         }
         case AdmitOutcome::kOverflow:
@@ -616,10 +635,9 @@ Message CensusServer::Dispatch(const Message& request, int client_fd,
               StopReasonName(StopReason::kDeadlineExceeded);
           break;
         case AdmitOutcome::kDisconnected:
-          // The client is gone; compose the ERROR anyway so telemetry
-          // records a terminal outcome (the send fails and the connection
-          // closes).
-          disconnect_cancels_.fetch_add(1, std::memory_order_relaxed);
+          // The client is gone (the watcher counted the cancel); compose
+          // the ERROR anyway so telemetry records a terminal outcome (the
+          // send fails and the connection closes).
           response = ErrorResponse(
               ctx, Status::Cancelled(
                        "request " + ctx.id +
@@ -664,7 +682,7 @@ Message CensusServer::Dispatch(const Message& request, int client_fd,
 }
 
 Message CensusServer::HandleQuery(const Message& request,
-                                  const QuerySpec& spec, int client_fd,
+                                  const QuerySpec& spec, Governor& governor,
                                   RequestContext& ctx) {
   std::string graph_name = request.Header("graph", "");
   if (graph_name.empty()) {
@@ -681,23 +699,6 @@ Message CensusServer::HandleQuery(const Message& request,
   QueryEngine::Options options = spec.options;
   options.census.num_threads = static_cast<std::uint32_t>(ClampLimit(
       options.census.num_threads, options_.max_threads));
-
-  // Every remote query is governed: even without explicit limits the
-  // governor carries the cancel-on-disconnect token, and the server caps
-  // apply regardless of what the client asked for. The deadline is the
-  // absolute one computed at dispatch — queue wait already spent part of
-  // the budget.
-  Governor governor;
-  governor.SetAnnotation("request " + ctx.id);
-  governor.SetQueueWaitMicros(ctx.queue_wait_us);
-  if (ctx.deadline_us > 0) {
-    governor.SetDeadline(Deadline::AtMicros(ctx.deadline_us));
-  }
-  std::uint64_t budget_mb =
-      ClampLimit(spec.memory_budget_mb, options_.max_memory_budget_mb);
-  if (budget_mb > 0) {
-    governor.SetMemoryLimitBytes(budget_mb * 1024ull * 1024ull);
-  }
   options.census.governor = &governor;
 
   // Shared lock: concurrent QUERYs run together; UPDATE waits for all of
@@ -711,9 +712,6 @@ Message CensusServer::HandleQuery(const Message& request,
 #endif
   Message response;
   {
-    DisconnectWatcher watcher(client_fd, &governor,
-                              options_.disconnect_poll_ms,
-                              &disconnect_cancels_);
     QueryEngine engine(graph.snapshot, &graph.indexes);
     auto table = engine.Execute(request.body, options);
     if (!table.ok()) return ErrorResponse(ctx, table.status());
@@ -797,8 +795,8 @@ Message CensusServer::HandleQuery(const Message& request,
   return response;
 }
 
-Message CensusServer::HandleUpdate(const Message& request, int client_fd,
-                                   RequestContext& ctx) {
+Message CensusServer::HandleUpdate(const Message& request,
+                                   Governor& governor, RequestContext& ctx) {
   std::string graph_name = request.Header("graph", "");
   if (graph_name.empty()) {
     return ErrorResponse(ctx, 
@@ -811,13 +809,6 @@ Message CensusServer::HandleUpdate(const Message& request, int client_fd,
   auto updates = ParseUpdateStream(body);
   if (!updates.ok()) return ErrorResponse(ctx, updates.status());
 
-  Governor governor;
-  governor.SetAnnotation("request " + ctx.id);
-  governor.SetQueueWaitMicros(ctx.queue_wait_us);
-  if (ctx.deadline_us > 0) {
-    governor.SetDeadline(Deadline::AtMicros(ctx.deadline_us));
-  }
-
   // Exclusive lock: the batch is atomic with respect to queries — they see
   // the graph before it or after it, never between two of its updates.
   GraphEntry& graph = **entry;
@@ -826,25 +817,20 @@ Message CensusServer::HandleUpdate(const Message& request, int client_fd,
   ctx.threads = 1;
   std::uint64_t applied = 0, noop = 0;
   Status exec_status = Status::Ok();
-  {
-    DisconnectWatcher watcher(client_fd, &governor,
-                              options_.disconnect_poll_ms,
-                              &disconnect_cancels_);
-    for (const GraphUpdate& update : *updates) {
-      if (governor.Checkpoint() != StopReason::kNone) {
-        exec_status = governor.ToStatus("update batch");
-        break;
-      }
-      auto result = graph.dynamic.Apply(update);
-      if (!result.ok()) {
-        exec_status = result.status();
-        break;
-      }
-      if (*result) {
-        ++applied;
-      } else {
-        ++noop;
-      }
+  for (const GraphUpdate& update : *updates) {
+    if (governor.Checkpoint() != StopReason::kNone) {
+      exec_status = governor.ToStatus("update batch");
+      break;
+    }
+    auto result = graph.dynamic.Apply(update);
+    if (!result.ok()) {
+      exec_status = result.status();
+      break;
+    }
+    if (*result) {
+      ++applied;
+    } else {
+      ++noop;
     }
   }
   if (applied > 0) {
@@ -995,7 +981,7 @@ void CensusServer::FinishRequest(const RequestContext& ctx,
   record.bytes_out = bytes_out;
   {
     MutexLock lock(ring_mutex_);
-    ring_.push_front(std::move(record));
+    ring_.push_front(record);
     while (ring_.size() > options_.ring_capacity) ring_.pop_back();
   }
 
@@ -1065,15 +1051,7 @@ void CensusServer::FinishRequest(const RequestContext& ctx,
   // via STATUS (headers slow_trace / the slow_queries summary array).
   if (options_.slow_query_threshold_ms > 0 &&
       latency_us >= options_.slow_query_threshold_ms * 1000) {
-    SlowQueryRecord slow;
-    slow.request_id = ctx.id;
-    slow.type = ctx.verb;
-    slow.graph = ctx.graph;
-    slow.exec_status = exec_status;
-    slow.stop_reason = stop_reason;
-    slow.received_us = ctx.received_us;
-    slow.latency_us = latency_us;
-    slow.spans = ctx.spans;
+    SlowQueryRecord slow{record, ctx.received_us, ctx.spans};
     if (queue_us > 0) {
       slow.spans.insert(slow.spans.begin(), PhaseSpan{"queue", 0, queue_us});
     }

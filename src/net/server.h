@@ -4,10 +4,10 @@
 // ecensusd's engine room: a multi-client census server over the net/frame
 // protocol (docs/SERVER.md).
 //
-// Threading model: one accept thread plus one thread per live connection —
-// not an event loop, because a census request is seconds of CPU, not
-// microseconds of I/O, so the bound that matters is admission control on
-// in-flight work, not descriptor fan-in. Heavy requests (QUERY/UPDATE)
+// Threading model: one accept thread, one HangupWatcher thread, and one
+// thread per live connection — not an event loop, because a census request
+// is seconds of CPU, not microseconds of I/O, so the bound that matters is
+// admission control on in-flight work, not descriptor fan-in. Heavy requests (QUERY/UPDATE)
 // pass through a bounded per-tenant fair queue (net/queue.h) feeding
 // Options::max_inflight execution slots: a burst waits briefly instead of
 // failing, one tenant cannot starve the rest, queue wait is charged
@@ -22,9 +22,11 @@
 // Every QUERY/UPDATE runs under its own exec::Governor built from the
 // request's deadline_ms / memory_budget_mb / threads headers (parsed by
 // lang/query_spec.h, like every query option), each clamped by the
-// server-wide caps, with a disconnect watcher polling the client
-// socket: a client that vanishes mid-request cancels its census at the
-// next cooperative checkpoint instead of burning the server for nothing.
+// server-wide caps. From before admission until its response is composed,
+// the request's client socket is registered with the daemon's one
+// HangupWatcher: a client that vanishes evicts its queued request, or
+// cancels its running census at the next cooperative checkpoint, instead
+// of burning the server for nothing.
 //
 // Graph state lives in the GraphRegistry (net/registry.h): QUERY holds an
 // entry's lock shared, UPDATE exclusive, so updates serialize against
@@ -48,6 +50,7 @@
 #include <thread>
 #include <vector>
 
+#include "exec/governor.h"
 #include "lang/query_spec.h"
 #include "net/frame.h"
 #include "net/queue.h"
@@ -59,6 +62,63 @@
 #include "util/thread_annotations.h"
 
 namespace egocensus::net {
+
+/// The daemon's one hangup detector. A single thread waits in epoll_wait on
+/// every watched client socket (EPOLLRDHUP | EPOLLONESHOT) and on an
+/// eventfd that stops it. A hangup cancels the watched request's token,
+/// counts one cancel, and wakes `queue` so a queued waiter holding that
+/// token is evicted at once; a running census stops at its next
+/// checkpoint. If the epoll instance or the eventfd cannot be created,
+/// requests run unwatched rather than fail.
+class HangupWatcher {
+ public:
+  explicit HangupWatcher(FairRequestQueue* queue);
+  ~HangupWatcher();
+
+  HangupWatcher(const HangupWatcher&) = delete;
+  HangupWatcher& operator=(const HangupWatcher&) = delete;
+
+  /// One request's registration: watches `fd` and cancels `cancel` on
+  /// hangup until destroyed. Destruction deregisters under the watcher's
+  /// mutex, so an event for a finished request is dropped.
+  class Watch {
+   public:
+    Watch(HangupWatcher* watcher, int fd, const CancelToken& cancel);
+    ~Watch();
+    Watch(const Watch&) = delete;
+    Watch& operator=(const Watch&) = delete;
+
+   private:
+    HangupWatcher* watcher_;
+    int fd_;
+    std::uint64_t id_ = 0;  // 0: not registered, the request runs unwatched
+  };
+
+  /// Requests cancelled by a hangup since construction.
+  std::uint64_t cancels() const {
+    return cancels_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  void Loop();
+
+  // egolint: no-guard(immutable after construction, read lock-free)
+  FairRequestQueue* queue_;
+  // egolint: no-guard(set in the constructor before the thread starts)
+  int epoll_fd_;
+  // egolint: no-guard(set in the constructor before the thread starts)
+  int stop_fd_;
+  std::atomic<std::uint64_t> cancels_{0};
+
+  Mutex mu_;
+  std::uint64_t next_id_ EGO_GUARDED_BY(mu_) = 1;
+  /// Registration id (the epoll event's data.u64) -> the token to cancel.
+  std::map<std::uint64_t, CancelToken> watched_ EGO_GUARDED_BY(mu_);
+
+  /// Declared last: it uses every member above until the destructor joins.
+  // egolint: no-guard(started in the constructor, joined in the destructor)
+  std::thread thread_;
+};
 
 class CensusServer {
  public:
@@ -77,13 +137,6 @@ class CensusServer {
     /// Total request payload bytes that may sit queued at once.
     std::uint64_t queue_bytes = 32ull << 20;
 
-    /// DRR quantum: requests granted per tenant per scheduling round.
-    std::uint64_t queue_quantum = 1;
-
-    /// Queued-waiter self-check period (deadline expiry, client
-    /// disconnect, drain flush).
-    int queue_poll_ms = 5;
-
     // Server-wide caps clamping the per-request limits. 0 = uncapped: the
     // request's own header applies verbatim (and an uncapped request stays
     // uncapped).
@@ -93,10 +146,6 @@ class CensusServer {
 
     /// Entries kept in the recent-request ring surfaced by STATUS.
     std::size_t ring_capacity = 64;
-
-    /// Disconnect-watcher poll period. Small: this bounds how long a
-    /// cancelled client's census keeps running.
-    int disconnect_poll_ms = 5;
 
     /// Requests slower than this capture their span tree into the
     /// slow-query ring (docs/OBSERVABILITY.md, "Request telemetry").
@@ -131,18 +180,12 @@ class CensusServer {
     std::uint64_t bytes_out = 0;  // response payload bytes
   };
 
-  /// One captured slow request: the ring entry behind STATUS
-  /// "slow_queries" and the `slow_trace` Chrome-trace dump. Spans are
+  /// One captured slow request: its ring record plus what STATUS
+  /// "slow_queries" and the `slow_trace` Chrome-trace dump add. Spans are
   /// request-local (queue wait, execute window, per-aggregate census
   /// phases), so capture never races the global tracer.
-  struct SlowQueryRecord {
-    std::string request_id;
-    std::string type;
-    std::string graph;
-    std::string exec_status;
-    std::string stop_reason;
+  struct SlowQueryRecord : RequestRecord {
     std::uint64_t received_us = 0;  // server clock at dispatch
-    std::uint64_t latency_us = 0;
     std::vector<PhaseSpan> spans;
   };
 
@@ -225,13 +268,14 @@ class CensusServer {
   void ServeConnection(Connection* connection);
 
   /// Dispatches one request frame; returns the response to send.
-  /// `client_fd` powers the disconnect watcher; `*close_after` is set by
-  /// SHUTDOWN.
+  /// `client_fd` is watched for hangup while a QUERY/UPDATE is queued or
+  /// running; `*close_after` is set by SHUTDOWN.
   Message Dispatch(const Message& request, int client_fd, bool* close_after);
 
+  /// Run one admitted request under the governor Dispatch built for it.
   Message HandleQuery(const Message& request, const QuerySpec& spec,
-                      int client_fd, RequestContext& ctx);
-  Message HandleUpdate(const Message& request, int client_fd,
+                      Governor& governor, RequestContext& ctx);
+  Message HandleUpdate(const Message& request, Governor& governor,
                        RequestContext& ctx);
   Message HandleStatus(const Message& request, RequestContext& ctx);
   Message HandleMetrics(const Message& request, RequestContext& ctx);
@@ -260,6 +304,9 @@ class CensusServer {
   /// Internally synchronized (its own mu_ capability).
   // egolint: no-guard(internally synchronized, see net/queue.h)
   FairRequestQueue queue_;
+  /// Internally synchronized (its own mu_ capability); wakes queue_.
+  // egolint: no-guard(internally synchronized, see HangupWatcher)
+  HangupWatcher hangups_;
   /// Written once in Start before any worker thread exists.
   // egolint: no-guard(written before threads start, read-only after)
   std::uint64_t started_micros_ = 0;
@@ -280,7 +327,6 @@ class CensusServer {
   std::atomic<std::uint64_t> completed_{0};
   std::atomic<std::uint64_t> busy_rejected_{0};
   std::atomic<std::uint64_t> protocol_errors_{0};
-  std::atomic<std::uint64_t> disconnect_cancels_{0};
 
   /// Per-verb dispatch tallies, indexed by the request-type byte
   /// (0x01..0x07). Slot 0 is unused.

@@ -581,6 +581,47 @@ TEST(EgolintSuppressionTest, ReasonlessSuppressionIsAFindingAndDoesNotHide) {
   EXPECT_EQ(findings[1].check, "checkpoint-coverage");
 }
 
+// A reasoned no-checkpoint over a loop the check flags, and one over a loop
+// that polls (nothing for it to silence).
+constexpr const char* kSuppressedLoop =
+    "void Run() {\n"
+    "  // egolint: no-checkpoint(O(|focal|) flag stores, no match work)\n"
+    "  for (int i = 0; i < num_focal; ++i) Mark(focal[i]);\n"
+    "}\n";
+constexpr const char* kStaleSuppression =
+    "void Run() {\n"
+    "  // egolint: no-checkpoint(O(|focal|) flag stores, no match work)\n"
+    "  for (int i = 0; i < num_focal; ++i) {\n"
+    "    if (gov->Checkpoint() != StopReason::kNone) return;\n"
+    "    Work(focal[i]);\n"
+    "  }\n"
+    "}\n";
+
+TEST(EgolintSuppressionTest, SuppressionThatSilencesNothingIsAFinding) {
+  std::vector<Finding> findings =
+      Lint({{"src/census/fake_engine.cc", kStaleSuppression}});
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].check, "suppression");
+  EXPECT_EQ(findings[0].line, 2);
+  EXPECT_NE(findings[0].message.find("silences nothing"), std::string::npos);
+}
+
+TEST(EgolintSuppressionTest, SuppressionThatSilencesAFindingIsClean) {
+  std::vector<Finding> findings =
+      Lint({{"src/census/fake_engine.cc", kSuppressedLoop}});
+  EXPECT_EQ(findings.size(), 0u);
+}
+
+TEST(EgolintSuppressionTest, CheckSubsetSkipsTheUnusedAudit) {
+  // Without checkpoint-coverage in the run, nothing can tell whether the
+  // no-checkpoint comment still silences a finding.
+  LintOptions options;
+  options.checks = {"obs-gating"};
+  std::vector<Finding> findings =
+      RunLint({{"src/census/fake_engine.cc", kStaleSuppression}}, options);
+  EXPECT_EQ(findings.size(), 0u);
+}
+
 TEST(EgolintSuppressionTest, ProseMentioningEgolintIsNotASuppression) {
   std::vector<Finding> findings = Lint({
       {"src/graph/a.cc",

@@ -68,15 +68,21 @@ TEST_F(GovernorCensusTest, UngovernedRunMarksEveryFocalComplete) {
   Graph g = SweepGraph();
   Pattern tri = MakeTriangle(false);
   auto focal = AllNodes(g);
-  CensusOptions opts = GenericOptions();
-  opts.algorithm = CensusAlgorithm::kNdBas;
-  opts.k = 2;
-  auto r = RunCensus(g, tri, focal, opts);
-  ASSERT_TRUE(r.ok());
-  EXPECT_TRUE(r->complete());
-  ASSERT_EQ(r->focal_state.size(), g.NumNodes());
-  for (NodeId n = 0; n < g.NumNodes(); ++n) {
-    EXPECT_EQ(r->focal_state[n], FocalState::kComplete);
+  for (auto algorithm :
+       {CensusAlgorithm::kNdBas, CensusAlgorithm::kNdDiff,
+        CensusAlgorithm::kNdPvot, CensusAlgorithm::kPtBas,
+        CensusAlgorithm::kPtOpt, CensusAlgorithm::kPtRnd}) {
+    SCOPED_TRACE(CensusAlgorithmName(algorithm));
+    CensusOptions opts = GenericOptions();
+    opts.algorithm = algorithm;
+    opts.k = 2;
+    auto r = RunCensus(g, tri, focal, opts);
+    ASSERT_TRUE(r.ok());
+    EXPECT_TRUE(r->complete());
+    ASSERT_EQ(r->focal_state.size(), g.NumNodes());
+    for (NodeId n = 0; n < g.NumNodes(); ++n) {
+      EXPECT_EQ(r->focal_state[n], FocalState::kComplete);
+    }
   }
 }
 

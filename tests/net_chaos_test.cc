@@ -30,6 +30,12 @@ constexpr const char* kTriangleQuery =
     "PATTERN t {?A-?B; ?B-?C; ?C-?A;} "
     "SELECT ID, COUNTP(t, SUBGRAPH(ID, 1)) FROM nodes";
 
+/// The same triangle at k=2: ~15 ms of census on TestGraph(), long enough
+/// that every tenant keeps a request waiting while another executes.
+constexpr const char* kK2TriangleQuery =
+    "PATTERN t {?A-?B; ?B-?C; ?C-?A;} "
+    "SELECT ID, COUNTP(t, SUBGRAPH(ID, 2)) FROM nodes";
+
 Graph TestGraph() {
   GeneratorOptions gen;
   gen.num_nodes = 300;
@@ -56,12 +62,13 @@ struct Observed {
 };
 
 Observed CallOnce(const Endpoint& endpoint, const std::string& tenant,
-                  const std::string& request_id) {
+                  const std::string& request_id,
+                  const char* query = kTriangleQuery) {
   Observed seen;
   seen.sent_id = request_id;
   auto client = Client::Connect(endpoint);
   if (!client.ok()) return seen;
-  Message request = Client::QueryRequest("g", kTriangleQuery);
+  Message request = Client::QueryRequest("g", query);
   request.headers["tenant"] = tenant;
   request.headers["request_id"] = request_id;
   auto response = client->Call(request);
@@ -85,7 +92,6 @@ TEST(NetChaosTest, ConservationAcrossBurstsDisconnectsAndDrain) {
   options.listen.port = 0;
   options.max_inflight = 1;  // one slot: bursts genuinely queue
   options.queue_depth = 4;
-  options.queue_poll_ms = 1;
   auto server = std::make_unique<CensusServer>(options);
   ASSERT_TRUE(server->registry().Add("g", TestGraph()).ok());
   ASSERT_TRUE(server->Start().ok());
@@ -157,8 +163,8 @@ TEST(NetChaosTest, ConservationAcrossBurstsDisconnectsAndDrain) {
         [ghost, request] { (void)ghost->Call(request); });
   }
   ASSERT_TRUE(WaitFor([&server] { return server->queue().depth() == 3; }));
-  // shutdown(), not close(): it sends the FIN the queue's disconnect probe
-  // watches for AND wakes each ghost thread's blocked recv, so the threads
+  // shutdown(), not close(): it sends the FIN the server's hangup watcher
+  // waits for AND wakes each ghost thread's blocked recv, so the threads
   // join without racing a reused fd.
   for (auto& ghost : ghosts) ::shutdown(ghost->fd(), SHUT_RDWR);
   for (auto& thread : ghost_threads) thread.join();
@@ -250,7 +256,6 @@ TEST(NetChaosTest, DrrKeepsLightTenantShareUnderHeavyLoad) {
   options.listen.port = 0;
   options.max_inflight = 1;
   options.queue_depth = 32;
-  options.queue_poll_ms = 1;
   auto server = std::make_unique<CensusServer>(options);
   ASSERT_TRUE(server->registry().Add("g", TestGraph()).ok());
   ASSERT_TRUE(server->Start().ok());
@@ -261,14 +266,18 @@ TEST(NetChaosTest, DrrKeepsLightTenantShareUnderHeavyLoad) {
   // Closed-loop offered load 10:1 — ten heavy connections vs one light.
   // With per-tenant round-robin the light tenant's completed share should
   // approach 1/2; the acceptance bar is within 2x of its weight (>= 1/4).
+  // DRR is fair only among tenants with requests waiting, so each request
+  // runs the k=2 census: its ~15 ms service time lets the light client's
+  // next request arrive while another one still executes.
   constexpr int kTotalTarget = 60;
   std::atomic<int> total{0};
   std::atomic<int> heavy_done{0};
   std::atomic<int> light_done{0};
   auto worker = [&](const std::string& tenant, std::atomic<int>* done) {
     while (total.load(std::memory_order_relaxed) < kTotalTarget) {
-      Observed observed = CallOnce(endpoint, tenant,
-                                   tenant + std::to_string(total.load()));
+      Observed observed =
+          CallOnce(endpoint, tenant, tenant + std::to_string(total.load()),
+                   kK2TriangleQuery);
       if (observed.transport_ok && observed.type == FrameType::kResult) {
         done->fetch_add(1, std::memory_order_relaxed);
         total.fetch_add(1, std::memory_order_relaxed);

@@ -275,8 +275,8 @@ TEST_F(ProtocolServerTest, MidRequestDisconnectCancelsCensus) {
 
   // Deterministic mid-census disconnect: at the 100th governed checkpoint
   // the failpoint handler hangs up the client's socket and then parks the
-  // census long enough for the server's disconnect watcher (5 ms poll) to
-  // observe the FIN and cancel the governor. The checkpoint right after
+  // census long enough for the server's hangup watcher to observe the FIN
+  // and cancel the governor. The checkpoint right after
   // the handler returns must observe the cancellation.
   failpoints::Arm("exec/checkpoint", 100, [fd] {
     ::shutdown(fd, SHUT_RDWR);

@@ -1,6 +1,7 @@
 // FairRequestQueue unit tests: grant/overflow/eviction outcomes, DRR
 // fairness order, the legacy reject-on-full mode, drain semantics, and the
-// enqueue = dequeue + evict conservation law via the net/queue failpoints.
+// enqueue = dequeue + evict conservation law via the net/queue failpoints;
+// then the HangupWatcher that evicts a queued request whose peer hung up.
 // Waiters are real threads (Acquire blocks its caller), synchronized
 // through the queue's own observable state — no sleeps as synchronization.
 
@@ -16,7 +17,9 @@
 #include <vector>
 
 #include "exec/failpoints.h"
+#include "exec/governor.h"
 #include "net/queue.h"
+#include "net/server.h"
 #include "util/timer.h"
 
 namespace egocensus::net {
@@ -34,14 +37,14 @@ QueueOptions FastOptions(std::uint32_t slots, std::size_t depth) {
   QueueOptions options;
   options.slots = slots;
   options.max_depth = depth;
-  options.poll_ms = 1;  // fast eviction checks keep the tests snappy
   return options;
 }
 
 TEST(FairRequestQueueTest, GrantsImmediatelyWhenSlotsFree) {
   FairRequestQueue queue(FastOptions(2, 8));
   std::uint64_t wait_us = 1;
-  EXPECT_EQ(queue.Acquire("a", 10, 0, -1, &wait_us), AdmitOutcome::kGranted);
+  EXPECT_EQ(queue.Acquire("a", 10, 0, CancelToken(), &wait_us),
+            AdmitOutcome::kGranted);
   EXPECT_EQ(queue.active(), 1u);
   EXPECT_EQ(queue.depth(), 0u);
   queue.Release();
@@ -55,17 +58,20 @@ TEST(FairRequestQueueTest, GrantsImmediatelyWhenSlotsFree) {
 TEST(FairRequestQueueTest, OverflowBeyondDepthBound) {
   FairRequestQueue queue(FastOptions(1, 1));
   std::uint64_t wait_us = 0;
-  ASSERT_EQ(queue.Acquire("a", 1, 0, -1, &wait_us), AdmitOutcome::kGranted);
+  ASSERT_EQ(queue.Acquire("a", 1, 0, CancelToken(), &wait_us),
+            AdmitOutcome::kGranted);
 
   std::thread waiter([&queue] {
     std::uint64_t w = 0;
-    EXPECT_EQ(queue.Acquire("a", 1, 0, -1, &w), AdmitOutcome::kGranted);
+    EXPECT_EQ(queue.Acquire("a", 1, 0, CancelToken(), &w),
+              AdmitOutcome::kGranted);
     queue.Release();
   });
   ASSERT_TRUE(WaitFor([&queue] { return queue.depth() == 1; }));
 
   // Depth bound hit: immediate overflow, no blocking.
-  EXPECT_EQ(queue.Acquire("a", 1, 0, -1, &wait_us), AdmitOutcome::kOverflow);
+  EXPECT_EQ(queue.Acquire("a", 1, 0, CancelToken(), &wait_us),
+            AdmitOutcome::kOverflow);
   queue.Release();
   waiter.join();
   EXPECT_TRUE(queue.Idle());
@@ -80,18 +86,21 @@ TEST(FairRequestQueueTest, OverflowBeyondByteBound) {
   options.max_bytes = 100;
   FairRequestQueue queue(options);
   std::uint64_t wait_us = 0;
-  ASSERT_EQ(queue.Acquire("a", 10, 0, -1, &wait_us), AdmitOutcome::kGranted);
+  ASSERT_EQ(queue.Acquire("a", 10, 0, CancelToken(), &wait_us),
+            AdmitOutcome::kGranted);
 
   std::thread waiter([&queue] {
     std::uint64_t w = 0;
-    EXPECT_EQ(queue.Acquire("a", 90, 0, -1, &w), AdmitOutcome::kGranted);
+    EXPECT_EQ(queue.Acquire("a", 90, 0, CancelToken(), &w),
+              AdmitOutcome::kGranted);
     queue.Release();
   });
   ASSERT_TRUE(
       WaitFor([&queue] { return queue.Snapshot().queued_bytes == 90; }));
 
   // 90 queued + 20 would breach max_bytes = 100.
-  EXPECT_EQ(queue.Acquire("a", 20, 0, -1, &wait_us), AdmitOutcome::kOverflow);
+  EXPECT_EQ(queue.Acquire("a", 20, 0, CancelToken(), &wait_us),
+            AdmitOutcome::kOverflow);
   queue.Release();
   waiter.join();
   EXPECT_TRUE(queue.Idle());
@@ -102,8 +111,10 @@ TEST(FairRequestQueueTest, RejectOnFullCompatWhenDepthZero) {
   // queue_depth = 0 restores the legacy behavior: no waiting at all.
   FairRequestQueue queue(FastOptions(1, 0));
   std::uint64_t wait_us = 0;
-  ASSERT_EQ(queue.Acquire("a", 1, 0, -1, &wait_us), AdmitOutcome::kGranted);
-  EXPECT_EQ(queue.Acquire("a", 1, 0, -1, &wait_us), AdmitOutcome::kOverflow);
+  ASSERT_EQ(queue.Acquire("a", 1, 0, CancelToken(), &wait_us),
+            AdmitOutcome::kGranted);
+  EXPECT_EQ(queue.Acquire("a", 1, 0, CancelToken(), &wait_us),
+            AdmitOutcome::kOverflow);
   queue.Release();
   EXPECT_TRUE(queue.Idle());
 }
@@ -111,10 +122,12 @@ TEST(FairRequestQueueTest, RejectOnFullCompatWhenDepthZero) {
 TEST(FairRequestQueueTest, DeadOnArrivalDeadlineNeverQueues) {
   FairRequestQueue queue(FastOptions(1, 8));
   std::uint64_t wait_us = 0;
-  ASSERT_EQ(queue.Acquire("a", 1, 0, -1, &wait_us), AdmitOutcome::kGranted);
+  ASSERT_EQ(queue.Acquire("a", 1, 0, CancelToken(), &wait_us),
+            AdmitOutcome::kGranted);
   // A deadline already in the past: evicted before ever waiting, even
   // though the queue has room.
-  EXPECT_EQ(queue.Acquire("a", 1, Timer::NowMicros() - 1, -1, &wait_us),
+  EXPECT_EQ(queue.Acquire("a", 1, Timer::NowMicros() - 1, CancelToken(),
+                          &wait_us),
             AdmitOutcome::kDeadlineExpired);
   queue.Release();
   auto stats = queue.Snapshot().tenants;
@@ -125,7 +138,8 @@ TEST(FairRequestQueueTest, DeadOnArrivalDeadlineNeverQueues) {
 TEST(FairRequestQueueTest, DeadlineExpiryEvictsWhileQueued) {
   FairRequestQueue queue(FastOptions(1, 8));
   std::uint64_t wait_us = 0;
-  ASSERT_EQ(queue.Acquire("a", 1, 0, -1, &wait_us), AdmitOutcome::kGranted);
+  ASSERT_EQ(queue.Acquire("a", 1, 0, CancelToken(), &wait_us),
+            AdmitOutcome::kGranted);
 
   // 50 ms deadline, but the slot is held much longer: the waiter must be
   // evicted from inside the queue, not wait for a grant that comes too
@@ -134,7 +148,7 @@ TEST(FairRequestQueueTest, DeadlineExpiryEvictsWhileQueued) {
   std::thread waiter([&queue, &outcome] {
     std::uint64_t w = 0;
     outcome.store(
-        queue.Acquire("a", 1, Timer::NowMicros() + 50'000, -1, &w));
+        queue.Acquire("a", 1, Timer::NowMicros() + 50'000, CancelToken(), &w));
   });
   waiter.join();
   EXPECT_EQ(outcome.load(), AdmitOutcome::kDeadlineExpired);
@@ -146,21 +160,23 @@ TEST(FairRequestQueueTest, DeadlineExpiryEvictsWhileQueued) {
 TEST(FairRequestQueueTest, ClientDisconnectEvictsWhileQueued) {
   FairRequestQueue queue(FastOptions(1, 8));
   std::uint64_t wait_us = 0;
-  ASSERT_EQ(queue.Acquire("a", 1, 0, -1, &wait_us), AdmitOutcome::kGranted);
+  ASSERT_EQ(queue.Acquire("a", 1, 0, CancelToken(), &wait_us),
+            AdmitOutcome::kGranted);
 
-  int pair[2];
-  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, pair), 0);
+  CancelToken cancel;
   std::atomic<AdmitOutcome> outcome{AdmitOutcome::kGranted};
-  std::thread waiter([&queue, &outcome, &pair] {
+  std::thread waiter([&queue, &outcome, cancel] {
     std::uint64_t w = 0;
-    outcome.store(queue.Acquire("a", 1, 0, pair[0], &w));
+    outcome.store(queue.Acquire("a", 1, 0, cancel, &w));
   });
   ASSERT_TRUE(WaitFor([&queue] { return queue.depth() == 1; }));
 
-  ::close(pair[1]);  // the client hangs up while its request is queued
+  // The client hangs up while its request is queued: the hangup watcher
+  // cancels the request's token and wakes the queue.
+  cancel.Cancel();
+  queue.Wake();
   waiter.join();
   EXPECT_EQ(outcome.load(), AdmitOutcome::kDisconnected);
-  ::close(pair[0]);
   queue.Release();
   EXPECT_TRUE(queue.Idle());
   auto stats = queue.Snapshot().tenants;
@@ -174,7 +190,7 @@ TEST(FairRequestQueueTest, DrrInterleavesTenantsInsteadOfFifo) {
   // backlogged, so B's grants land early.
   FairRequestQueue queue(FastOptions(1, 16));
   std::uint64_t wait_us = 0;
-  ASSERT_EQ(queue.Acquire("hold", 1, 0, -1, &wait_us),
+  ASSERT_EQ(queue.Acquire("hold", 1, 0, CancelToken(), &wait_us),
             AdmitOutcome::kGranted);
 
   std::mutex order_mu;
@@ -183,7 +199,8 @@ TEST(FairRequestQueueTest, DrrInterleavesTenantsInsteadOfFifo) {
   auto spawn = [&](const std::string& tenant) {
     waiters.emplace_back([&, tenant] {
       std::uint64_t w = 0;
-      ASSERT_EQ(queue.Acquire(tenant, 1, 0, -1, &w), AdmitOutcome::kGranted);
+      ASSERT_EQ(queue.Acquire(tenant, 1, 0, CancelToken(), &w),
+                AdmitOutcome::kGranted);
       {
         std::lock_guard<std::mutex> lock(order_mu);
         order.push_back(tenant);
@@ -231,19 +248,21 @@ TEST(FairRequestQueueTest, DrrInterleavesTenantsInsteadOfFifo) {
 TEST(FairRequestQueueTest, DrainRejectsNewAndFlushesQueued) {
   FairRequestQueue queue(FastOptions(1, 8));
   std::uint64_t wait_us = 0;
-  ASSERT_EQ(queue.Acquire("a", 1, 0, -1, &wait_us), AdmitOutcome::kGranted);
+  ASSERT_EQ(queue.Acquire("a", 1, 0, CancelToken(), &wait_us),
+            AdmitOutcome::kGranted);
 
   std::atomic<AdmitOutcome> queued_outcome{AdmitOutcome::kGranted};
   std::thread waiter([&queue, &queued_outcome] {
     std::uint64_t w = 0;
-    queued_outcome.store(queue.Acquire("a", 1, 0, -1, &w));
+    queued_outcome.store(queue.Acquire("a", 1, 0, CancelToken(), &w));
   });
   ASSERT_TRUE(WaitFor([&queue] { return queue.depth() == 1; }));
 
   queue.BeginDrain();
   EXPECT_TRUE(queue.draining());
   // New arrivals bounce immediately...
-  EXPECT_EQ(queue.Acquire("a", 1, 0, -1, &wait_us), AdmitOutcome::kDraining);
+  EXPECT_EQ(queue.Acquire("a", 1, 0, CancelToken(), &wait_us),
+            AdmitOutcome::kDraining);
   // ...and the flush evicts the queued waiter with the same outcome.
   EXPECT_EQ(queue.FlushForDrain(), 1u);
   waiter.join();
@@ -262,23 +281,29 @@ TEST(FairRequestQueueTest, FailpointsObeyConservationLaw) {
   FairRequestQueue queue(FastOptions(2, 2));
   std::uint64_t wait_us = 0;
   // Two grants, one queued-then-granted, one overflow, one DOA deadline.
-  ASSERT_EQ(queue.Acquire("a", 1, 0, -1, &wait_us), AdmitOutcome::kGranted);
-  ASSERT_EQ(queue.Acquire("b", 1, 0, -1, &wait_us), AdmitOutcome::kGranted);
+  ASSERT_EQ(queue.Acquire("a", 1, 0, CancelToken(), &wait_us),
+            AdmitOutcome::kGranted);
+  ASSERT_EQ(queue.Acquire("b", 1, 0, CancelToken(), &wait_us),
+            AdmitOutcome::kGranted);
   std::thread waiter([&queue] {
     std::uint64_t w = 0;
-    EXPECT_EQ(queue.Acquire("a", 1, 0, -1, &w), AdmitOutcome::kGranted);
+    EXPECT_EQ(queue.Acquire("a", 1, 0, CancelToken(), &w),
+              AdmitOutcome::kGranted);
     queue.Release();
   });
   ASSERT_TRUE(WaitFor([&queue] { return queue.depth() == 1; }));
-  EXPECT_EQ(queue.Acquire("c", 1, Timer::NowMicros() - 1, -1, &wait_us),
+  EXPECT_EQ(queue.Acquire("c", 1, Timer::NowMicros() - 1, CancelToken(),
+                          &wait_us),
             AdmitOutcome::kDeadlineExpired);
   std::thread overflow1([&queue] {
     std::uint64_t w = 0;
-    EXPECT_EQ(queue.Acquire("b", 1, 0, -1, &w), AdmitOutcome::kGranted);
+    EXPECT_EQ(queue.Acquire("b", 1, 0, CancelToken(), &w),
+              AdmitOutcome::kGranted);
     queue.Release();
   });
   ASSERT_TRUE(WaitFor([&queue] { return queue.depth() == 2; }));
-  EXPECT_EQ(queue.Acquire("c", 1, 0, -1, &wait_us), AdmitOutcome::kOverflow);
+  EXPECT_EQ(queue.Acquire("c", 1, 0, CancelToken(), &wait_us),
+            AdmitOutcome::kOverflow);
 
   queue.Release();
   queue.Release();
@@ -296,6 +321,65 @@ TEST(FairRequestQueueTest, FailpointsObeyConservationLaw) {
   EXPECT_EQ(enqueued, dequeued + evicted);
   EXPECT_EQ(queue.Snapshot().peak_active, 2u);
   failpoints::DisarmAll();
+}
+
+TEST(HangupWatcherTest, PeerHangupEvictsTheQueuedRequest) {
+  FairRequestQueue queue(FastOptions(1, 8));
+  HangupWatcher watcher(&queue);
+  std::uint64_t wait_us = 0;
+  ASSERT_EQ(queue.Acquire("a", 1, 0, CancelToken(), &wait_us),
+            AdmitOutcome::kGranted);
+
+  int pair[2];
+  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, pair), 0);
+  Governor governor;
+  std::atomic<AdmitOutcome> outcome{AdmitOutcome::kGranted};
+  {
+    HangupWatcher::Watch watch(&watcher, pair[0], governor.cancel_token());
+    std::thread waiter([&queue, &outcome, &governor] {
+      std::uint64_t w = 0;
+      outcome.store(queue.Acquire("a", 1, 0, governor.cancel_token(), &w));
+    });
+    ASSERT_TRUE(WaitFor([&queue] { return queue.depth() == 1; }));
+    ::close(pair[1]);  // the peer hangs up while its request is queued
+    waiter.join();
+  }
+  EXPECT_EQ(outcome.load(), AdmitOutcome::kDisconnected);
+  EXPECT_EQ(governor.Checkpoint(), StopReason::kCancelled);
+  EXPECT_EQ(watcher.cancels(), 1u);
+  ::close(pair[0]);
+  queue.Release();
+  EXPECT_TRUE(queue.Idle());
+  auto stats = queue.Snapshot().tenants;
+  ASSERT_EQ(stats.size(), 1u);
+  EXPECT_EQ(stats[0].evicted_disconnect, 1u);
+}
+
+TEST(HangupWatcherTest, EndedWatchLeavesItsGovernorUncancelled) {
+  FairRequestQueue queue(FastOptions(1, 8));
+  HangupWatcher watcher(&queue);
+  int ended[2];
+  int live[2];
+  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, ended), 0);
+  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, live), 0);
+  Governor finished;
+  Governor running;
+  {
+    HangupWatcher::Watch watch(&watcher, ended[0], finished.cancel_token());
+  }
+  {
+    HangupWatcher::Watch watch(&watcher, live[0], running.cancel_token());
+    // Both peers hang up; only the still-watched request is cancelled.
+    ::close(ended[1]);
+    ::close(live[1]);
+    ASSERT_TRUE(WaitFor(
+        [&running] { return running.cancel_token().Cancelled(); }));
+  }
+  EXPECT_FALSE(finished.cancel_token().Cancelled());
+  EXPECT_EQ(finished.Checkpoint(), StopReason::kNone);
+  EXPECT_EQ(watcher.cancels(), 1u);
+  ::close(ended[0]);
+  ::close(live[0]);
 }
 
 }  // namespace

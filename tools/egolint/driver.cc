@@ -1,7 +1,7 @@
 // egolint driver: lexes every input, dispatches the enabled checks,
 // applies line-level suppressions, and audits the suppressions themselves
-// (reasonless or unknown names are findings, so the escape hatch cannot
-// silently rot).
+// (reasonless, unknown, or — when every check ran — silencing nothing are
+// findings, so the escape hatch cannot silently rot).
 
 #include <algorithm>
 #include <set>
@@ -85,26 +85,32 @@ std::vector<Finding> RunLint(const std::vector<SourceFile>& files,
   // A suppression silences a finding of its kind on the same line or the
   // line below it (comment-above style) — but only when it carries a
   // written reason.
+  std::set<const Suppression*> used;
   std::vector<Finding> out;
   for (Finding& f : raw) {
-    bool suppressed = false;
+    const Suppression* silencer = nullptr;
     if (!f.suppression.empty()) {
       for (const FileModel& model : models) {
         if (model.source->path != f.file) continue;
         for (const Suppression& sup : model.suppressions) {
           if (sup.name == f.suppression && !sup.reason.empty() &&
               (sup.line == f.line || sup.line == f.line - 1)) {
-            suppressed = true;
+            silencer = &sup;
             break;
           }
         }
         break;
       }
     }
-    if (!suppressed) out.push_back(std::move(f));
+    if (silencer != nullptr) {
+      used.insert(silencer);
+    } else {
+      out.push_back(std::move(f));
+    }
   }
 
-  // Audit the suppression comments themselves.
+  // Audit the suppression comments themselves. Only a run of every check
+  // (no --check filter) can tell that a suppression silences nothing.
   std::set<std::string> known(std::begin(kKnownSuppressions),
                               std::end(kKnownSuppressions));
   for (const FileModel& model : models) {
@@ -118,6 +124,10 @@ std::vector<Finding> RunLint(const std::vector<SourceFile>& files,
                               "egolint suppression '" + sup.name +
                                   "' must carry a written reason: " +
                                   "// egolint: " + sup.name + "(<why>)"});
+      } else if (options.checks.empty() && used.count(&sup) == 0) {
+        out.push_back(Finding{model.source->path, sup.line, "suppression", "",
+                              "egolint suppression '" + sup.name +
+                                  "' silences nothing; delete it"});
       }
     }
   }

@@ -41,8 +41,9 @@
 //                          clang -Wthread-safety contract honest on
 //                          compilers that compile the annotations away.
 //
-// A suppression with an empty reason, or with a name no check owns, is
-// itself a finding (check "suppression") — the escape hatch stays audited.
+// A suppression with an empty reason, with a name no check owns, or — when
+// every check ran — that silences no finding is itself a finding (check
+// "suppression") — the escape hatch stays audited.
 
 #include <string>
 #include <string_view>
@@ -114,7 +115,8 @@ FileModel Lex(const SourceFile& file);
 
 /// Runs the selected checks over `files` and returns surviving findings
 /// (line-level suppressions already applied), including "suppression"
-/// findings for reasonless or unknown suppression comments.
+/// findings for reasonless or unknown suppression comments and, when every
+/// check ran, for reasoned ones that silenced nothing.
 std::vector<Finding> RunLint(const std::vector<SourceFile>& files,
                              const LintOptions& options);
 
