@@ -1,7 +1,5 @@
 #include "census/approx.h"
 
-#include <algorithm>
-
 #include "census/pmi.h"
 #include "graph/bfs.h"
 #include "match/cn_matcher.h"
@@ -13,13 +11,11 @@ namespace egocensus {
 [[nodiscard]] Result<ApproximateCensusResult> RunApproximateCensus(
     const Graph& graph, const Pattern& pattern, std::span<const NodeId> focal,
     const ApproximateCensusOptions& options) {
-  if (!pattern.prepared()) {
-    return Status::InvalidArgument("pattern must be prepared");
-  }
   if (!(options.sample_rate > 0.0) || options.sample_rate > 1.0) {
     return Status::InvalidArgument("sample_rate must be in (0, 1]");
   }
-  auto anchor_nodes = ResolveAnchorNodes(pattern, options.subpattern);
+  auto anchor_nodes =
+      CheckCensusInputs(graph, pattern, options.subpattern, focal);
   if (!anchor_nodes.ok()) return anchor_nodes.status();
 
   ApproximateCensusResult result;
@@ -43,30 +39,7 @@ namespace egocensus {
   result.sampled_matches = sampled.size();
   MatchAnchors anchors(&sampled, *anchor_nodes);
 
-  // Pivot setup identical to ND-PVOT.
-  int pivot = (*anchor_nodes)[0];
-  std::uint32_t max_v = 0;
-  {
-    std::uint32_t best = Pattern::kUnreachable;
-    for (int x : *anchor_nodes) {
-      std::uint32_t ecc = 0;
-      for (int y : *anchor_nodes) ecc = std::max(ecc, pattern.Distance(x, y));
-      if (ecc < best) {
-        best = ecc;
-        pivot = x;
-      }
-    }
-    max_v = best;
-  }
-  std::vector<std::vector<int>> distant(max_v + 1);
-  for (std::uint32_t i = 1; i <= max_v; ++i) {
-    for (std::size_t j = 0; j < anchor_nodes->size(); ++j) {
-      if (pattern.Distance(pivot, (*anchor_nodes)[j]) >= i) {
-        distant[i].push_back(static_cast<int>(j));
-      }
-    }
-  }
-  PatternMatchIndex pmi = PatternMatchIndex::BuildOnNode(sampled, pivot);
+  const PivotIndex index(pattern, anchors);
   result.stats.index_seconds = index_timer.ElapsedSeconds();
 
   Timer census_timer;
@@ -77,33 +50,10 @@ namespace egocensus {
     if (gov != nullptr && gov->Checkpoint() != StopReason::kNone) {
       return gov->ToStatus("approximate census");
     }
-    if (n >= graph.NumNodes()) {
-      return Status::OutOfRange("focal node out of range");
-    }
     bfs.Run(graph, n, k);
     result.stats.nodes_expanded += bfs.visited().size();
-    std::uint64_t count = 0;
-    for (NodeId visited : bfs.visited()) {
-      auto mids = pmi.MatchesAt(visited);
-      if (mids.empty()) continue;
-      std::uint32_t d = bfs.DistanceTo(visited);
-      if (d + max_v <= k) {
-        count += mids.size();
-        continue;
-      }
-      const auto& check_set = distant[k - d + 1];
-      for (std::uint32_t mid : mids) {
-        bool inside = true;
-        for (int j : check_set) {
-          ++result.stats.containment_checks;
-          if (!bfs.Reached(anchors.Anchor(mid, j))) {
-            inside = false;
-            break;
-          }
-        }
-        if (inside) ++count;
-      }
-    }
+    const std::uint64_t count =
+        index.Count(bfs, k, &result.stats.containment_checks);
     result.estimates[n] = static_cast<double>(count) * scale;
   }
   result.stats.census_seconds = census_timer.ElapsedSeconds();

@@ -36,6 +36,14 @@ const char* CensusAlgorithmName(CensusAlgorithm algorithm) {
   return "?";
 }
 
+CensusAlgorithm AutoCensusAlgorithm(const Pattern& pattern) {
+  for (int v = 0; v < pattern.NumNodes(); ++v) {
+    if (pattern.LabelConstraint(v).has_value()) return CensusAlgorithm::kPtOpt;
+  }
+  return pattern.Predicates().empty() ? CensusAlgorithm::kNdPvot
+                                      : CensusAlgorithm::kPtOpt;
+}
+
 const char* FastPathModeName(FastPathMode mode) {
   switch (mode) {
     case FastPathMode::kAuto:
@@ -113,23 +121,12 @@ MatchSet FindMatchesTimed(const CensusContext& ctx, CensusStats* stats,
 [[nodiscard]] Result<CensusResult> RunCensus(const Graph& graph, const Pattern& pattern,
                                std::span<const NodeId> focal,
                                const CensusOptions& options) {
-  if (!pattern.prepared()) {
-    return Status::InvalidArgument("pattern must be prepared");
-  }
-  if (!graph.finalized()) {
-    return Status::InvalidArgument("graph must be finalized");
-  }
-  auto anchors = ResolveAnchorNodes(pattern, options.subpattern);
+  auto anchors = CheckCensusInputs(graph, pattern, options.subpattern, focal);
   if (!anchors.ok()) return anchors.status();
 
   std::vector<char> is_focal(graph.NumNodes(), 0);
-  // egolint: no-checkpoint(O(|focal|) validation pass before engines run)
-  for (NodeId n : focal) {
-    if (n >= graph.NumNodes()) {
-      return Status::OutOfRange("focal node out of range");
-    }
-    is_focal[n] = 1;
-  }
+  // egolint: no-checkpoint(O(|focal|) bitmap fill before engines run)
+  for (NodeId n : focal) is_focal[n] = 1;
 
   internal::CensusContext ctx;
   ctx.graph = &graph;

@@ -27,6 +27,11 @@ enum class CensusAlgorithm {
 
 const char* CensusAlgorithmName(CensusAlgorithm algorithm);
 
+/// The planner's engine for a single-node census: PT-OPT when the pattern
+/// is selective (label constraints or predicates, where pattern-driven wins
+/// in Fig. 4(d)), ND-PVOT otherwise (the non-selective case of Fig. 4(c)).
+CensusAlgorithm AutoCensusAlgorithm(const Pattern& pattern);
+
 /// Routing of the combinatorial fast path for <= 4-node unlabeled patterns
 /// (src/census/fastpath/, docs/FAST_PATH.md). kAuto routes eligible
 /// censuses to the closed-form kernels (counts stay bit-identical to the

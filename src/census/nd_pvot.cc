@@ -10,24 +10,16 @@
 
 namespace egocensus::internal {
 
-// ND-PVOT (Section IV-A1 / Algorithm 2): find all matches once, index them
-// by the image of a pivot pattern node, then BFS each focal node's k-hop
-// neighborhood and count the indexed matches, skipping containment checks
-// whenever the triangle bound d(n, n') + max_v <= k guarantees containment.
-// When the bound fails, only the anchors u with d_P(pivot, u) >= k - d + 1
-// (the "distant" sets) need explicit distance checks, because pattern
-// distances upper-bound match distances in the graph.
+// ND-PVOT (Section IV-A1 / Algorithm 2): find all matches once, build the
+// PivotIndex (census/pmi.h) over them, then BFS each focal node's k-hop
+// neighborhood and count the indexed matches inside it.
 //
-// With a subpattern, the pivot is chosen among the subpattern nodes and all
-// distances are measured to subpattern nodes only (Appendix B).
-//
-// The per-focal-node counting loop is sharded across the pool: pivot
-// selection, the distant sets and the PMI are built once and read-only
-// thereafter; each worker owns a BFS workspace and writes counts[n] only
-// for its own focal nodes, so counts are identical for any worker count.
+// The per-focal-node counting loop is sharded across the pool: the pivot
+// index is built once and read-only thereafter; each worker owns a BFS
+// workspace and writes counts[n] only for its own focal nodes, so counts
+// are identical for any worker count.
 CensusResult RunNdPvot(const CensusContext& ctx) {
   const Graph& graph = *ctx.graph;
-  const Pattern& pattern = *ctx.pattern;
   const std::uint32_t k = ctx.options->k;
 
   CensusResult result;
@@ -44,40 +36,9 @@ CensusResult RunNdPvot(const CensusContext& ctx) {
   }
   MatchAnchors anchors(&matches, ctx.anchor_nodes);
 
-  // Pivot: anchor pattern node minimizing the maximum pattern distance to
-  // the other anchors.
   Timer timer;
   obs::ScopedSpan index_span("census/index");
-  const auto& anchor_nodes = ctx.anchor_nodes;
-  int pivot = anchor_nodes[0];
-  std::uint32_t max_v = 0;
-  {
-    std::uint32_t best = Pattern::kUnreachable;
-    for (int x : anchor_nodes) {
-      std::uint32_t ecc = 0;
-      for (int y : anchor_nodes) {
-        ecc = std::max(ecc, pattern.Distance(x, y));
-      }
-      if (ecc < best) {
-        best = ecc;
-        pivot = x;
-      }
-    }
-    max_v = best;
-  }
-
-  // distant[i] = anchor positions u (indices into the anchor list) with
-  // d_P(pivot, u) >= i, for i in [1, max_v].
-  std::vector<std::vector<int>> distant(max_v + 1);
-  for (std::uint32_t i = 1; i <= max_v; ++i) {
-    for (int j = 0; j < anchors.NumAnchors(); ++j) {
-      if (pattern.Distance(pivot, anchor_nodes[j]) >= i) {
-        distant[i].push_back(j);
-      }
-    }
-  }
-
-  PatternMatchIndex pmi = PatternMatchIndex::BuildOnNode(matches, pivot);
+  const PivotIndex index(*ctx.pattern, anchors);
   result.stats.index_seconds = timer.ElapsedSeconds();
   index_span.End();
 
@@ -89,29 +50,7 @@ CensusResult RunNdPvot(const CensusContext& ctx) {
     stats.nodes_expanded += bfs.visited().size();
     stats.peak_neighborhood =
         std::max<std::uint64_t>(stats.peak_neighborhood, bfs.visited().size());
-    std::uint64_t count = 0;
-    for (NodeId visited : bfs.visited()) {
-      auto mids = pmi.MatchesAt(visited);
-      if (mids.empty()) continue;
-      std::uint32_t d = bfs.DistanceTo(visited);
-      if (d + max_v <= k) {
-        count += mids.size();  // containment guaranteed, no checks
-        continue;
-      }
-      const auto& check_set = distant[k - d + 1];
-      for (std::uint32_t mid : mids) {
-        bool inside = true;
-        for (int j : check_set) {
-          ++stats.containment_checks;
-          if (!bfs.Reached(anchors.Anchor(mid, j))) {
-            inside = false;
-            break;
-          }
-        }
-        if (inside) ++count;
-      }
-    }
-    result.counts[n] = count;
+    result.counts[n] = index.Count(bfs, k, &stats.containment_checks);
     result.focal_state[n] = FocalState::kComplete;
   };
   // One checkpoint per focal node; a stop leaves the rest kPending. The BFS

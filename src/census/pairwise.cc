@@ -20,26 +20,15 @@ using internal::PtParamsFromPairwiseOptions;
 using internal::PtSetup;
 using internal::SimultaneousExpander;
 
-struct Prepared {
-  MatchSet matches{0};
-  std::vector<int> anchor_nodes;
-};
-
-[[nodiscard]] Result<Prepared> PrepareMatches(const Graph& graph, const Pattern& pattern,
-                                const std::string& subpattern) {
-  if (!pattern.prepared()) {
-    return Status::InvalidArgument("pattern must be prepared");
+/// The pair endpoints as one id list, for CheckCensusInputs.
+std::vector<NodeId> Endpoints(std::span<const std::pair<NodeId, NodeId>> pairs) {
+  std::vector<NodeId> ids;
+  ids.reserve(2 * pairs.size());
+  for (const auto& [a, b] : pairs) {
+    ids.push_back(a);
+    ids.push_back(b);
   }
-  if (!graph.finalized()) {
-    return Status::InvalidArgument("graph must be finalized");
-  }
-  auto anchor_nodes = ResolveAnchorNodes(pattern, subpattern);
-  if (!anchor_nodes.ok()) return anchor_nodes.status();
-  Prepared prepared;
-  prepared.anchor_nodes = std::move(anchor_nodes).value();
-  CnMatcher matcher;
-  prepared.matches = matcher.FindMatches(graph, pattern);
-  return prepared;
+  return ids;
 }
 
 /// Adds +1 for every unordered pair from `nodes` (all of which contain the
@@ -99,9 +88,10 @@ std::vector<std::pair<std::uint16_t, std::vector<NodeId>>> GroupByMask(
 
 [[nodiscard]] Result<PairCounts> RunPairwisePtOpt(const Graph& graph, const Pattern& pattern,
                                     const PairwiseCensusOptions& options) {
-  auto prepared = PrepareMatches(graph, pattern, options.subpattern);
-  if (!prepared.ok()) return prepared.status();
-  MatchAnchors anchors(&prepared->matches, prepared->anchor_nodes);
+  auto anchor_nodes = CheckCensusInputs(graph, pattern, options.subpattern, {});
+  if (!anchor_nodes.ok()) return anchor_nodes.status();
+  MatchSet matches = CnMatcher().FindMatches(graph, pattern);
+  MatchAnchors anchors(&matches, *anchor_nodes);
   PairCounts counts;
   if (anchors.NumMatches() == 0) return counts;
 
@@ -171,9 +161,10 @@ std::vector<std::pair<std::uint16_t, std::vector<NodeId>>> GroupByMask(
 
 [[nodiscard]] Result<PairCounts> RunPairwisePtBas(const Graph& graph, const Pattern& pattern,
                                     const PairwiseCensusOptions& options) {
-  auto prepared = PrepareMatches(graph, pattern, options.subpattern);
-  if (!prepared.ok()) return prepared.status();
-  MatchAnchors anchors(&prepared->matches, prepared->anchor_nodes);
+  auto anchor_nodes = CheckCensusInputs(graph, pattern, options.subpattern, {});
+  if (!anchor_nodes.ok()) return anchor_nodes.status();
+  MatchSet matches = CnMatcher().FindMatches(graph, pattern);
+  MatchAnchors anchors(&matches, *anchor_nodes);
   PairCounts counts;
   const int t = anchors.NumAnchors();
   const std::uint32_t k = options.k;
@@ -227,6 +218,9 @@ std::vector<std::pair<std::uint16_t, std::vector<NodeId>>> GroupByMask(
     const Graph& graph, const Pattern& pattern,
     std::span<const std::pair<NodeId, NodeId>> pairs,
     const PairwiseCensusOptions& options) {
+  auto anchor_nodes = CheckCensusInputs(graph, pattern, options.subpattern,
+                                        Endpoints(pairs));
+  if (!anchor_nodes.ok()) return anchor_nodes.status();
   const bool whole_pattern = options.subpattern.empty();
   std::vector<std::uint64_t> counts(pairs.size(), 0);
   const std::uint32_t k = options.k;
@@ -251,9 +245,8 @@ std::vector<std::pair<std::uint16_t, std::vector<NodeId>>> GroupByMask(
     return counts;
   }
 
-  auto prepared = PrepareMatches(graph, pattern, options.subpattern);
-  if (!prepared.ok()) return prepared.status();
-  MatchAnchors anchors(&prepared->matches, prepared->anchor_nodes);
+  MatchSet matches = CnMatcher().FindMatches(graph, pattern);
+  MatchAnchors anchors(&matches, *anchor_nodes);
   BfsWorkspace bfs1, bfs2;
   for (std::size_t i = 0; i < pairs.size(); ++i) {
     if (gov != nullptr && gov->Checkpoint() != StopReason::kNone) {
@@ -286,43 +279,30 @@ std::vector<std::pair<std::uint16_t, std::vector<NodeId>>> GroupByMask(
     const Graph& graph, const Pattern& pattern,
     std::span<const std::pair<NodeId, NodeId>> pairs,
     const PairwiseCensusOptions& options) {
-  auto prepared = PrepareMatches(graph, pattern, options.subpattern);
-  if (!prepared.ok()) return prepared.status();
-  MatchAnchors anchors(&prepared->matches, prepared->anchor_nodes);
-  const auto& anchor_nodes = prepared->anchor_nodes;
+  auto anchor_nodes = CheckCensusInputs(graph, pattern, options.subpattern,
+                                        Endpoints(pairs));
+  if (!anchor_nodes.ok()) return anchor_nodes.status();
+  MatchSet matches = CnMatcher().FindMatches(graph, pattern);
+  MatchAnchors anchors(&matches, *anchor_nodes);
+  const PivotIndex index(pattern, anchors);
   const std::uint32_t k = options.k;
   const bool intersection =
       options.neighborhood == PairNeighborhood::kIntersection;
 
-  // Pivot and distant sets exactly as in the single-node ND-PVOT.
-  int pivot = anchor_nodes[0];
-  std::uint32_t max_v = 0;
-  {
-    std::uint32_t best = Pattern::kUnreachable;
-    for (int x : anchor_nodes) {
-      std::uint32_t ecc = 0;
-      for (int y : anchor_nodes) ecc = std::max(ecc, pattern.Distance(x, y));
-      if (ecc < best) {
-        best = ecc;
-        pivot = x;
-      }
-    }
-    max_v = best;
-  }
-  std::vector<std::vector<int>> distant(max_v + 1);
-  for (std::uint32_t i = 1; i <= max_v; ++i) {
-    for (int j = 0; j < anchors.NumAnchors(); ++j) {
-      if (pattern.Distance(pivot, anchor_nodes[j]) >= i) {
-        distant[i].push_back(j);
-      }
-    }
-  }
-  PatternMatchIndex pmi =
-      PatternMatchIndex::BuildOnNode(prepared->matches, pivot);
-
   std::vector<std::uint64_t> counts(pairs.size(), 0);
   Governor* gov = options.governor;
   BfsWorkspace bfs1, bfs2;
+  auto covered = [&](NodeId n) {
+    return intersection ? (bfs1.Reached(n) && bfs2.Reached(n))
+                        : (bfs1.Reached(n) || bfs2.Reached(n));
+  };
+  // Intersection: d = max of the two distances; union: d = min.
+  auto distance = [&](NodeId n) {
+    std::uint32_t d1 = bfs1.DistanceTo(n);
+    std::uint32_t d2 = bfs2.DistanceTo(n);
+    return intersection ? std::max(d1, d2) : std::min(d1, d2);
+  };
+  std::uint64_t checks = 0;  // pairwise results carry no stats
   for (std::size_t i = 0; i < pairs.size(); ++i) {
     if (gov != nullptr && gov->Checkpoint() != StopReason::kNone) {
       return gov->ToStatus("pairwise census (nd-pvot)");
@@ -330,32 +310,8 @@ std::vector<std::pair<std::uint16_t, std::vector<NodeId>>> GroupByMask(
     bfs1.Run(graph, pairs[i].first, k);
     bfs2.Run(graph, pairs[i].second, k);
     std::uint64_t count = 0;
-    auto covered = [&](NodeId n) {
-      return intersection ? (bfs1.Reached(n) && bfs2.Reached(n))
-                          : (bfs1.Reached(n) || bfs2.Reached(n));
-    };
-    auto process = [&](NodeId visited) {
-      auto mids = pmi.MatchesAt(visited);
-      if (mids.empty()) return;
-      // Intersection: d = max of the two distances; union: d = min.
-      std::uint32_t d1 = bfs1.DistanceTo(visited);
-      std::uint32_t d2 = bfs2.DistanceTo(visited);
-      std::uint32_t d = intersection ? std::max(d1, d2) : std::min(d1, d2);
-      if (d + max_v <= k) {
-        count += mids.size();
-        return;
-      }
-      const auto& check_set = distant[k - d + 1];
-      for (std::uint32_t mid : mids) {
-        bool inside = true;
-        for (int j : check_set) {
-          if (!covered(anchors.Anchor(mid, j))) {
-            inside = false;
-            break;
-          }
-        }
-        if (inside) ++count;
-      }
+    auto process = [&](NodeId n) {
+      count += index.CountAt(n, distance, k, covered, &checks);
     };
     if (intersection) {
       for (NodeId n : bfs1.visited()) {

@@ -8,48 +8,12 @@
 #include "util/timer.h"
 
 namespace egocensus {
-namespace {
-
-/// Shared pivot machinery (identical to ND-PVOT's).
-struct PivotSetup {
-  int pivot = 0;
-  std::uint32_t max_v = 0;
-  std::vector<std::vector<int>> distant;  // anchor positions per slack level
-};
-
-PivotSetup MakePivotSetup(const Pattern& pattern,
-                          const std::vector<int>& anchor_nodes) {
-  PivotSetup setup;
-  std::uint32_t best = Pattern::kUnreachable;
-  for (int x : anchor_nodes) {
-    std::uint32_t ecc = 0;
-    for (int y : anchor_nodes) ecc = std::max(ecc, pattern.Distance(x, y));
-    if (ecc < best) {
-      best = ecc;
-      setup.pivot = x;
-    }
-  }
-  setup.max_v = best;
-  setup.distant.resize(setup.max_v + 1);
-  for (std::uint32_t i = 1; i <= setup.max_v; ++i) {
-    for (std::size_t j = 0; j < anchor_nodes.size(); ++j) {
-      if (pattern.Distance(setup.pivot, anchor_nodes[j]) >= i) {
-        setup.distant[i].push_back(static_cast<int>(j));
-      }
-    }
-  }
-  return setup;
-}
-
-}  // namespace
 
 [[nodiscard]] Result<TopKResult> RunTopKCensus(const Graph& graph, const Pattern& pattern,
                                  std::span<const NodeId> focal,
                                  const TopKOptions& options) {
-  if (!pattern.prepared()) {
-    return Status::InvalidArgument("pattern must be prepared");
-  }
-  auto anchor_nodes = ResolveAnchorNodes(pattern, options.subpattern);
+  auto anchor_nodes =
+      CheckCensusInputs(graph, pattern, options.subpattern, focal);
   if (!anchor_nodes.ok()) return anchor_nodes.status();
 
   TopKResult result;
@@ -63,8 +27,7 @@ PivotSetup MakePivotSetup(const Pattern& pattern,
   MatchAnchors anchors(&matches, *anchor_nodes);
 
   Timer index_timer;
-  PivotSetup setup = MakePivotSetup(pattern, *anchor_nodes);
-  PatternMatchIndex pmi = PatternMatchIndex::BuildOnNode(matches, setup.pivot);
+  const PivotIndex index(pattern, anchors);
   result.stats.index_seconds = index_timer.ElapsedSeconds();
 
   Timer census_timer;
@@ -83,19 +46,10 @@ PivotSetup MakePivotSetup(const Pattern& pattern,
     if (gov != nullptr && gov->Checkpoint() != StopReason::kNone) {
       return gov->ToStatus("top-k census (bounding pass)");
     }
-    if (n >= graph.NumNodes()) {
-      return Status::OutOfRange("focal node out of range");
-    }
     bfs.Run(graph, n, k);
     result.stats.nodes_expanded += bfs.visited().size();
-    std::uint64_t bound = 0;
     bool exact = true;
-    for (NodeId visited : bfs.visited()) {
-      auto mids = pmi.MatchesAt(visited);
-      if (mids.empty()) continue;
-      bound += mids.size();
-      if (bfs.DistanceTo(visited) + setup.max_v > k) exact = false;
-    }
+    const std::uint64_t bound = index.Bound(bfs, k, &exact);
     bounds.push_back({n, bound, exact});
   }
   std::sort(bounds.begin(), bounds.end(), [](const Bound& a, const Bound& b) {
@@ -104,34 +58,6 @@ PivotSetup MakePivotSetup(const Pattern& pattern,
 
   // Pass 2: evaluate exact counts in decreasing-bound order until the
   // current K-th best dominates every remaining bound.
-  auto exact_count = [&](NodeId n) {
-    bfs.Run(graph, n, k);
-    result.stats.nodes_expanded += bfs.visited().size();
-    std::uint64_t count = 0;
-    for (NodeId visited : bfs.visited()) {
-      auto mids = pmi.MatchesAt(visited);
-      if (mids.empty()) continue;
-      std::uint32_t d = bfs.DistanceTo(visited);
-      if (d + setup.max_v <= k) {
-        count += mids.size();
-        continue;
-      }
-      const auto& check_set = setup.distant[k - d + 1];
-      for (std::uint32_t mid : mids) {
-        bool inside = true;
-        for (int j : check_set) {
-          ++result.stats.containment_checks;
-          if (!bfs.Reached(anchors.Anchor(mid, j))) {
-            inside = false;
-            break;
-          }
-        }
-        if (inside) ++count;
-      }
-    }
-    return count;
-  };
-
   const std::size_t top_k = std::min(options.top_k, bounds.size());
   // Current best K as (count, node), kept as a min-heap on count.
   std::vector<std::pair<std::uint64_t, NodeId>> heap;
@@ -152,7 +78,9 @@ PivotSetup MakePivotSetup(const Pattern& pattern,
     if (b.exact) {
       count = b.bound;
     } else {
-      count = exact_count(b.node);
+      bfs.Run(graph, b.node, k);
+      result.stats.nodes_expanded += bfs.visited().size();
+      count = index.Count(bfs, k, &result.stats.containment_checks);
       ++result.exact_evaluations;
     }
     if (heap.size() < top_k) {

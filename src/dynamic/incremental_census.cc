@@ -14,18 +14,6 @@
 namespace egocensus {
 namespace {
 
-/// Mirrors the planner's algorithm choice (lang/engine.cc): selective
-/// patterns favor PT-OPT, non-selective patterns ND-PVOT.
-CensusAlgorithm PickAlgorithm(const Pattern& pattern) {
-  for (int v = 0; v < pattern.NumNodes(); ++v) {
-    if (pattern.LabelConstraint(v).has_value()) {
-      return CensusAlgorithm::kPtOpt;
-    }
-  }
-  return pattern.Predicates().empty() ? CensusAlgorithm::kNdPvot
-                                      : CensusAlgorithm::kPtOpt;
-}
-
 /// True if match `images` (local ids) stops being a valid match when edge
 /// (lu, lv) is removed: some positive pattern edge's structural requirement
 /// holds only through that edge. `sub` is the local topology *with* the
@@ -193,7 +181,7 @@ Status IncrementalCensus::InitCounts(std::vector<NodeId> focal,
       g = &snapshot;
     }
     CensusOptions census_options;
-    census_options.algorithm = PickAlgorithm(pattern_);
+    census_options.algorithm = AutoCensusAlgorithm(pattern_);
     census_options.k = options_.k;
     census_options.subpattern = options_.subpattern;
     auto result = RunCensus(*g, pattern_, focal_list, census_options);

@@ -8,16 +8,6 @@
 #include "util/rng.h"
 
 namespace egocensus {
-namespace {
-
-/// Selective patterns (label constraints or predicates) favor the
-/// pattern-driven evaluator; non-selective patterns favor ND-PVOT.
-bool PatternIsSelective(const Pattern& pattern) {
-  for (int v = 0; v < pattern.NumNodes(); ++v) {
-    if (pattern.LabelConstraint(v).has_value()) return true;
-  }
-  return !pattern.Predicates().empty();
-}
 
 std::vector<std::string> ColumnNames(const Query& query) {
   std::vector<std::string> names;
@@ -36,7 +26,16 @@ std::vector<std::string> ColumnNames(const Query& query) {
   return names;
 }
 
-}  // namespace
+void ApplyOrderByLimit(const Query& query, ResultTable* table) {
+  if (!query.order_by.empty()) {
+    std::vector<std::pair<std::size_t, bool>> keys;
+    for (const auto& order : query.order_by) {
+      keys.emplace_back(order.column - 1, order.descending);
+    }
+    table->SortByColumns(keys);
+  }
+  if (query.limit.has_value()) table->Truncate(*query.limit);
+}
 
 Result<ResultTable> QueryEngine::Execute(std::string_view query_text,
                                          const Options& options) {
@@ -78,15 +77,7 @@ Result<ResultTable> QueryEngine::ExecuteParsed(const Query& query,
   last_exec_.clear();
   auto table = analyzed->pairwise ? ExecutePairwise(*analyzed, options)
                                   : ExecuteSingle(*analyzed, options);
-  if (!table.ok()) return table;
-  if (!query.order_by.empty()) {
-    std::vector<std::pair<std::size_t, bool>> keys;
-    for (const auto& order : query.order_by) {
-      keys.emplace_back(order.column - 1, order.descending);
-    }
-    table->SortByColumns(keys);
-  }
-  if (query.limit.has_value()) table->Truncate(*query.limit);
+  if (table.ok()) ApplyOrderByLimit(query, &*table);
   return table;
 }
 
@@ -115,9 +106,7 @@ Result<ResultTable> QueryEngine::ExecuteSingle(const AnalyzedQuery& analyzed,
     census.subpattern =
         item.spec->count_subpattern ? item.spec->subpattern : "";
     if (options.auto_algorithm) {
-      census.algorithm = PatternIsSelective(*item.pattern)
-                             ? CensusAlgorithm::kPtOpt
-                             : CensusAlgorithm::kNdPvot;
+      census.algorithm = AutoCensusAlgorithm(*item.pattern);
     }
     // An aggregate bound for the combinatorial fast path never touches the
     // PT center index, so don't pay its first-query build for one. The

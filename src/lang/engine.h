@@ -2,6 +2,7 @@
 #define EGOCENSUS_LANG_ENGINE_H_
 
 #include <optional>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -31,15 +32,20 @@ struct GraphIndexes {
   static GraphIndexes Build(const Graph& graph);
 };
 
+/// Result column names of `query`, in SELECT order: `ID` (`<alias>.ID` in
+/// pairwise queries) and `COUNTP(p,k)` / `COUNTSP(s,p,k)`.
+std::vector<std::string> ColumnNames(const Query& query);
+
+/// Sorts `table` by the query's ORDER BY ordinals, then applies its LIMIT.
+void ApplyOrderByLimit(const Query& query, ResultTable* table);
+
 /// Executes pattern census queries against a graph: parse -> analyze ->
 /// plan (algorithm selection) -> evaluate.
 ///
 /// Planning: with `auto_algorithm` (default) single-node censuses use
-/// PT-OPT when the pattern carries label constraints or predicates (the
-/// selective case where pattern-driven wins in Fig. 4(d)) and ND-PVOT
-/// otherwise (the non-selective case of Fig. 4(c)); pairwise censuses
-/// always use the pattern-driven evaluator. Setting auto_algorithm=false
-/// uses census_options.algorithm verbatim.
+/// AutoCensusAlgorithm (census/census.h); pairwise censuses always use the
+/// pattern-driven evaluator. Setting auto_algorithm=false uses
+/// census_options.algorithm verbatim.
 ///
 /// Pairwise result contract: rows are emitted only for ordered pairs
 /// (n1, n2), n1 != n2, with a nonzero count for at least one aggregate that

@@ -3,23 +3,12 @@
 #include <utility>
 
 #include "lang/analyzer.h"
+#include "lang/engine.h"
 #include "lang/query_parser.h"
 #include "lang/where_eval.h"
 #include "util/rng.h"
 
 namespace egocensus {
-namespace {
-
-std::string CountColumnName(const CountSpec& spec) {
-  std::string name =
-      spec.count_subpattern
-          ? "COUNTSP(" + spec.subpattern + "," + spec.pattern
-          : "COUNTP(" + spec.pattern;
-  name += "," + std::to_string(spec.neighborhood.k) + ")";
-  return name;
-}
-
-}  // namespace
 
 Result<MaintainSession> MaintainSession::Create(
     DynamicGraph* graph, std::string_view query_text, const Options& options,
@@ -66,8 +55,9 @@ Result<MaintainSession> MaintainSession::Create(
   auto census = IncrementalCensus::Create(graph, *item.pattern,
                                           census_options, std::move(focal));
   if (!census.ok()) return census.status();
+  // `item` points into *query; move the query only after its last use.
   return MaintainSession(graph, std::move(census).value(),
-                         CountColumnName(*item.spec));
+                         std::move(query).value());
 }
 
 Result<ResultTable> MaintainSession::ApplyBatch(
@@ -89,13 +79,18 @@ Result<ResultTable> MaintainSession::ApplyBatch(
 }
 
 ResultTable MaintainSession::CountsTable() const {
-  ResultTable table({"ID", count_name_});
+  ResultTable table(ColumnNames(query_));
   const std::vector<std::uint64_t>& counts = census_.counts();
   for (NodeId n = 0; n < counts.size(); ++n) {
     if (!census_.IsFocal(n)) continue;
-    table.AddRow({AttributeValue(static_cast<std::int64_t>(n)),
-                  AttributeValue(static_cast<std::int64_t>(counts[n]))});
+    std::vector<AttributeValue> row;
+    for (const SelectItem& item : query_.select) {
+      row.emplace_back(static_cast<std::int64_t>(
+          item.kind == SelectItem::Kind::kId ? n : counts[n]));
+    }
+    table.AddRow(std::move(row));
   }
+  ApplyOrderByLimit(query_, &table);
   return table;
 }
 

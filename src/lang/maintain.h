@@ -9,6 +9,7 @@
 
 #include "dynamic/dynamic_graph.h"
 #include "dynamic/incremental_census.h"
+#include "lang/ast.h"
 #include "lang/result_table.h"
 #include "util/status.h"
 
@@ -62,8 +63,9 @@ class MaintainSession {
   /// changed, ascending by id).
   [[nodiscard]] Result<ResultTable> ApplyBatch(std::span<const GraphUpdate> updates);
 
-  /// Current maintained result: ID | <aggregate> rows for every focal
-  /// node, ascending by id.
+  /// Current maintained result, one row per focal node in the shape
+  /// `ecensus query` prints: columns in SELECT order, rows ascending by id
+  /// unless the query's ORDER BY and LIMIT reorder and cut them.
   ResultTable CountsTable() const;
 
   /// Subscribes to the aggregated count deltas of every applied batch.
@@ -76,14 +78,12 @@ class MaintainSession {
   const IncrementalCensus& census() const { return census_; }
 
  private:
-  MaintainSession(DynamicGraph* graph, IncrementalCensus census,
-                  std::string count_name)
-      : graph_(graph), census_(std::move(census)),
-        count_name_(std::move(count_name)) {}
+  MaintainSession(DynamicGraph* graph, IncrementalCensus census, Query query)
+      : graph_(graph), census_(std::move(census)), query_(std::move(query)) {}
 
   DynamicGraph* graph_ = nullptr;
   IncrementalCensus census_;
-  std::string count_name_;
+  Query query_;
   MaintenanceStats last_stats_;
 };
 

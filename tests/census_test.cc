@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
+#include "census/approx.h"
+#include "census/pairwise.h"
+#include "census/topk.h"
 #include "graph/generators.h"
 #include "pattern/catalog.h"
 #include "pattern/pattern_parser.h"
@@ -144,6 +149,82 @@ TEST(CensusTest, FocalOutOfRangeRejected) {
   Pattern node = MakeSingleNode();
   std::vector<NodeId> focal = {7};
   EXPECT_FALSE(RunCensus(g, node, focal, CensusOptions()).ok());
+}
+
+// Every census entry point answers a bad input with a Status: INVALID_ARGUMENT
+// for an unprepared pattern or an unfinalized graph, OUT_OF_RANGE for a
+// focal id or pair endpoint past the last node.
+TEST(CensusInputsTest, EveryEntryPointRejectsBadInputs) {
+  Graph g = MakeGraph(3, {{0, 1}, {1, 2}});
+  Graph unfinalized;
+  unfinalized.AddNodes(3);
+  unfinalized.AddEdge(0, 1);
+  Pattern edge = MakeSingleEdge();
+  Pattern unprepared;
+  unprepared.AddNode("A");
+  const std::vector<NodeId> focal = {0, 1, 2};
+  const std::vector<NodeId> focal_past_end = {0, 3};
+  const std::vector<std::pair<NodeId, NodeId>> pairs = {{0, 2}};
+  const std::vector<std::pair<NodeId, NodeId>> pairs_past_end = {{0, 2},
+                                                                 {1, 3}};
+
+  struct EntryPoint {
+    const char* name;
+    bool takes_ids;  // focal ids or node pairs
+    std::function<Status(const Graph&, const Pattern&, bool past_end)> run;
+  };
+  const EntryPoint entry_points[] = {
+      {"RunCensus", true,
+       [&](const Graph& graph, const Pattern& p, bool past_end) {
+         return RunCensus(graph, p, past_end ? focal_past_end : focal,
+                          CensusOptions())
+             .status();
+       }},
+      {"RunTopKCensus", true,
+       [&](const Graph& graph, const Pattern& p, bool past_end) {
+         return RunTopKCensus(graph, p, past_end ? focal_past_end : focal,
+                              TopKOptions())
+             .status();
+       }},
+      {"RunApproximateCensus", true,
+       [&](const Graph& graph, const Pattern& p, bool past_end) {
+         return RunApproximateCensus(graph, p,
+                                     past_end ? focal_past_end : focal,
+                                     ApproximateCensusOptions())
+             .status();
+       }},
+      {"RunPairwisePtOpt", false,
+       [&](const Graph& graph, const Pattern& p, bool) {
+         return RunPairwisePtOpt(graph, p, PairwiseCensusOptions()).status();
+       }},
+      {"RunPairwisePtBas", false,
+       [&](const Graph& graph, const Pattern& p, bool) {
+         return RunPairwisePtBas(graph, p, PairwiseCensusOptions()).status();
+       }},
+      {"RunPairwiseNdBas", true,
+       [&](const Graph& graph, const Pattern& p, bool past_end) {
+         return RunPairwiseNdBas(graph, p, past_end ? pairs_past_end : pairs,
+                                 PairwiseCensusOptions())
+             .status();
+       }},
+      {"RunPairwiseNdPvot", true,
+       [&](const Graph& graph, const Pattern& p, bool past_end) {
+         return RunPairwiseNdPvot(graph, p, past_end ? pairs_past_end : pairs,
+                                  PairwiseCensusOptions())
+             .status();
+       }},
+  };
+  for (const EntryPoint& entry : entry_points) {
+    SCOPED_TRACE(entry.name);
+    EXPECT_TRUE(entry.run(g, edge, false).ok());
+    EXPECT_EQ(entry.run(g, unprepared, false).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(entry.run(unfinalized, edge, false).code(),
+              StatusCode::kInvalidArgument);
+    if (entry.takes_ids) {
+      EXPECT_EQ(entry.run(g, edge, true).code(), StatusCode::kOutOfRange);
+    }
+  }
 }
 
 // ---- Cross-validation property suite: every algorithm must agree with

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -13,6 +15,7 @@
 #include "dynamic/dynamic_graph.h"
 #include "dynamic/incremental_census.h"
 #include "graph/generators.h"
+#include "lang/engine.h"
 #include "lang/maintain.h"
 #include "pattern/pattern_parser.h"
 #include "tests/test_util.h"
@@ -333,6 +336,21 @@ TEST(DynamicCensusTest, MaintainSessionEndToEnd) {
     EXPECT_EQ(session->census().IsFocal(n), dg.label(n) == 0) << n;
   }
 
+  // A second session, on its own copy of the graph, whose counts table
+  // must take the static engine's shape: SELECT order, ORDER BY and LIMIT.
+  const std::string ranked_query =
+      "PATTERN t {?A-?B; ?B-?C; ?C-?A;}\n"
+      "SELECT COUNTP(t, SUBGRAPH(ID, 1)), ID FROM nodes\n"
+      "WHERE LABEL = 0 ORDER BY 1 DESC LIMIT 5";
+  DynamicGraph ranked_dg(SmallPa(50, 2, 21));
+  auto ranked = MaintainSession::Create(&ranked_dg, ranked_query, opts);
+  ASSERT_TRUE(ranked.ok()) << ranked.status().ToString();
+  auto csv = [](const ResultTable& table) {
+    std::ostringstream os;
+    table.WriteCsv(os);
+    return os.str();
+  };
+
   Rng rng(77);
   for (int round = 0; round < 5; ++round) {
     std::vector<GraphUpdate> updates;
@@ -347,6 +365,13 @@ TEST(DynamicCensusTest, MaintainSessionEndToEnd) {
     auto table = session->ApplyBatch(updates);
     ASSERT_TRUE(table.ok()) << table.status().ToString();
     ASSERT_EQ(table->NumColumns(), 4u);
+
+    ASSERT_TRUE(ranked->ApplyBatch(updates).ok()) << "round " << round;
+    Graph ranked_snapshot = ranked_dg.Materialize();
+    auto static_table = QueryEngine(ranked_snapshot).Execute(ranked_query);
+    ASSERT_TRUE(static_table.ok()) << static_table.status().ToString();
+    EXPECT_EQ(csv(ranked->CountsTable()), csv(*static_table))
+        << "round " << round;
 
     // Cross-check the maintained counts against a fresh static engine run.
     Graph snapshot = dg.Materialize();

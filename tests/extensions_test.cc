@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 
 #include "census/approx.h"
 #include "census/census.h"
@@ -12,6 +13,7 @@
 #include "graph/bfs.h"
 #include "graph/generators.h"
 #include "pattern/catalog.h"
+#include "pattern/pattern_parser.h"
 #include "tests/test_util.h"
 
 namespace egocensus {
@@ -29,38 +31,72 @@ Graph TestPaGraph(std::uint32_t nodes, std::uint32_t labels,
   return GeneratePreferentialAttachment(gen);
 }
 
+/// The censuses both extensions are checked on, each for k in {1, 2, 3}:
+/// the triangle on the test's own graph (max_v = 1, so only the first
+/// distant set is read), and on a small graph the 5-path (max_v = 2) and a
+/// COUNTSP census of the 5-path's {A, C}.
+struct PivotCase {
+  const char* name;
+  Graph graph;
+  Pattern pattern;
+  std::string subpattern;
+};
+
+std::vector<PivotCase> PivotCases(Graph triangle_graph) {
+  GeneratorOptions gen;
+  gen.num_nodes = 120;
+  gen.edges_per_node = 2;
+  gen.seed = 17;
+  Graph small = GeneratePreferentialAttachment(gen);
+  auto sub = ParsePattern(
+      "PATTERN p {?A-?B; ?B-?C; ?C-?D; ?D-?E; SUBPATTERN s {?A; ?C;}}");
+  EXPECT_TRUE(sub.ok()) << sub.status().ToString();
+  std::vector<PivotCase> cases;
+  cases.push_back(
+      {"triangle", std::move(triangle_graph), MakeTriangle(false), ""});
+  cases.push_back({"path5", small, MakePath(5, false), ""});
+  cases.push_back({"path5 COUNTSP", std::move(small), *sub, "s"});
+  return cases;
+}
+
 // ---- Top-K census ----
 
 TEST(TopKCensusTest, MatchesFullCensusRanking) {
-  Graph g = TestPaGraph(300, 1, 5);
-  Pattern tri = MakeTriangle(false);
-  auto focal = AllNodes(g);
+  for (const PivotCase& c : PivotCases(TestPaGraph(300, 1, 5))) {
+    auto focal = AllNodes(c.graph);
+    for (std::uint32_t k : {1u, 2u, 3u}) {
+      SCOPED_TRACE(std::string(c.name) + " k=" + std::to_string(k));
+      // The reference is the ND-BAS baseline, which shares no pivot code.
+      CensusOptions full_opts;
+      full_opts.algorithm = CensusAlgorithm::kNdBas;
+      full_opts.k = k;
+      full_opts.subpattern = c.subpattern;
+      auto full = RunCensus(c.graph, c.pattern, focal, full_opts);
+      ASSERT_TRUE(full.ok());
 
-  CensusOptions full_opts;
-  full_opts.algorithm = CensusAlgorithm::kNdPvot;
-  full_opts.k = 2;
-  auto full = RunCensus(g, tri, focal, full_opts);
-  ASSERT_TRUE(full.ok());
+      TopKOptions topk_opts;
+      topk_opts.k = k;
+      topk_opts.top_k = 10;
+      topk_opts.subpattern = c.subpattern;
+      auto topk = RunTopKCensus(c.graph, c.pattern, focal, topk_opts);
+      ASSERT_TRUE(topk.ok()) << topk.status().ToString();
+      ASSERT_EQ(topk->top.size(), 10u);
 
-  TopKOptions topk_opts;
-  topk_opts.k = 2;
-  topk_opts.top_k = 10;
-  auto topk = RunTopKCensus(g, tri, focal, topk_opts);
-  ASSERT_TRUE(topk.ok()) << topk.status().ToString();
-  ASSERT_EQ(topk->top.size(), 10u);
-
-  // Reference ranking from the full census.
-  std::vector<std::pair<std::uint64_t, NodeId>> reference;
-  for (NodeId n = 0; n < g.NumNodes(); ++n) {
-    reference.emplace_back(full->counts[n], n);
-  }
-  std::sort(reference.begin(), reference.end(), [](const auto& a,
-                                                   const auto& b) {
-    return a.first != b.first ? a.first > b.first : a.second < b.second;
-  });
-  for (std::size_t i = 0; i < 10; ++i) {
-    EXPECT_EQ(topk->top[i].first, reference[i].second) << "rank " << i;
-    EXPECT_EQ(topk->top[i].second, reference[i].first) << "rank " << i;
+      // Reference ranking from the full census.
+      std::vector<std::pair<std::uint64_t, NodeId>> reference;
+      for (NodeId n = 0; n < c.graph.NumNodes(); ++n) {
+        reference.emplace_back(full->counts[n], n);
+      }
+      std::sort(reference.begin(), reference.end(),
+                [](const auto& a, const auto& b) {
+                  return a.first != b.first ? a.first > b.first
+                                            : a.second < b.second;
+                });
+      for (std::size_t i = 0; i < 10; ++i) {
+        EXPECT_EQ(topk->top[i].first, reference[i].second) << "rank " << i;
+        EXPECT_EQ(topk->top[i].second, reference[i].first) << "rank " << i;
+      }
+    }
   }
 }
 
@@ -145,24 +181,36 @@ TEST(TopKCensusTest, Errors) {
 // ---- Approximate census ----
 
 TEST(ApproximateCensusTest, FullRateIsExact) {
-  Graph g = TestPaGraph(300, 1, 8);
-  Pattern tri = MakeTriangle(false);
-  auto focal = AllNodes(g);
-  CensusOptions exact_opts;
-  exact_opts.algorithm = CensusAlgorithm::kNdPvot;
-  exact_opts.k = 2;
-  auto exact = RunCensus(g, tri, focal, exact_opts);
-  ASSERT_TRUE(exact.ok());
+  for (const PivotCase& c : PivotCases(TestPaGraph(300, 1, 8))) {
+    auto focal = AllNodes(c.graph);
+    for (std::uint32_t k : {1u, 2u, 3u}) {
+      SCOPED_TRACE(std::string(c.name) + " k=" + std::to_string(k));
+      // The ND-PVOT engine itself (not the fast path), for its counters.
+      CensusOptions exact_opts;
+      exact_opts.algorithm = CensusAlgorithm::kNdPvot;
+      exact_opts.fast_path = FastPathMode::kOff;
+      exact_opts.k = k;
+      exact_opts.subpattern = c.subpattern;
+      auto exact = RunCensus(c.graph, c.pattern, focal, exact_opts);
+      ASSERT_TRUE(exact.ok());
 
-  ApproximateCensusOptions approx_opts;
-  approx_opts.k = 2;
-  approx_opts.sample_rate = 1.0;
-  auto approx = RunApproximateCensus(g, tri, focal, approx_opts);
-  ASSERT_TRUE(approx.ok());
-  EXPECT_EQ(approx->sampled_matches, approx->stats.num_matches);
-  for (NodeId n = 0; n < g.NumNodes(); ++n) {
-    EXPECT_DOUBLE_EQ(approx->estimates[n],
-                     static_cast<double>(exact->counts[n]));
+      ApproximateCensusOptions approx_opts;
+      approx_opts.k = k;
+      approx_opts.subpattern = c.subpattern;
+      approx_opts.sample_rate = 1.0;
+      auto approx = RunApproximateCensus(c.graph, c.pattern, focal,
+                                         approx_opts);
+      ASSERT_TRUE(approx.ok());
+      EXPECT_EQ(approx->sampled_matches, approx->stats.num_matches);
+      for (NodeId n = 0; n < c.graph.NumNodes(); ++n) {
+        EXPECT_DOUBLE_EQ(approx->estimates[n],
+                         static_cast<double>(exact->counts[n]));
+      }
+      // Same matches and same balls as 1-thread ND-PVOT: the same work.
+      EXPECT_EQ(approx->stats.nodes_expanded, exact->stats.nodes_expanded);
+      EXPECT_EQ(approx->stats.containment_checks,
+                exact->stats.containment_checks);
+    }
   }
 }
 

@@ -93,22 +93,36 @@ TEST(PairwiseTest, NdPvotAgreesWithNdBas) {
   gopts.edges_per_node = 2;
   gopts.seed = 47;
   Graph g = GeneratePreferentialAttachment(gopts);
-  Pattern edge = MakeSingleEdge();
   std::vector<std::pair<NodeId, NodeId>> pairs;
   for (NodeId a = 0; a < 20; ++a) {
     pairs.emplace_back(a, (a + 7) % g.NumNodes());
   }
-  for (auto neighborhood :
-       {PairNeighborhood::kIntersection, PairNeighborhood::kUnion}) {
-    for (std::uint32_t k : {1u, 2u}) {
-      PairwiseCensusOptions opts;
-      opts.k = k;
-      opts.neighborhood = neighborhood;
-      auto bas = RunPairwiseNdBas(g, edge, pairs, opts);
-      auto pvot = RunPairwiseNdPvot(g, edge, pairs, opts);
-      ASSERT_TRUE(bas.ok());
-      ASSERT_TRUE(pvot.ok());
-      EXPECT_EQ(*bas, *pvot) << "k=" << k;
+  // The single edge has max_v = 1, so only the first distant set is read;
+  // the 5-path and a COUNTSP census of its {A, C} have max_v = 2.
+  auto sub = ParsePattern(
+      "PATTERN p {?A-?B; ?B-?C; ?C-?D; ?D-?E; SUBPATTERN s {?A; ?C;}}");
+  ASSERT_TRUE(sub.ok()) << sub.status().ToString();
+  const struct {
+    const char* name;
+    Pattern pattern;
+    std::string subpattern;
+  } cases[] = {{"edge", MakeSingleEdge(), ""},
+               {"path5", MakePath(5, false), ""},
+               {"path5 COUNTSP", *sub, "s"}};
+  for (const auto& c : cases) {
+    for (auto neighborhood :
+         {PairNeighborhood::kIntersection, PairNeighborhood::kUnion}) {
+      for (std::uint32_t k : {1u, 2u, 3u}) {
+        PairwiseCensusOptions opts;
+        opts.k = k;
+        opts.neighborhood = neighborhood;
+        opts.subpattern = c.subpattern;
+        auto bas = RunPairwiseNdBas(g, c.pattern, pairs, opts);
+        auto pvot = RunPairwiseNdPvot(g, c.pattern, pairs, opts);
+        ASSERT_TRUE(bas.ok());
+        ASSERT_TRUE(pvot.ok());
+        EXPECT_EQ(*bas, *pvot) << c.name << " k=" << k;
+      }
     }
   }
 }
