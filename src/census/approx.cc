@@ -1,8 +1,8 @@
 #include "census/approx.h"
 
+#include "census/engines.h"
 #include "census/pmi.h"
 #include "graph/bfs.h"
-#include "match/cn_matcher.h"
 #include "util/rng.h"
 #include "util/timer.h"
 
@@ -22,11 +22,11 @@ namespace egocensus {
   result.estimates.assign(graph.NumNodes(), 0.0);
   const std::uint32_t k = options.k;
 
-  Timer match_timer;
-  CnMatcher matcher;
-  MatchSet all_matches = matcher.FindMatches(graph, pattern);
-  result.stats.match_seconds = match_timer.ElapsedSeconds();
-  result.stats.num_matches = all_matches.size();
+  Governor* gov = options.governor;
+  bool interrupted = false;
+  MatchSet all_matches = internal::FindMatchesTimed(
+      graph, pattern, options, &result.stats, &interrupted);
+  if (interrupted) return gov->ToStatus("approximate census (match)");
 
   // Bernoulli-sample the matches.
   Timer index_timer;
@@ -44,7 +44,6 @@ namespace egocensus {
 
   Timer census_timer;
   const double scale = 1.0 / options.sample_rate;
-  Governor* gov = options.governor;
   BfsWorkspace bfs;
   for (NodeId n : focal) {
     if (gov != nullptr && gov->Checkpoint() != StopReason::kNone) {

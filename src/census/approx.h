@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "census/census.h"
@@ -21,18 +20,17 @@ struct ApproximateCensusResult {
   std::uint64_t sampled_matches = 0;
 };
 
-struct ApproximateCensusOptions {
-  std::uint32_t k = 1;
-  std::string subpattern;
+/// Options of the approximate census: CensusCommon (k, subpattern, the
+/// matcher choice and profile index for the one whole-graph match, and the
+/// governor) plus the sampling rate and seed. The match and the per-focal
+/// counting loop poll the governor; on a stop the run returns the
+/// governor's status instead of a partial estimate (a truncated estimate
+/// would silently bias the scaled counts).
+struct ApproximateCensusOptions : CensusCommon {
   /// Bernoulli sampling probability per match, in (0, 1]. 1.0 degenerates
   /// to the exact census.
   double sample_rate = 0.1;
   std::uint64_t seed = 13;
-  /// Optional resource governor (see CensusOptions::governor). The
-  /// per-focal counting loop polls Checkpoint(); on stop the run returns
-  /// the governor's status instead of a partial estimate (a truncated
-  /// estimate would silently bias the scaled counts). Not owned.
-  Governor* governor = nullptr;
 };
 
 /// Approximation for very large graphs (the paper's Section VII future

@@ -93,24 +93,19 @@ void FinishExecStatus(const CensusContext& ctx, const char* engine,
   result->exec_status = gov->ToStatus(engine);
 }
 
-MatchSet FindMatchesTimed(const CensusContext& ctx, CensusStats* stats,
+MatchSet FindMatchesTimed(const Graph& graph, const Pattern& pattern,
+                          const CensusCommon& options, CensusStats* stats,
                           bool* interrupted) {
   EGO_SPAN("census/match");
   Timer timer;
-  MatchSet matches(ctx.pattern->NumNodes());
+  CnMatcher cn(options.profile_index);
+  GqlMatcher gql(options.profile_index);
+  Matcher& matcher =
+      options.use_gql_matcher ? static_cast<Matcher&>(gql) : cn;
   MatchOptions match_options;
-  match_options.governor = ctx.governor();
-  bool was_interrupted = false;
-  if (ctx.options->use_gql_matcher) {
-    GqlMatcher matcher(ctx.options->profile_index);
-    matches = matcher.FindMatches(*ctx.graph, *ctx.pattern, match_options);
-    was_interrupted = matcher.interrupted();
-  } else {
-    CnMatcher matcher(ctx.options->profile_index);
-    matches = matcher.FindMatches(*ctx.graph, *ctx.pattern, match_options);
-    was_interrupted = matcher.interrupted();
-  }
-  if (interrupted != nullptr) *interrupted = was_interrupted;
+  match_options.governor = options.governor;
+  MatchSet matches = matcher.FindMatches(graph, pattern, match_options);
+  *interrupted = matcher.interrupted();
   stats->match_seconds = timer.ElapsedSeconds();
   stats->num_matches = matches.size();
   return matches;
@@ -203,8 +198,8 @@ MatchSet FindMatchesTimed(const CensusContext& ctx, CensusStats* stats,
       }
       if (!pending.empty()) {
         ApproximateCensusOptions approx_options;
-        approx_options.k = options.k;
-        approx_options.subpattern = options.subpattern;
+        static_cast<CensusCommon&>(approx_options) = options;
+        approx_options.governor = nullptr;  // the degraded pass runs ungoverned
         approx_options.sample_rate = options.degrade_sample_rate;
         approx_options.seed = options.seed;
         auto approx =

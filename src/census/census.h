@@ -50,22 +50,12 @@ enum class ClusteringMode {
   kKMeans,  // OPT-CLUST: K-means over center-distance feature vectors
 };
 
-struct CensusOptions {
-  CensusAlgorithm algorithm = CensusAlgorithm::kNdPvot;
-
-  /// Combinatorial fast-path routing (see FastPathMode). `algorithm` is
-  /// the engine used when the fast path does not take the census.
-  FastPathMode fast_path = FastPathMode::kAuto;
-
+/// The parameters every census reads, single-node, pairwise, top-K and
+/// approximate alike: the query's radius and anchor set, and how its one
+/// whole-graph match step (internal::FindMatchesTimed) runs and is governed.
+struct CensusCommon {
   /// Neighborhood radius k of SUBGRAPH(ID, k).
   std::uint32_t k = 1;
-
-  /// Worker threads for the counting phase (the matching phase is always
-  /// single-threaded). 1 = serial (default), 0 = hardware concurrency,
-  /// n > 1 = exactly n workers. Per-node counts and num_matches are
-  /// bit-identical for every value; see docs/PARALLEL.md for the reduction
-  /// argument.
-  std::uint32_t num_threads = 1;
 
   /// COUNTSP subpattern name; empty means count the whole pattern (COUNTP).
   std::string subpattern;
@@ -77,8 +67,21 @@ struct CensusOptions {
   /// `ecensus query --matcher gql --metrics -`.
   bool use_gql_matcher = false;
 
-  // ---- Pattern-driven parameters (PT-OPT / PT-RND) ----
+  /// Optional prebuilt node-profile index for the matcher (amortizes
+  /// profile computation across repeated censuses on the same graph; the
+  /// QueryEngine caches and supplies one automatically).
+  const ProfileIndex* profile_index = nullptr;
 
+  /// Optional resource governor (docs/ROBUSTNESS.md), polled by the
+  /// matcher and every counting loop. On a stop RunCensus returns its
+  /// partial result with per-focal state and a non-OK exec_status; the
+  /// other entry points return the governor's status. Null = ungoverned.
+  Governor* governor = nullptr;
+};
+
+/// The pattern-driven parameters (PT-OPT / PT-RND and pairwise PT-OPT):
+/// center seeding and match clustering (Section IV-B, Fig. 4(f-g)).
+struct PtOptions {
   /// Number of centers used for PMD initialization (paper default: 12;
   /// 0 disables center seeding). Fig. 4(f) sweeps this.
   std::uint32_t num_centers = 12;
@@ -112,28 +115,30 @@ struct CensusOptions {
   /// keeping the clustering features pinned to a fixed index, isolating the
   /// PMD-initialization effect from clustering quality.
   const CenterDistanceIndex* cluster_center_index = nullptr;
+};
 
-  /// Optional prebuilt node-profile index for the matcher (amortizes
-  /// profile computation across repeated censuses on the same graph; the
-  /// QueryEngine caches and supplies one automatically).
-  const ProfileIndex* profile_index = nullptr;
+/// Options of a single-node census (RunCensus): the common and PT slices
+/// plus engine selection, parallelism and graceful degradation.
+struct CensusOptions : CensusCommon, PtOptions {
+  CensusAlgorithm algorithm = CensusAlgorithm::kNdPvot;
 
-  // ---- Resource governance (docs/ROBUSTNESS.md) ----
+  /// Combinatorial fast-path routing (see FastPathMode). `algorithm` is
+  /// the engine used when the fast path does not take the census.
+  FastPathMode fast_path = FastPathMode::kAuto;
 
-  /// Optional resource governor (deadline / memory budget / cancel token).
-  /// When set, the matcher, the counting engines and the worker pool
-  /// checkpoint cooperatively; when the governor stops, RunCensus returns
-  /// the partial CensusResult built so far with per-focal completion state
-  /// and a non-OK exec_status. Null = ungoverned (the historical behavior;
-  /// one pointer test per checkpoint).
-  Governor* governor = nullptr;
+  /// Worker threads for the counting phase (the matching phase is always
+  /// single-threaded). 1 = serial (default), 0 = hardware concurrency,
+  /// n > 1 = exactly n workers. Per-node counts and num_matches are
+  /// bit-identical for every value; see docs/PARALLEL.md for the reduction
+  /// argument.
+  std::uint32_t num_threads = 1;
 
   /// On a deadline/budget stop (not an explicit cancel), re-cover the focal
   /// nodes the exact engine did not finish with the sampling-based
   /// approximate census (src/census/approx.*): their counts become
   /// estimates and their state kApprox, so the query degrades instead of
-  /// leaving holes. The degraded pass is ungoverned but cheap: its cost is
-  /// sample_rate-proportional.
+  /// leaving holes. The degraded pass runs ungoverned and re-runs the
+  /// whole-graph match, so only its counting scales with the sample rate.
   bool degrade_to_approx = false;
 
   /// Match-sampling rate for the degraded pass.

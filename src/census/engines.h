@@ -55,14 +55,16 @@ CensusResult RunPtBas(const CensusContext& ctx);
 /// ctx.options->algorithm).
 CensusResult RunPtOpt(const CensusContext& ctx);
 
-/// Shared: runs the selected matcher (CN or GQL) under the context's
-/// governor and records timing/num_matches into stats. If the governor
-/// stopped the matcher mid-search, *interrupted (optional) is set and the
-/// returned set is the valid prefix found — engines must then skip counting
-/// (counting a partial match set would produce wrong per-focal counts, not
-/// partial ones) and report via FinishExecStatus.
-MatchSet FindMatchesTimed(const CensusContext& ctx, CensusStats* stats,
-                          bool* interrupted = nullptr);
+/// The one whole-graph match step of every census entry point: runs the
+/// selected matcher (CN or GQL, with the shared profile index) under the
+/// options' governor and records match_seconds/num_matches into stats. If
+/// the governor stopped the matcher mid-search, *interrupted is set and the
+/// returned set is the valid prefix found — callers must then skip
+/// counting (counting a partial match set would produce wrong per-focal
+/// counts, not partial ones) and report the governor's status.
+MatchSet FindMatchesTimed(const Graph& graph, const Pattern& pattern,
+                          const CensusCommon& options, CensusStats* stats,
+                          bool* interrupted);
 
 }  // namespace egocensus::internal
 

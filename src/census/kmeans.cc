@@ -8,7 +8,8 @@ namespace egocensus {
 std::vector<std::uint32_t> KMeansCluster(const std::vector<float>& features,
                                          std::size_t num_points,
                                          std::size_t dim, std::uint32_t k,
-                                         std::uint32_t iterations, Rng* rng) {
+                                         std::uint32_t iterations, Rng* rng,
+                                         Governor* governor) {
   std::vector<std::uint32_t> assignment(num_points, 0);
   if (num_points == 0 || k == 0) return assignment;
   k = std::min<std::uint32_t>(k, static_cast<std::uint32_t>(num_points));
@@ -30,6 +31,11 @@ std::vector<std::uint32_t> KMeansCluster(const std::vector<float>& features,
   for (std::uint32_t iter = 0; iter < iterations; ++iter) {
     bool moved = false;
     for (std::size_t p = 0; p < num_points; ++p) {
+      // A pass costs O(points * k * dim): poll once per 64 points.
+      if (governor != nullptr && p % 64 == 0 &&
+          governor->Checkpoint() != StopReason::kNone) {
+        return assignment;
+      }
       const float* f = features.data() + p * dim;
       float best = std::numeric_limits<float>::max();
       std::uint32_t best_c = 0;

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "exec/governor.h"
 #include "util/rng.h"
 
 namespace egocensus {
@@ -14,10 +15,13 @@ namespace egocensus {
 ///
 /// Returns the cluster assignment of each point. Clusters that become empty
 /// keep their previous centroid. Deterministic given the Rng seed.
+/// `governor` (optional) is polled every 64 points of each pass; after a
+/// stop the assignment is incomplete and must be discarded.
 std::vector<std::uint32_t> KMeansCluster(const std::vector<float>& features,
                                          std::size_t num_points,
                                          std::size_t dim, std::uint32_t k,
-                                         std::uint32_t iterations, Rng* rng);
+                                         std::uint32_t iterations, Rng* rng,
+                                         Governor* governor = nullptr);
 
 }  // namespace egocensus
 

@@ -105,7 +105,8 @@ CensusResult RunNdBas(const CensusContext& ctx) {
   }
 
   bool match_interrupted = false;
-  MatchSet matches = FindMatchesTimed(ctx, &result.stats, &match_interrupted);
+  MatchSet matches = FindMatchesTimed(graph, pattern, *ctx.options,
+                                      &result.stats, &match_interrupted);
   if (match_interrupted) {
     // A partial global match set would undercount every focal node, so no
     // counting happens: the whole census stays kPending.

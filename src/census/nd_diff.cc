@@ -37,7 +37,8 @@ CensusResult RunNdDiff(const CensusContext& ctx) {
   Governor* const gov = ctx.governor();
 
   bool match_interrupted = false;
-  MatchSet matches = FindMatchesTimed(ctx, &result.stats, &match_interrupted);
+  MatchSet matches = FindMatchesTimed(graph, *ctx.pattern, *ctx.options,
+                                      &result.stats, &match_interrupted);
   if (match_interrupted) {
     // A partial match set would undercount everywhere; keep all kPending.
     FinishExecStatus(ctx, "ND-DIFF", &result);

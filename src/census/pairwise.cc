@@ -2,23 +2,33 @@
 
 #include <algorithm>
 
+#include "census/engines.h"
 #include "census/pmi.h"
 #include "census/pt_common.h"
 #include "census/pt_expander.h"
 #include "graph/bfs.h"
 #include "graph/subgraph.h"
 #include "match/cn_matcher.h"
-#include "util/timer.h"
 
 namespace egocensus {
 namespace {
 
 using internal::BuildPtSetup;
-using internal::ExpanderOptions;
-using internal::PtParams;
-using internal::PtParamsFromPairwiseOptions;
 using internal::PtSetup;
 using internal::SimultaneousExpander;
+
+/// The whole-graph match step of a pairwise engine. Pairwise results carry
+/// no stats, and a stop during matching is the governor's status.
+[[nodiscard]] Result<MatchSet> MatchWholeGraph(
+    const Graph& graph, const Pattern& pattern,
+    const PairwiseCensusOptions& options, const char* engine) {
+  CensusStats stats;
+  bool interrupted = false;
+  MatchSet matches = internal::FindMatchesTimed(graph, pattern, options,
+                                                &stats, &interrupted);
+  if (interrupted) return options.governor->ToStatus(engine);
+  return matches;
+}
 
 /// The pair endpoints as one id list, for CheckCensusInputs.
 std::vector<NodeId> Endpoints(std::span<const std::pair<NodeId, NodeId>> pairs) {
@@ -90,31 +100,26 @@ std::vector<std::pair<std::uint16_t, std::vector<NodeId>>> GroupByMask(
                                     const PairwiseCensusOptions& options) {
   auto anchor_nodes = CheckCensusInputs(graph, pattern, options.subpattern, {});
   if (!anchor_nodes.ok()) return anchor_nodes.status();
-  MatchSet matches = CnMatcher().FindMatches(graph, pattern);
-  MatchAnchors anchors(&matches, *anchor_nodes);
+  constexpr const char* kEngine = "pairwise census (pt-opt)";
+  auto matches = MatchWholeGraph(graph, pattern, options, kEngine);
+  if (!matches.ok()) return matches.status();
+  MatchAnchors anchors(&*matches, *anchor_nodes);
   PairCounts counts;
   if (anchors.NumMatches() == 0) return counts;
 
-  PtParams params = PtParamsFromPairwiseOptions(options);
-  PtSetup setup = BuildPtSetup(graph, pattern, anchors, params);
-
-  ExpanderOptions expander_options;
-  expander_options.k = options.k;
-  expander_options.best_first = params.best_first;
-  expander_options.centers = setup.center_index;
-  expander_options.num_centers = params.num_centers;
-  expander_options.seed = params.seed + 2;
-  SimultaneousExpander expander(graph, expander_options);
-
   const std::uint32_t k = options.k;
   Governor* gov = options.governor;
+  PtSetup setup = BuildPtSetup(graph, pattern, anchors, options, k, gov);
+  if (gov != nullptr && gov->stopped()) return gov->ToStatus(kEngine);
+
+  SimultaneousExpander expander(graph, setup.expander);
   std::vector<std::vector<NodeId>> anchor_sets;
   std::vector<NodeId> buffer;
   std::vector<NodeId> full_nodes;
   std::vector<std::pair<NodeId, std::uint16_t>> node_masks;
   for (const auto& cluster : setup.clusters) {
     if (gov != nullptr && gov->Checkpoint() != StopReason::kNone) {
-      return gov->ToStatus("pairwise census (pt-opt)");
+      return gov->ToStatus(kEngine);
     }
     anchor_sets.clear();
     for (std::uint32_t mid : cluster) {
@@ -163,8 +168,10 @@ std::vector<std::pair<std::uint16_t, std::vector<NodeId>>> GroupByMask(
                                     const PairwiseCensusOptions& options) {
   auto anchor_nodes = CheckCensusInputs(graph, pattern, options.subpattern, {});
   if (!anchor_nodes.ok()) return anchor_nodes.status();
-  MatchSet matches = CnMatcher().FindMatches(graph, pattern);
-  MatchAnchors anchors(&matches, *anchor_nodes);
+  constexpr const char* kEngine = "pairwise census (pt-bas)";
+  auto matches = MatchWholeGraph(graph, pattern, options, kEngine);
+  if (!matches.ok()) return matches.status();
+  MatchAnchors anchors(&*matches, *anchor_nodes);
   PairCounts counts;
   const int t = anchors.NumAnchors();
   const std::uint32_t k = options.k;
@@ -175,7 +182,7 @@ std::vector<std::pair<std::uint16_t, std::vector<NodeId>>> GroupByMask(
   std::vector<std::pair<NodeId, std::uint16_t>> node_masks;
   for (std::size_t m = 0; m < anchors.NumMatches(); ++m) {
     if (gov != nullptr && gov->Checkpoint() != StopReason::kNone) {
-      return gov->ToStatus("pairwise census (pt-bas)");
+      return gov->ToStatus(kEngine);
     }
     int min_idx = 0;
     for (int j = 0; j < t; ++j) {
@@ -225,13 +232,17 @@ std::vector<std::pair<std::uint16_t, std::vector<NodeId>>> GroupByMask(
   std::vector<std::uint64_t> counts(pairs.size(), 0);
   const std::uint32_t k = options.k;
 
+  constexpr const char* kEngine = "pairwise census (nd-bas)";
   Governor* gov = options.governor;
   if (whole_pattern) {
     SubgraphExtractor extractor(graph);
     const bool need_attrs = pattern.HasGeneralPredicates();
+    CnMatcher matcher;
+    MatchOptions match_options;
+    match_options.governor = gov;
     for (std::size_t i = 0; i < pairs.size(); ++i) {
       if (gov != nullptr && gov->Checkpoint() != StopReason::kNone) {
-        return gov->ToStatus("pairwise census (nd-bas)");
+        return gov->ToStatus(kEngine);
       }
       EgoSubgraph sub =
           options.neighborhood == PairNeighborhood::kIntersection
@@ -239,18 +250,19 @@ std::vector<std::pair<std::uint16_t, std::vector<NodeId>>> GroupByMask(
                                               k, need_attrs)
               : extractor.ExtractUnion(pairs[i].first, pairs[i].second, k,
                                        need_attrs);
-      CnMatcher matcher;
-      counts[i] = matcher.FindMatches(sub.graph, pattern).size();
+      counts[i] = matcher.FindMatches(sub.graph, pattern, match_options).size();
+      if (matcher.interrupted()) return gov->ToStatus(kEngine);
     }
     return counts;
   }
 
-  MatchSet matches = CnMatcher().FindMatches(graph, pattern);
-  MatchAnchors anchors(&matches, *anchor_nodes);
+  auto matches = MatchWholeGraph(graph, pattern, options, kEngine);
+  if (!matches.ok()) return matches.status();
+  MatchAnchors anchors(&*matches, *anchor_nodes);
   BfsWorkspace bfs1, bfs2;
   for (std::size_t i = 0; i < pairs.size(); ++i) {
     if (gov != nullptr && gov->Checkpoint() != StopReason::kNone) {
-      return gov->ToStatus("pairwise census (nd-bas)");
+      return gov->ToStatus(kEngine);
     }
     bfs1.Run(graph, pairs[i].first, k);
     bfs2.Run(graph, pairs[i].second, k);
@@ -282,8 +294,10 @@ std::vector<std::pair<std::uint16_t, std::vector<NodeId>>> GroupByMask(
   auto anchor_nodes = CheckCensusInputs(graph, pattern, options.subpattern,
                                         Endpoints(pairs));
   if (!anchor_nodes.ok()) return anchor_nodes.status();
-  MatchSet matches = CnMatcher().FindMatches(graph, pattern);
-  MatchAnchors anchors(&matches, *anchor_nodes);
+  constexpr const char* kEngine = "pairwise census (nd-pvot)";
+  auto matches = MatchWholeGraph(graph, pattern, options, kEngine);
+  if (!matches.ok()) return matches.status();
+  MatchAnchors anchors(&*matches, *anchor_nodes);
   const PivotIndex index(pattern, anchors);
   const std::uint32_t k = options.k;
   const bool intersection =
@@ -305,7 +319,7 @@ std::vector<std::pair<std::uint16_t, std::vector<NodeId>>> GroupByMask(
   std::uint64_t checks = 0;  // pairwise results carry no stats
   for (std::size_t i = 0; i < pairs.size(); ++i) {
     if (gov != nullptr && gov->Checkpoint() != StopReason::kNone) {
-      return gov->ToStatus("pairwise census (nd-pvot)");
+      return gov->ToStatus(kEngine);
     }
     bfs1.Run(graph, pairs[i].first, k);
     bfs2.Run(graph, pairs[i].second, k);

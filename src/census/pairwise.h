@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -35,30 +34,15 @@ inline std::pair<NodeId, NodeId> UnpackPair(std::uint64_t key) {
 /// with count 0 are absent.
 using PairCounts = std::unordered_map<std::uint64_t, std::uint64_t>;
 
-struct PairwiseCensusOptions {
-  std::uint32_t k = 1;
+/// Options of the pairwise censuses. Every engine reads CensusCommon: k,
+/// subpattern, use_gql_matcher and profile_index for its whole-graph match
+/// step, and the governor, which the match and each outer cluster/match/pair
+/// loop poll — on a stop the engine returns the governor's status, because
+/// pairwise counts are sparse maps and a partial result is
+/// indistinguishable from "those pairs are zero". Pairwise PT-OPT also reads
+/// PtOptions and always expands best-first.
+struct PairwiseCensusOptions : CensusCommon, PtOptions {
   PairNeighborhood neighborhood = PairNeighborhood::kIntersection;
-  /// COUNTSP subpattern name; empty counts the whole pattern.
-  std::string subpattern;
-
-  // Pattern-driven machinery (same knobs as CensusOptions).
-  std::uint32_t num_centers = 12;
-  std::uint32_t num_cluster_centers = 12;
-  bool random_centers = false;
-  ClusteringMode clustering = ClusteringMode::kKMeans;
-  std::uint32_t num_clusters = 0;
-  std::uint32_t kmeans_iterations = 10;
-  std::uint64_t seed = 7;
-  bool best_first = true;
-  const CenterDistanceIndex* center_index = nullptr;
-  /// See CensusOptions::cluster_center_index.
-  const CenterDistanceIndex* cluster_center_index = nullptr;
-  /// Optional resource governor (see CensusOptions::governor). Every
-  /// engine's outer cluster/match/pair loop polls Checkpoint(); on stop the
-  /// run returns the governor's status — pairwise counts are sparse maps,
-  /// so a partial result is indistinguishable from "those pairs are zero".
-  /// Not owned.
-  Governor* governor = nullptr;
 };
 
 /// Pattern-driven pairwise census over ALL unordered node pairs, returning

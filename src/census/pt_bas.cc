@@ -31,7 +31,8 @@ CensusResult RunPtBas(const CensusContext& ctx) {
   Governor* const gov = ctx.governor();
 
   bool match_interrupted = false;
-  MatchSet matches = FindMatchesTimed(ctx, &result.stats, &match_interrupted);
+  MatchSet matches = FindMatchesTimed(graph, *ctx.pattern, *ctx.options,
+                                      &result.stats, &match_interrupted);
   if (match_interrupted) {
     FinishExecStatus(ctx, "PT-BAS", &result);
     return result;

@@ -9,40 +9,9 @@
 
 namespace egocensus::internal {
 
-PtParams PtParamsFromCensusOptions(const CensusOptions& options) {
-  PtParams p;
-  p.k = options.k;
-  p.best_first = options.algorithm != CensusAlgorithm::kPtRnd;
-  p.num_centers = options.num_centers;
-  p.num_cluster_centers = options.num_cluster_centers;
-  p.random_centers = options.random_centers;
-  p.clustering = options.clustering;
-  p.num_clusters = options.num_clusters;
-  p.kmeans_iterations = options.kmeans_iterations;
-  p.seed = options.seed;
-  p.center_index = options.center_index;
-  p.cluster_center_index = options.cluster_center_index;
-  return p;
-}
-
-PtParams PtParamsFromPairwiseOptions(const PairwiseCensusOptions& options) {
-  PtParams p;
-  p.k = options.k;
-  p.best_first = options.best_first;
-  p.num_centers = options.num_centers;
-  p.num_cluster_centers = options.num_cluster_centers;
-  p.random_centers = options.random_centers;
-  p.clustering = options.clustering;
-  p.num_clusters = options.num_clusters;
-  p.kmeans_iterations = options.kmeans_iterations;
-  p.seed = options.seed;
-  p.center_index = options.center_index;
-  p.cluster_center_index = options.cluster_center_index;
-  return p;
-}
-
 PtSetup BuildPtSetup(const Graph& graph, const Pattern& pattern,
-                     const MatchAnchors& anchors, const PtParams& params) {
+                     const MatchAnchors& anchors, const PtOptions& options,
+                     std::uint32_t k, Governor* governor) {
   EGO_SPAN("census/index");
   PtSetup setup;
   const std::size_t num_matches = anchors.NumMatches();
@@ -51,14 +20,14 @@ PtSetup BuildPtSetup(const Graph& graph, const Pattern& pattern,
   // Center distance index.
   Timer timer;
   const std::size_t centers_needed = std::max<std::size_t>(
-      params.num_centers, params.clustering == ClusteringMode::kKMeans
-                              ? params.num_cluster_centers
-                              : 0);
-  setup.center_index = params.center_index;
+      options.num_centers, options.clustering == ClusteringMode::kKMeans
+                               ? options.num_cluster_centers
+                               : 0);
+  setup.center_index = options.center_index;
   if (setup.center_index == nullptr && centers_needed > 0) {
-    Rng center_rng(params.seed);
+    Rng center_rng(options.seed);
     std::vector<NodeId> centers =
-        params.random_centers
+        options.random_centers
             ? PickRandomCenters(graph,
                                 static_cast<std::uint32_t>(centers_needed),
                                 &center_rng)
@@ -68,23 +37,27 @@ PtSetup BuildPtSetup(const Graph& graph, const Pattern& pattern,
     setup.center_index = &setup.local_index;
   }
   setup.index_seconds = timer.ElapsedSeconds();
+  setup.expander.k = k;
+  setup.expander.centers = setup.center_index;
+  setup.expander.num_centers = options.num_centers;
+  setup.expander.seed = options.seed + 2;
 
   // Pattern-distance shortcut matrix between anchor positions.
   const auto& anchor_nodes = anchors.anchor_nodes();
-  setup.anchor_dist.assign(static_cast<std::size_t>(t) * t, params.k + 1);
+  setup.anchor_dist.assign(static_cast<std::size_t>(t) * t, k + 1);
   for (int j = 0; j < t; ++j) {
     for (int l = 0; l < t; ++l) {
       std::uint32_t d = pattern.Distance(anchor_nodes[j], anchor_nodes[l]);
       setup.anchor_dist[static_cast<std::size_t>(j) * t + l] =
-          std::min(d, params.k + 1);
+          std::min(d, k + 1);
     }
   }
 
   if (num_matches == 0) return setup;
 
   // Cluster the matches.
-  Rng rng(params.seed + 1);
-  std::uint32_t num_clusters = params.num_clusters;
+  Rng rng(options.seed + 1);
+  std::uint32_t num_clusters = options.num_clusters;
   if (num_clusters == 0) {
     // Paper default: |M| / 4; capped so Lloyd's O(M * K * dim) stays
     // tractable when M is large.
@@ -96,7 +69,7 @@ PtSetup BuildPtSetup(const Graph& graph, const Pattern& pattern,
 
   std::vector<std::uint32_t> assignment(num_matches, 0);
   bool clustered = false;
-  switch (params.clustering) {
+  switch (options.clustering) {
     case ClusteringMode::kNone:
       break;
     case ClusteringMode::kRandom:
@@ -108,12 +81,13 @@ PtSetup BuildPtSetup(const Graph& graph, const Pattern& pattern,
       break;
     case ClusteringMode::kKMeans: {
       const CenterDistanceIndex* feature_index =
-          params.cluster_center_index != nullptr ? params.cluster_center_index
-                                                 : setup.center_index;
+          options.cluster_center_index != nullptr
+              ? options.cluster_center_index
+              : setup.center_index;
       const std::size_t feature_centers =
           feature_index == nullptr
               ? 0
-              : std::min<std::size_t>(params.num_cluster_centers,
+              : std::min<std::size_t>(options.num_cluster_centers,
                                       feature_index->NumCenters());
       if (feature_centers == 0) break;  // no features: degenerate to none
       const std::size_t dim = feature_centers * static_cast<std::size_t>(t);
@@ -128,7 +102,7 @@ PtSetup BuildPtSetup(const Graph& graph, const Pattern& pattern,
         }
       }
       assignment = KMeansCluster(features, num_matches, dim, num_clusters,
-                                 params.kmeans_iterations, &rng);
+                                 options.kmeans_iterations, &rng, governor);
       clustered = true;
       break;
     }

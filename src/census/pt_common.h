@@ -9,31 +9,12 @@
 #include <vector>
 
 #include "census/census.h"
-#include "census/pairwise.h"
 #include "census/pmi.h"
+#include "census/pt_expander.h"
 #include "graph/distance_index.h"
 #include "graph/graph.h"
 
 namespace egocensus::internal {
-
-/// The pattern-driven knobs, unified across CensusOptions and
-/// PairwiseCensusOptions.
-struct PtParams {
-  std::uint32_t k = 1;
-  bool best_first = true;
-  std::uint32_t num_centers = 12;
-  std::uint32_t num_cluster_centers = 12;
-  bool random_centers = false;
-  ClusteringMode clustering = ClusteringMode::kKMeans;
-  std::uint32_t num_clusters = 0;
-  std::uint32_t kmeans_iterations = 10;
-  std::uint64_t seed = 7;
-  const CenterDistanceIndex* center_index = nullptr;
-  const CenterDistanceIndex* cluster_center_index = nullptr;
-};
-
-PtParams PtParamsFromCensusOptions(const CensusOptions& options);
-PtParams PtParamsFromPairwiseOptions(const PairwiseCensusOptions& options);
 
 struct PtSetup {
   CenterDistanceIndex local_index;  // backing storage when built here
@@ -41,12 +22,16 @@ struct PtSetup {
   std::vector<std::vector<std::uint32_t>> clusters;   // match ids per cluster
   std::vector<std::uint32_t> anchor_dist;  // t*t pattern distances, capped k+1
   double index_seconds = 0;                // center index build time
+  ExpanderOptions expander;  // best-first; PT-RND turns best_first off
 };
 
-/// Builds the center index (unless supplied), clusters the matches, and
-/// fills the shortcut matrix.
+/// Builds the center index (unless supplied), clusters the matches, fills
+/// the shortcut matrix and the expander options. K-means polls `governor`;
+/// after a stop the clusters are incomplete, so callers check
+/// governor->stopped() and count nothing.
 PtSetup BuildPtSetup(const Graph& graph, const Pattern& pattern,
-                     const MatchAnchors& anchors, const PtParams& params);
+                     const MatchAnchors& anchors, const PtOptions& options,
+                     std::uint32_t k, Governor* governor);
 
 }  // namespace egocensus::internal
 

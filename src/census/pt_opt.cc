@@ -40,7 +40,8 @@ CensusResult RunPtOpt(const CensusContext& ctx) {
   Governor* const gov = ctx.governor();
 
   bool match_interrupted = false;
-  MatchSet matches = FindMatchesTimed(ctx, &result.stats, &match_interrupted);
+  MatchSet matches = FindMatchesTimed(graph, pattern, *ctx.options,
+                                      &result.stats, &match_interrupted);
   if (match_interrupted) {
     FinishExecStatus(ctx, "PT-OPT", &result);
     return result;
@@ -51,9 +52,13 @@ CensusResult RunPtOpt(const CensusContext& ctx) {
     return result;
   }
 
-  PtParams params = PtParamsFromCensusOptions(options);
-  PtSetup setup = BuildPtSetup(graph, pattern, anchors, params);
+  PtSetup setup = BuildPtSetup(graph, pattern, anchors, options, k, gov);
   result.stats.index_seconds = setup.index_seconds;
+  if (gov != nullptr && gov->stopped()) {
+    // Stopped while clustering: nothing was counted, all stay kPending.
+    FinishExecStatus(ctx, "PT-OPT", &result);
+    return result;
+  }
   if (obs::Enabled()) {
     static const obs::HistogramHandle cluster_hist(
         "census/pt/cluster_size");
@@ -65,12 +70,7 @@ CensusResult RunPtOpt(const CensusContext& ctx) {
 
   Timer timer;
   EGO_SPAN("census/count");
-  ExpanderOptions expander_options;
-  expander_options.k = k;
-  expander_options.best_first = params.best_first;
-  expander_options.centers = setup.center_index;
-  expander_options.num_centers = params.num_centers;
-  expander_options.seed = params.seed + 2;
+  setup.expander.best_first = options.algorithm != CensusAlgorithm::kPtRnd;
 
   struct Scratch {
     std::optional<SimultaneousExpander> expander;
@@ -133,7 +133,7 @@ CensusResult RunPtOpt(const CensusContext& ctx) {
   };
   if (ctx.pool == nullptr) {
     Scratch scratch;
-    scratch.expander.emplace(graph, expander_options);
+    scratch.expander.emplace(graph, setup.expander);
     run_range(0, setup.clusters.size(), scratch, result.counts.data());
     scratch.stats.nodes_expanded = scratch.expander->stats().pops;
     scratch.stats.reinsertions = scratch.expander->stats().reinsertions;
@@ -141,7 +141,7 @@ CensusResult RunPtOpt(const CensusContext& ctx) {
   } else {
     const unsigned workers = ctx.pool->NumWorkers();
     std::vector<Scratch> scratch(workers);
-    for (auto& s : scratch) s.expander.emplace(graph, expander_options);
+    for (auto& s : scratch) s.expander.emplace(graph, setup.expander);
     std::vector<std::vector<std::uint64_t>> counts(
         workers, std::vector<std::uint64_t>(graph.NumNodes(), 0));
     ctx.pool->ParallelFor(

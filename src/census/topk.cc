@@ -2,9 +2,9 @@
 
 #include <algorithm>
 
+#include "census/engines.h"
 #include "census/pmi.h"
 #include "graph/bfs.h"
-#include "match/cn_matcher.h"
 #include "util/timer.h"
 
 namespace egocensus {
@@ -18,12 +18,12 @@ namespace egocensus {
 
   TopKResult result;
   const std::uint32_t k = options.k;
+  Governor* gov = options.governor;
 
-  Timer match_timer;
-  CnMatcher matcher;
-  MatchSet matches = matcher.FindMatches(graph, pattern);
-  result.stats.match_seconds = match_timer.ElapsedSeconds();
-  result.stats.num_matches = matches.size();
+  bool interrupted = false;
+  MatchSet matches = internal::FindMatchesTimed(graph, pattern, options,
+                                                &result.stats, &interrupted);
+  if (interrupted) return gov->ToStatus("top-k census (match)");
   MatchAnchors anchors(&matches, *anchor_nodes);
 
   Timer index_timer;
@@ -40,7 +40,6 @@ namespace egocensus {
   };
   std::vector<Bound> bounds;
   bounds.reserve(focal.size());
-  Governor* gov = options.governor;
   BfsWorkspace bfs;
   for (NodeId n : focal) {
     if (gov != nullptr && gov->Checkpoint() != StopReason::kNone) {

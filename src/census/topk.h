@@ -25,15 +25,14 @@ struct TopKResult {
   std::uint64_t exact_evaluations = 0;
 };
 
-struct TopKOptions {
-  std::uint32_t k = 1;          // neighborhood radius
-  std::size_t top_k = 10;       // how many nodes to return
-  std::string subpattern;       // COUNTSP subpattern (empty = whole pattern)
-  /// Optional resource governor (see CensusOptions::governor). Both the
-  /// bounding pass and the exact-evaluation pass poll Checkpoint(); on stop
-  /// the run returns the governor's status — a truncated top-K would be
-  /// silently wrong, not partially useful. Not owned.
-  Governor* governor = nullptr;
+/// Options of the top-K census: CensusCommon (k, subpattern, the matcher
+/// choice and profile index for the one whole-graph match, and the
+/// governor) plus how many nodes to return. The match and both the bounding
+/// and the exact-evaluation pass poll the governor; on a stop the run
+/// returns the governor's status — a truncated top-K would be silently
+/// wrong, not partially useful.
+struct TopKOptions : CensusCommon {
+  std::size_t top_k = 10;  // how many nodes to return
 };
 
 /// Top-K query evaluation (the paper's Section VII future work): identify

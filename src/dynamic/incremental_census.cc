@@ -184,8 +184,12 @@ Status IncrementalCensus::InitCounts(std::vector<NodeId> focal,
     census_options.algorithm = AutoCensusAlgorithm(pattern_);
     census_options.k = options_.k;
     census_options.subpattern = options_.subpattern;
+    census_options.governor = options_.governor;
     auto result = RunCensus(*g, pattern_, focal_list, census_options);
     if (!result.ok()) return result.status();
+    // Maintenance needs every count exact, so a stopped initial census
+    // fails creation instead of seeding it with lower bounds.
+    if (!result->exec_status.ok()) return result->exec_status;
     counts_ = std::move(result->counts);
   }
   expected_version_ = graph_->version();

@@ -74,11 +74,12 @@ class IncrementalCensus {
     /// base edge count (checked at batch boundaries).
     bool auto_compact = true;
     double compact_threshold = 0.25;
-    /// Optional resource governor: ApplyBatch checkpoints once per update
-    /// and stops between updates when the governor says stop, returning the
-    /// governor's status. Already-applied prefix updates stay applied (the
-    /// documented batch-abort semantics) and the maintained counts remain
-    /// exact for the applied prefix. Null = ungoverned.
+    /// Optional resource governor. A stop in the initial census fails
+    /// Create with the governor's status; ApplyBatch checkpoints once per
+    /// update and stops between updates, returning the governor's status.
+    /// Already-applied prefix updates stay applied (the documented
+    /// batch-abort semantics) and the maintained counts remain exact for
+    /// the applied prefix. Null = ungoverned.
     Governor* governor = nullptr;
   };
 

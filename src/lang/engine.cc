@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <optional>
 
+#include "census/pairwise.h"
 #include "lang/query_parser.h"
 #include "lang/where_eval.h"
 #include "util/rng.h"
@@ -188,7 +189,9 @@ Result<ResultTable> QueryEngine::ExecutePairwise(const AnalyzedQuery& analyzed,
 
   std::vector<PairCounts> pair_columns;
   for (const auto& item : analyzed.counts) {
-    PairwiseCensusOptions pairwise = options.pairwise;
+    PairwiseCensusOptions pairwise;
+    static_cast<CensusCommon&>(pairwise) = options.census;
+    static_cast<PtOptions&>(pairwise) = options.census;
     pairwise.k = item.spec->neighborhood.k;
     pairwise.subpattern =
         item.spec->count_subpattern ? item.spec->subpattern : "";
@@ -196,6 +199,9 @@ Result<ResultTable> QueryEngine::ExecutePairwise(const AnalyzedQuery& analyzed,
         item.spec->neighborhood.kind == NeighborhoodSpec::Kind::kIntersection
             ? PairNeighborhood::kIntersection
             : PairNeighborhood::kUnion;
+    if (pairwise.profile_index == nullptr) {
+      pairwise.profile_index = &CachedProfiles();
+    }
     if (pairwise.center_index == nullptr) {
       pairwise.center_index = &CachedCenters();
     }

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "census/census.h"
-#include "census/pairwise.h"
 #include "graph/distance_index.h"
 #include "graph/graph.h"
 #include "graph/profile_index.h"
@@ -71,8 +70,9 @@ class QueryEngine {
   }
 
   struct Options {
+    /// Every census the query runs; pairwise aggregates take its
+    /// CensusCommon and PtOptions slices, so one governor stops both.
     CensusOptions census;
-    PairwiseCensusOptions pairwise;
     bool auto_algorithm = true;
     /// Seed for WHERE RND() draws (deterministic per node scan order).
     std::uint64_t rnd_seed = 99;
@@ -106,7 +106,8 @@ class QueryEngine {
   const std::vector<CensusStats>& last_stats() const { return last_stats_; }
 
   /// Execution outcomes of the aggregates of the last single-table query,
-  /// in SELECT order (empty for pairwise queries, which are ungoverned).
+  /// in SELECT order (empty for pairwise queries: a stopped pairwise census
+  /// makes Execute return the governor's status instead of a table).
   const std::vector<AggregateExec>& last_exec() const { return last_exec_; }
 
   /// First non-OK aggregate exec status of the last query, or OK. The CLI

@@ -34,9 +34,10 @@ class MaintainSession {
     double compact_threshold = 0.25;
     /// Seed for WHERE RND() draws (deterministic per node scan order).
     std::uint64_t rnd_seed = 99;
-    /// Optional resource governor, forwarded to the IncrementalCensus (one
-    /// checkpoint per update; a stop aborts the batch between updates and
-    /// keeps the applied prefix). Null = ungoverned.
+    /// Optional resource governor, forwarded to the IncrementalCensus: it
+    /// governs the initial census (a stop fails Create with its status)
+    /// and checkpoints once per update (a stop aborts the batch between
+    /// updates and keeps the applied prefix). Null = ungoverned.
     Governor* governor = nullptr;
   };
 

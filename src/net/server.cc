@@ -604,6 +604,9 @@ Message CensusServer::Dispatch(const Message& request, int client_fd,
           response = request.type == FrameType::kQuery
                          ? HandleQuery(request, *spec, governor, ctx)
                          : HandleUpdate(request, governor, ctx);
+          // RESULT or ERROR (a stopped pairwise census has no partial
+          // table), the response names how its governor ended.
+          response.headers["stop_reason"] = StopReasonName(governor.reason());
           break;
         }
         case AdmitOutcome::kOverflow:
@@ -765,7 +768,6 @@ Message CensusServer::HandleQuery(const Message& request,
     if (!exec_status.ok()) {
       response.headers["exec_message"] = exec_status.message();
     }
-    response.headers["stop_reason"] = StopReasonName(governor.reason());
     response.headers["rows"] = std::to_string(table->NumRows());
     response.headers["focal_complete"] = std::to_string(complete);
     response.headers["focal_approx"] = std::to_string(approx);
@@ -845,7 +847,6 @@ Message CensusServer::HandleUpdate(const Message& request,
   if (!exec_status.ok()) {
     response.headers["exec_message"] = exec_status.message();
   }
-  response.headers["stop_reason"] = StopReasonName(governor.reason());
   response.headers["applied"] = std::to_string(applied);
   response.headers["noop"] = std::to_string(noop);
   response.headers["nodes"] = std::to_string(graph.dynamic.NumNodes());

@@ -7,6 +7,7 @@
 #include "census/approx.h"
 #include "census/pairwise.h"
 #include "census/topk.h"
+#include "exec/governor.h"
 #include "graph/generators.h"
 #include "pattern/catalog.h"
 #include "pattern/pattern_parser.h"
@@ -153,7 +154,10 @@ TEST(CensusTest, FocalOutOfRangeRejected) {
 
 // Every census entry point answers a bad input with a Status: INVALID_ARGUMENT
 // for an unprepared pattern or an unfinalized graph, OUT_OF_RANGE for a
-// focal id or pair endpoint past the last node.
+// focal id or pair endpoint past the last node. Every one also honours a
+// governor: under a memory budget smaller than its match set it stops with
+// RESOURCE_EXHAUSTED (RunCensus reports it as the exec_status of its
+// partial result).
 TEST(CensusInputsTest, EveryEntryPointRejectsBadInputs) {
   Graph g = MakeGraph(3, {{0, 1}, {1, 2}});
   Graph unfinalized;
@@ -164,66 +168,95 @@ TEST(CensusInputsTest, EveryEntryPointRejectsBadInputs) {
   unprepared.AddNode("A");
   const std::vector<NodeId> focal = {0, 1, 2};
   const std::vector<NodeId> focal_past_end = {0, 3};
-  const std::vector<std::pair<NodeId, NodeId>> pairs = {{0, 2}};
-  const std::vector<std::pair<NodeId, NodeId>> pairs_past_end = {{0, 2},
+  // The pair's intersection neighborhood {0, 1} holds a match, so the
+  // per-pair matcher of pairwise ND-BAS has something to charge.
+  const std::vector<std::pair<NodeId, NodeId>> pairs = {{0, 1}};
+  const std::vector<std::pair<NodeId, NodeId>> pairs_past_end = {{0, 1},
                                                                  {1, 3}};
 
   struct EntryPoint {
     const char* name;
     bool takes_ids;  // focal ids or node pairs
-    std::function<Status(const Graph&, const Pattern&, bool past_end)> run;
+    std::function<Status(const Graph&, const Pattern&, bool past_end,
+                         Governor* governor)>
+        run;
   };
   const EntryPoint entry_points[] = {
       {"RunCensus", true,
-       [&](const Graph& graph, const Pattern& p, bool past_end) {
-         return RunCensus(graph, p, past_end ? focal_past_end : focal,
-                          CensusOptions())
-             .status();
+       [&](const Graph& graph, const Pattern& p, bool past_end,
+           Governor* governor) {
+         CensusOptions options;
+         options.fast_path = FastPathMode::kOff;  // it runs no matcher
+         options.governor = governor;
+         auto result = RunCensus(graph, p, past_end ? focal_past_end : focal,
+                                 options);
+         return result.ok() ? result->exec_status : result.status();
        }},
       {"RunTopKCensus", true,
-       [&](const Graph& graph, const Pattern& p, bool past_end) {
+       [&](const Graph& graph, const Pattern& p, bool past_end,
+           Governor* governor) {
+         TopKOptions options;
+         options.governor = governor;
          return RunTopKCensus(graph, p, past_end ? focal_past_end : focal,
-                              TopKOptions())
+                              options)
              .status();
        }},
       {"RunApproximateCensus", true,
-       [&](const Graph& graph, const Pattern& p, bool past_end) {
+       [&](const Graph& graph, const Pattern& p, bool past_end,
+           Governor* governor) {
+         ApproximateCensusOptions options;
+         options.governor = governor;
          return RunApproximateCensus(graph, p,
                                      past_end ? focal_past_end : focal,
-                                     ApproximateCensusOptions())
+                                     options)
              .status();
        }},
       {"RunPairwisePtOpt", false,
-       [&](const Graph& graph, const Pattern& p, bool) {
-         return RunPairwisePtOpt(graph, p, PairwiseCensusOptions()).status();
+       [&](const Graph& graph, const Pattern& p, bool, Governor* governor) {
+         PairwiseCensusOptions options;
+         options.governor = governor;
+         return RunPairwisePtOpt(graph, p, options).status();
        }},
       {"RunPairwisePtBas", false,
-       [&](const Graph& graph, const Pattern& p, bool) {
-         return RunPairwisePtBas(graph, p, PairwiseCensusOptions()).status();
+       [&](const Graph& graph, const Pattern& p, bool, Governor* governor) {
+         PairwiseCensusOptions options;
+         options.governor = governor;
+         return RunPairwisePtBas(graph, p, options).status();
        }},
       {"RunPairwiseNdBas", true,
-       [&](const Graph& graph, const Pattern& p, bool past_end) {
+       [&](const Graph& graph, const Pattern& p, bool past_end,
+           Governor* governor) {
+         PairwiseCensusOptions options;
+         options.governor = governor;
          return RunPairwiseNdBas(graph, p, past_end ? pairs_past_end : pairs,
-                                 PairwiseCensusOptions())
+                                 options)
              .status();
        }},
       {"RunPairwiseNdPvot", true,
-       [&](const Graph& graph, const Pattern& p, bool past_end) {
+       [&](const Graph& graph, const Pattern& p, bool past_end,
+           Governor* governor) {
+         PairwiseCensusOptions options;
+         options.governor = governor;
          return RunPairwiseNdPvot(graph, p, past_end ? pairs_past_end : pairs,
-                                  PairwiseCensusOptions())
+                                  options)
              .status();
        }},
   };
   for (const EntryPoint& entry : entry_points) {
     SCOPED_TRACE(entry.name);
-    EXPECT_TRUE(entry.run(g, edge, false).ok());
-    EXPECT_EQ(entry.run(g, unprepared, false).code(),
+    EXPECT_TRUE(entry.run(g, edge, false, nullptr).ok());
+    EXPECT_EQ(entry.run(g, unprepared, false, nullptr).code(),
               StatusCode::kInvalidArgument);
-    EXPECT_EQ(entry.run(unfinalized, edge, false).code(),
+    EXPECT_EQ(entry.run(unfinalized, edge, false, nullptr).code(),
               StatusCode::kInvalidArgument);
     if (entry.takes_ids) {
-      EXPECT_EQ(entry.run(g, edge, true).code(), StatusCode::kOutOfRange);
+      EXPECT_EQ(entry.run(g, edge, true, nullptr).code(),
+                StatusCode::kOutOfRange);
     }
+    Governor governor;
+    governor.SetMemoryLimitBytes(1);  // smaller than the two-edge match set
+    EXPECT_EQ(entry.run(g, edge, false, &governor).code(),
+              StatusCode::kResourceExhausted);
   }
 }
 

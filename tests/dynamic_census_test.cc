@@ -14,6 +14,7 @@
 #include "census/census.h"
 #include "dynamic/dynamic_graph.h"
 #include "dynamic/incremental_census.h"
+#include "exec/governor.h"
 #include "graph/generators.h"
 #include "lang/engine.h"
 #include "lang/maintain.h"
@@ -389,6 +390,33 @@ TEST(DynamicCensusTest, MaintainSessionEndToEnd) {
       ASSERT_EQ(session->census().counts()[n], expected->counts[n])
           << "round " << round << " node " << n;
     }
+  }
+}
+
+TEST(DynamicCensusTest, MaintainSessionCreateStopsWithItsGovernor) {
+  // The initial census runs under the session's governor: a stop there
+  // fails creation with the governor's code instead of seeding the
+  // maintainer with lower-bound counts.
+  const std::string query =
+      "PATTERN c {?A-?B; ?B-?C; ?C-?D; ?D-?A; [?A.LABEL=0];}\n"
+      "SELECT ID, COUNTP(c, SUBGRAPH(ID, 1)) FROM nodes";
+  Governor expired;
+  expired.SetDeadline(Deadline::AtMicros(1));
+  Governor cancelled;
+  cancelled.RequestCancel();
+  const struct {
+    Governor* governor;
+    StatusCode code;
+  } cases[] = {{&expired, StatusCode::kDeadlineExceeded},
+               {&cancelled, StatusCode::kCancelled}};
+  for (const auto& c : cases) {
+    DynamicGraph dg(SmallPa(200, 3, 23));
+    MaintainSession::Options opts;
+    opts.governor = c.governor;
+    auto session = MaintainSession::Create(&dg, query, opts);
+    ASSERT_FALSE(session.ok());
+    EXPECT_EQ(session.status().code(), c.code)
+        << session.status().ToString();
   }
 }
 

@@ -74,14 +74,6 @@ TEST(TopKCensusTest, MatchesFullCensusRanking) {
       auto full = RunCensus(c.graph, c.pattern, focal, full_opts);
       ASSERT_TRUE(full.ok());
 
-      TopKOptions topk_opts;
-      topk_opts.k = k;
-      topk_opts.top_k = 10;
-      topk_opts.subpattern = c.subpattern;
-      auto topk = RunTopKCensus(c.graph, c.pattern, focal, topk_opts);
-      ASSERT_TRUE(topk.ok()) << topk.status().ToString();
-      ASSERT_EQ(topk->top.size(), 10u);
-
       // Reference ranking from the full census.
       std::vector<std::pair<std::uint64_t, NodeId>> reference;
       for (NodeId n = 0; n < c.graph.NumNodes(); ++n) {
@@ -92,9 +84,21 @@ TEST(TopKCensusTest, MatchesFullCensusRanking) {
                   return a.first != b.first ? a.first > b.first
                                             : a.second < b.second;
                 });
-      for (std::size_t i = 0; i < 10; ++i) {
-        EXPECT_EQ(topk->top[i].first, reference[i].second) << "rank " << i;
-        EXPECT_EQ(topk->top[i].second, reference[i].first) << "rank " << i;
+
+      for (bool gql : {false, true}) {
+        SCOPED_TRACE(gql ? "gql" : "cn");
+        TopKOptions topk_opts;
+        topk_opts.k = k;
+        topk_opts.top_k = 10;
+        topk_opts.subpattern = c.subpattern;
+        topk_opts.use_gql_matcher = gql;
+        auto topk = RunTopKCensus(c.graph, c.pattern, focal, topk_opts);
+        ASSERT_TRUE(topk.ok()) << topk.status().ToString();
+        ASSERT_EQ(topk->top.size(), 10u);
+        for (std::size_t i = 0; i < 10; ++i) {
+          EXPECT_EQ(topk->top[i].first, reference[i].second) << "rank " << i;
+          EXPECT_EQ(topk->top[i].second, reference[i].first) << "rank " << i;
+        }
       }
     }
   }
@@ -183,33 +187,38 @@ TEST(TopKCensusTest, Errors) {
 TEST(ApproximateCensusTest, FullRateIsExact) {
   for (const PivotCase& c : PivotCases(TestPaGraph(300, 1, 8))) {
     auto focal = AllNodes(c.graph);
-    for (std::uint32_t k : {1u, 2u, 3u}) {
-      SCOPED_TRACE(std::string(c.name) + " k=" + std::to_string(k));
-      // The ND-PVOT engine itself (not the fast path), for its counters.
-      CensusOptions exact_opts;
-      exact_opts.algorithm = CensusAlgorithm::kNdPvot;
-      exact_opts.fast_path = FastPathMode::kOff;
-      exact_opts.k = k;
-      exact_opts.subpattern = c.subpattern;
-      auto exact = RunCensus(c.graph, c.pattern, focal, exact_opts);
-      ASSERT_TRUE(exact.ok());
+    for (bool gql : {false, true}) {
+      for (std::uint32_t k : {1u, 2u, 3u}) {
+        SCOPED_TRACE(std::string(c.name) + " k=" + std::to_string(k) +
+                     (gql ? " gql" : " cn"));
+        // The ND-PVOT engine itself (not the fast path), for its counters.
+        CensusOptions exact_opts;
+        exact_opts.algorithm = CensusAlgorithm::kNdPvot;
+        exact_opts.fast_path = FastPathMode::kOff;
+        exact_opts.k = k;
+        exact_opts.subpattern = c.subpattern;
+        exact_opts.use_gql_matcher = gql;
+        auto exact = RunCensus(c.graph, c.pattern, focal, exact_opts);
+        ASSERT_TRUE(exact.ok());
 
-      ApproximateCensusOptions approx_opts;
-      approx_opts.k = k;
-      approx_opts.subpattern = c.subpattern;
-      approx_opts.sample_rate = 1.0;
-      auto approx = RunApproximateCensus(c.graph, c.pattern, focal,
-                                         approx_opts);
-      ASSERT_TRUE(approx.ok());
-      EXPECT_EQ(approx->sampled_matches, approx->stats.num_matches);
-      for (NodeId n = 0; n < c.graph.NumNodes(); ++n) {
-        EXPECT_DOUBLE_EQ(approx->estimates[n],
-                         static_cast<double>(exact->counts[n]));
+        ApproximateCensusOptions approx_opts;
+        approx_opts.k = k;
+        approx_opts.subpattern = c.subpattern;
+        approx_opts.use_gql_matcher = gql;
+        approx_opts.sample_rate = 1.0;
+        auto approx = RunApproximateCensus(c.graph, c.pattern, focal,
+                                           approx_opts);
+        ASSERT_TRUE(approx.ok());
+        EXPECT_EQ(approx->sampled_matches, approx->stats.num_matches);
+        for (NodeId n = 0; n < c.graph.NumNodes(); ++n) {
+          EXPECT_DOUBLE_EQ(approx->estimates[n],
+                           static_cast<double>(exact->counts[n]));
+        }
+        // Same matches and same balls as 1-thread ND-PVOT: the same work.
+        EXPECT_EQ(approx->stats.nodes_expanded, exact->stats.nodes_expanded);
+        EXPECT_EQ(approx->stats.containment_checks,
+                  exact->stats.containment_checks);
       }
-      // Same matches and same balls as 1-thread ND-PVOT: the same work.
-      EXPECT_EQ(approx->stats.nodes_expanded, exact->stats.nodes_expanded);
-      EXPECT_EQ(approx->stats.containment_checks,
-                exact->stats.containment_checks);
     }
   }
 }

@@ -19,6 +19,7 @@
 #include "exec/failpoints.h"
 #include "exec/governor.h"
 #include "graph/generators.h"
+#include "match/cn_matcher.h"
 #include "pattern/catalog.h"
 #include "tests/test_util.h"
 #include "util/thread_pool.h"
@@ -278,6 +279,55 @@ TEST_F(GovernorCensusTest, MatcherCancellationLeavesAllFocalsPending) {
   }
 }
 
+TEST_F(GovernorCensusTest, StopDuringClusteringEndsPtOptBeforeCounting) {
+  Graph g = SweepGraph();
+  Pattern tri = MakeTriangle(false);
+  auto focal = AllNodes(g);
+  // PT-OPT's first checkpoints are the matcher's; the one after them is the
+  // first of K-means, which clusters the matches before any is counted.
+  Governor match_governor;
+  MatchOptions match_options;
+  match_options.governor = &match_governor;
+  CnMatcher().FindMatches(g, tri, match_options);
+  const std::uint64_t match_checkpoints = match_governor.checkpoints();
+
+  for (auto algorithm : {CensusAlgorithm::kPtOpt, CensusAlgorithm::kPtRnd}) {
+    SCOPED_TRACE(CensusAlgorithmName(algorithm));
+    CensusOptions opts = GenericOptions();
+    opts.algorithm = algorithm;
+    opts.k = 2;
+    auto baseline = RunCensus(g, tri, focal, opts);
+    ASSERT_TRUE(baseline.ok());
+
+    // A governor that never stops leaves the clustering, and so the
+    // traversal counters, exactly as ungoverned.
+    Governor idle;
+    opts.governor = &idle;
+    auto governed = RunCensus(g, tri, focal, opts);
+    ASSERT_TRUE(governed.ok());
+    EXPECT_EQ(governed->counts, baseline->counts);
+    EXPECT_EQ(governed->stats.nodes_expanded, baseline->stats.nodes_expanded);
+    EXPECT_EQ(governed->stats.reinsertions, baseline->stats.reinsertions);
+
+    Governor gov;
+    failpoints::Arm("exec/checkpoint", match_checkpoints + 1,
+                    [&gov] { gov.RequestCancel(); });
+    failpoints::Arm("census/cluster", 0, nullptr);
+    opts.governor = &gov;
+    auto r = RunCensus(g, tri, focal, opts);
+    const std::uint64_t clusters_entered = failpoints::Hits("census/cluster");
+    failpoints::DisarmAll();
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r->exec_status.code(), StatusCode::kCancelled);
+    EXPECT_EQ(clusters_entered, 0u)
+        << "the stop must end the census inside K-means";
+    for (NodeId n = 0; n < g.NumNodes(); ++n) {
+      EXPECT_EQ(r->focal_state[n], FocalState::kPending);
+      EXPECT_EQ(r->counts[n], 0u);
+    }
+  }
+}
+
 TEST_F(GovernorCensusTest, BudgetExhaustionMidMergeIsAllOrNothing) {
   Graph g = SweepGraph();
   Pattern tri = MakeTriangle(false);
@@ -373,13 +423,15 @@ TEST_F(GovernorCensusTest, DynamicExpiredDeadlineLeavesCountsUntouched) {
   Graph g = MakeGraph(4, {{0, 1}, {1, 2}, {2, 0}});
   DynamicGraph dg(std::move(g));
   Governor gov;
-  gov.SetDeadline(Deadline::AtMicros(1));
   IncrementalCensus::Options opts;
   opts.k = 1;
   opts.governor = &gov;
   auto census = IncrementalCensus::Create(&dg, MakeTriangle(false), opts);
   ASSERT_TRUE(census.ok()) << census.status().ToString();
   const auto counts_before = census->counts();
+  // The governor also governs the initial census, so the deadline expires
+  // only once the maintainer exists.
+  gov.SetDeadline(Deadline::AtMicros(1));
   std::vector<GraphUpdate> updates = {GraphUpdate::AddEdge(0, 3)};
   auto stats = census->ApplyBatch(updates);
   ASSERT_FALSE(stats.ok());

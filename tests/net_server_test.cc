@@ -27,6 +27,7 @@
 #include "lang/engine.h"
 #include "net/client.h"
 #include "net/server.h"
+#include "net/socket.h"
 
 namespace egocensus::net {
 namespace {
@@ -34,6 +35,21 @@ namespace {
 constexpr const char* kTriangleQuery =
     "PATTERN t {?A-?B; ?B-?C; ?C-?A;} "
     "SELECT ID, COUNTP(t, SUBGRAPH(ID, 1)) FROM nodes";
+
+// A pairwise census covers every node pair before WHERE filters them, so
+// on PairwiseGraph() this query runs for seconds unless it is stopped.
+constexpr const char* kPairwiseQuery =
+    "PATTERN t {?A-?B; ?B-?C; ?C-?A;} "
+    "SELECT n1.ID, n2.ID, COUNTP(t, SUBGRAPH-INTERSECTION(n1.ID, n2.ID, 2)) "
+    "FROM nodes AS n1, nodes AS n2 WHERE n1.ID < 3 AND n2.ID < 3";
+
+Graph PairwiseGraph() {
+  GeneratorOptions gen;
+  gen.num_nodes = 4000;
+  gen.edges_per_node = 5;
+  gen.seed = 3;
+  return GeneratePreferentialAttachment(gen);
+}
 
 Graph TestGraph(std::uint32_t nodes, std::uint32_t edges_per_node,
                 std::uint64_t seed) {
@@ -290,6 +306,53 @@ TEST(NetServerTest, ServerCapClampsRequestedDeadline) {
   auto uncapped = client->Call(Client::QueryRequest("g", kHeavyQuery));
   ASSERT_TRUE(uncapped.ok());
   EXPECT_EQ(uncapped->Header("stop_reason", ""), "deadline_exceeded");
+}
+
+TEST(NetServerTest, DeadlineStopsAPairwiseQuery) {
+  auto server = StartServer(PairwiseGraph(), {});
+  auto client = Client::Connect(EndpointOf(*server));
+  ASSERT_TRUE(client.ok());
+  Message request = Client::QueryRequest("g", kPairwiseQuery);
+  request.headers["deadline_ms"] = "50";
+  const auto start = std::chrono::steady_clock::now();
+  auto response = client->Call(request);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  // A stopped pairwise census has no partial table: the answer is an ERROR
+  // naming the stop.
+  EXPECT_EQ(response->type, FrameType::kError);
+  EXPECT_EQ(response->Header("code", ""), "DEADLINE_EXCEEDED");
+  EXPECT_EQ(response->Header("stop_reason", ""), "deadline_exceeded");
+  EXPECT_LT(elapsed, std::chrono::seconds(5));
+}
+
+TEST(NetServerTest, HangupCancelsAPairwiseQuery) {
+  CensusServer::Options options;
+  options.max_inflight = 1;  // the next QUERY queues behind this one
+  auto server = StartServer(PairwiseGraph(), options);
+  Endpoint endpoint = EndpointOf(*server);
+
+  auto socket = Socket::ConnectTcp(endpoint);
+  ASSERT_TRUE(socket.ok());
+  ASSERT_TRUE(
+      socket->SendFrame(Client::QueryRequest("g", kPairwiseQuery)).ok());
+  ASSERT_TRUE(
+      WaitFor([&server] { return server->Snapshot().queue.active == 1; }));
+  socket->Close();
+  EXPECT_TRUE(WaitFor([&server] {
+    return server->Snapshot().counters.disconnect_cancels >= 1;
+  }));
+
+  // The cancelled census gives its slot back, so the next QUERY is served
+  // promptly instead of waiting out the whole pairwise census.
+  auto client = Client::Connect(endpoint);
+  ASSERT_TRUE(client.ok());
+  const auto start = std::chrono::steady_clock::now();
+  auto response = client->Call(Client::QueryRequest("g", kTriangleQuery));
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response->type, FrameType::kResult);
+  EXPECT_LT(elapsed, std::chrono::seconds(5));
 }
 
 TEST(NetServerTest, MalformedOptionHeadersAreInvalidArgument) {

@@ -113,15 +113,19 @@ TEST(PairwiseTest, NdPvotAgreesWithNdBas) {
     for (auto neighborhood :
          {PairNeighborhood::kIntersection, PairNeighborhood::kUnion}) {
       for (std::uint32_t k : {1u, 2u, 3u}) {
-        PairwiseCensusOptions opts;
-        opts.k = k;
-        opts.neighborhood = neighborhood;
-        opts.subpattern = c.subpattern;
-        auto bas = RunPairwiseNdBas(g, c.pattern, pairs, opts);
-        auto pvot = RunPairwiseNdPvot(g, c.pattern, pairs, opts);
-        ASSERT_TRUE(bas.ok());
-        ASSERT_TRUE(pvot.ok());
-        EXPECT_EQ(*bas, *pvot) << c.name << " k=" << k;
+        for (bool gql : {false, true}) {
+          PairwiseCensusOptions opts;
+          opts.k = k;
+          opts.neighborhood = neighborhood;
+          opts.subpattern = c.subpattern;
+          opts.use_gql_matcher = gql;
+          auto bas = RunPairwiseNdBas(g, c.pattern, pairs, opts);
+          auto pvot = RunPairwiseNdPvot(g, c.pattern, pairs, opts);
+          ASSERT_TRUE(bas.ok());
+          ASSERT_TRUE(pvot.ok());
+          EXPECT_EQ(*bas, *pvot)
+              << c.name << " k=" << k << (gql ? " gql" : " cn");
+        }
       }
     }
   }
@@ -204,21 +208,33 @@ TEST(PairwiseTest, EmptyGraphNoPairs) {
   EXPECT_TRUE(counts->empty());
 }
 
-TEST(PairwiseTest, BestFirstAndRandomAgree) {
+TEST(PairwiseTest, PtOptionsChangeTraversalNotCounts) {
+  // Pairwise PT-OPT reads the PtOptions slice (and always expands
+  // best-first): center seeding and match clustering change how it
+  // traverses, never what it counts.
   GeneratorOptions gopts;
   gopts.num_nodes = 50;
   gopts.seed = 53;
   Graph g = GeneratePreferentialAttachment(gopts);
   Pattern tri = MakeTriangle(false);
-  PairwiseCensusOptions best;
-  best.k = 2;
-  PairwiseCensusOptions random = best;
-  random.best_first = false;
-  auto a = RunPairwisePtOpt(g, tri, best);
-  auto b = RunPairwisePtOpt(g, tri, random);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(*a, *b);
+  PairwiseCensusOptions base;
+  base.k = 2;
+  auto expected = RunPairwisePtOpt(g, tri, base);
+  ASSERT_TRUE(expected.ok());
+  PairwiseCensusOptions no_clusters = base;
+  no_clusters.clustering = ClusteringMode::kNone;
+  PairwiseCensusOptions random_clusters = base;
+  random_clusters.clustering = ClusteringMode::kRandom;
+  random_clusters.num_clusters = 5;
+  random_clusters.random_centers = true;
+  PairwiseCensusOptions no_centers = base;
+  no_centers.num_centers = 0;
+  for (const PairwiseCensusOptions& opts :
+       {no_clusters, random_clusters, no_centers}) {
+    auto counts = RunPairwisePtOpt(g, tri, opts);
+    ASSERT_TRUE(counts.ok());
+    EXPECT_EQ(*counts, *expected);
+  }
 }
 
 }  // namespace
