@@ -52,7 +52,7 @@ enum class ClusteringMode {
 
 /// The parameters every census reads, single-node, pairwise, top-K and
 /// approximate alike: the query's radius and anchor set, and how its one
-/// whole-graph match step (internal::FindMatchesTimed) runs and is governed.
+/// whole-graph match step runs and is governed.
 struct CensusCommon {
   /// Neighborhood radius k of SUBGRAPH(ID, k).
   std::uint32_t k = 1;

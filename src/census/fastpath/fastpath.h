@@ -28,11 +28,12 @@ FastPathDecision DecideFastPath(const Graph& graph, const Pattern& pattern,
                                 const CensusOptions& options);
 
 /// Combinatorial census engine: per focal node, builds the induced
-/// ego-network and evaluates the shape's closed-form count. Same
-/// parallelization, governance, and partial-result contract as the
-/// node-driven engines (per-focal checkpoints; counts recorded only on
-/// clean completion). stats.num_matches stays 0: no matcher runs.
-CensusResult RunFastPath(const CensusContext& ctx, const PatternShape& shape);
+/// ego-network and evaluates the shape's closed-form count. It runs on the
+/// per-focal driver like the node-driven engines, so it shares their
+/// parallelization, governance, and partial-result contract.
+/// stats.num_matches stays 0: no matcher runs.
+void RunFastPath(const CensusContext& ctx, const PatternShape& shape,
+                 CensusResult* result);
 
 }  // namespace egocensus::internal
 

@@ -21,39 +21,27 @@ namespace egocensus::internal {
 //
 // Chain decomposition only affects how much work is shared, never the
 // per-node result: counts[n] is always |{m : anchors(m) subset of N_k(n)}|.
-// The parallel path therefore shards the focal list into contiguous slices,
-// one chain walk per slice, with per-worker scratch (two BFS workspaces, the
-// running match set, and an epoch-stamped pending mask). Workers write
-// counts[n] only for nodes of their own slice, so results stay identical to
-// the serial run for any worker count; chains just cannot cross slice
-// boundaries, which costs a little sharing but no correctness.
-CensusResult RunNdDiff(const CensusContext& ctx) {
+// The walk therefore runs on the drivers' sharding: the focal list is cut
+// into contiguous slices, one chain walk per slice, with per-worker scratch
+// (two BFS workspaces, the running match set, and an epoch-stamped pending
+// mask). Workers write counts[n] only for nodes of their own slice, so
+// results stay identical to the serial run for any worker count; chains
+// just cannot cross slice boundaries, which costs a little sharing but no
+// correctness. The walk keeps its own per-node checkpoint, because the next
+// node comes from the chain, not from the focal list's order.
+void RunNdDiff(const CensusContext& ctx, CensusResult* result) {
   const Graph& graph = *ctx.graph;
   const std::uint32_t k = ctx.options->k;
-
-  CensusResult result;
-  result.counts.assign(graph.NumNodes(), 0);
-  InitFocalState(ctx, &result);
-  Governor* const gov = ctx.governor();
-
-  bool match_interrupted = false;
-  MatchSet matches = FindMatchesTimed(graph, *ctx.pattern, *ctx.options,
-                                      &result.stats, &match_interrupted);
-  if (match_interrupted) {
-    // A partial match set would undercount everywhere; keep all kPending.
-    FinishExecStatus(ctx, "ND-DIFF", &result);
-    return result;
-  }
-  MatchAnchors anchors(&matches, ctx.anchor_nodes);
+  const MatchAnchors& anchors = *ctx.anchors;
+  const CountLoop& loop = ctx.loop;
+  Governor* const gov = loop.governor;
 
   Timer timer;
   obs::ScopedSpan index_span("census/index");
   PatternMatchIndex pmi = PatternMatchIndex::BuildOnAnchors(anchors);
-  result.stats.index_seconds = timer.ElapsedSeconds();
+  result->stats.index_seconds = timer.ElapsedSeconds();
   index_span.End();
 
-  timer.Reset();
-  EGO_SPAN("census/count");
   auto contained = [&](std::uint32_t mid, const BfsWorkspace& bfs) {
     for (int j = 0; j < anchors.NumAnchors(); ++j) {
       if (!bfs.Reached(anchors.Anchor(mid, j))) return false;
@@ -67,19 +55,19 @@ CensusResult RunNdDiff(const CensusContext& ctx) {
     std::unordered_set<std::uint32_t> current_set;
     std::vector<std::uint32_t> pending_epoch;
     std::uint32_t epoch = 0;
-    ScratchCharge charge;  // high-water footprint of the walk state
   };
 
   // Run the chain walk over focal indices [begin, end).
-  auto process_range = [&](std::size_t begin, std::size_t end, DiffScratch& s,
-                           CensusStats& stats) {
+  auto walk = [&](std::size_t begin, std::size_t end, Worker<DiffScratch>& w) {
+    DiffScratch& s = w.scratch;
+    CensusStats& stats = w.stats;
     if (s.pending_epoch.size() < graph.NumNodes()) {
       s.pending_epoch.assign(graph.NumNodes(), 0);
     }
     const std::uint32_t epoch = ++s.epoch;
     // egolint: no-checkpoint(O(chunk) epoch stores; chain walk below polls)
     for (std::size_t i = begin; i < end; ++i) {
-      s.pending_epoch[ctx.focal[i]] = epoch;
+      s.pending_epoch[loop.focal[i]] = epoch;
     }
     auto pending = [&](NodeId n) { return s.pending_epoch[n] == epoch; };
 
@@ -109,15 +97,14 @@ CensusResult RunNdDiff(const CensusContext& ctx) {
       // is the engine's memory footprint, charged at its high-water mark.
       EGO_FAILPOINT("census/focal");
       if (gov != nullptr && gov->Checkpoint() != StopReason::kNone) return;
-      if (!s.charge.Update(
-              gov, 3 * static_cast<std::uint64_t>(graph.NumNodes()) *
-                           sizeof(std::uint32_t) +
-                       s.current_set.size() * 2 * sizeof(std::uint64_t))) {
+      if (!w.Charge(3 * static_cast<std::uint64_t>(graph.NumNodes()) *
+                        sizeof(std::uint32_t) +
+                    s.current_set.size() * 2 * sizeof(std::uint64_t))) {
         return;
       }
       if (current == kInvalidNode) {
-        while (scan < end && !pending(ctx.focal[scan])) ++scan;
-        current = ctx.focal[scan];
+        while (scan < end && !pending(loop.focal[scan])) ++scan;
+        current = loop.focal[scan];
         have_prev = false;
         if (chain_len > 0) chain_hist.Record(chain_len);
         chain_len = 0;
@@ -127,11 +114,7 @@ CensusResult RunNdDiff(const CensusContext& ctx) {
       ++chain_len;
 
       current_bfs->Run(graph, current, k);
-      EGO_HIST_RECORD("census/neighborhood_size",
-                      current_bfs->visited().size());
-      stats.nodes_expanded += current_bfs->visited().size();
-      stats.peak_neighborhood = std::max<std::uint64_t>(
-          stats.peak_neighborhood, current_bfs->visited().size());
+      RecordBall(current_bfs->visited().size(), &stats);
 
       if (!have_prev) {
         fresh_counter.Add(1);
@@ -160,8 +143,8 @@ CensusResult RunNdDiff(const CensusContext& ctx) {
           }
         }
       }
-      result.counts[current] = current_set.size();
-      result.focal_state[current] = FocalState::kComplete;
+      result->counts[current] = current_set.size();
+      result->focal_state[current] = FocalState::kComplete;
 
       // Prefer an unprocessed focal neighbor to keep neighborhoods shared.
       NodeId next = kInvalidNode;
@@ -182,27 +165,13 @@ CensusResult RunNdDiff(const CensusContext& ctx) {
     if (chain_len > 0) chain_hist.Record(chain_len);
   };
 
-  if (ctx.pool == nullptr) {
-    DiffScratch scratch;
-    process_range(0, ctx.focal.size(), scratch, result.stats);
-  } else {
-    const unsigned workers = ctx.pool->NumWorkers();
-    // Coarse grain: differential sharing pays off only along long chains,
-    // so keep slices big while still giving the pool room to balance.
-    const std::size_t grain =
-        std::max<std::size_t>(32, ctx.focal.size() / (workers * 8));
-    std::vector<DiffScratch> scratch(workers);
-    std::vector<CensusStats> stats(workers);
-    ctx.pool->ParallelFor(
-        0, ctx.focal.size(), grain, gov,
-        [&](std::size_t begin, std::size_t end, unsigned worker) {
-          process_range(begin, end, scratch[worker], stats[worker]);
-        });
-    for (const auto& s : stats) result.stats.Merge(s);
-  }
-  result.stats.census_seconds = timer.ElapsedSeconds();
-  FinishExecStatus(ctx, "ND-DIFF", &result);
-  return result;
+  // Coarse grain: differential sharing pays off only along long chains,
+  // so keep slices big while still giving the pool room to balance.
+  const std::size_t grain =
+      std::max<std::size_t>(32, loop.focal.size() / (loop.NumWorkers() * 8));
+  Shard(
+      loop, loop.focal.size(), grain, [] { return DiffScratch(); }, walk,
+      [](Worker<DiffScratch>&) {}, &result->stats);
 }
 
 }  // namespace egocensus::internal

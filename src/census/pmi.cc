@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <numeric>
+#include <string>
 
 namespace egocensus {
 
 [[nodiscard]] Result<std::vector<int>> CheckCensusInputs(
     const Graph& graph, const Pattern& pattern, const std::string& subpattern,
-    std::span<const NodeId> ids) {
+    std::span<const NodeId> ids, std::vector<char>* is_focal) {
   if (!pattern.prepared()) {
     return Status::InvalidArgument("pattern must be prepared");
   }
@@ -24,9 +25,17 @@ namespace egocensus {
     }
     anchors = *members;
   }
+  if (is_focal != nullptr) is_focal->assign(graph.NumNodes(), 0);
   for (NodeId n : ids) {
     if (n >= graph.NumNodes()) {
       return Status::OutOfRange("focal node out of range");
+    }
+    if (is_focal != nullptr) {
+      if ((*is_focal)[n]) {
+        return Status::InvalidArgument("focal node " + std::to_string(n) +
+                                       " is repeated");
+      }
+      (*is_focal)[n] = 1;
     }
   }
   return anchors;

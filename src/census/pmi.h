@@ -51,9 +51,12 @@ class MatchAnchors {
 /// prepared, `graph` finalized and every id in `ids` (focal nodes or pair
 /// endpoints) below NumNodes. Returns the anchor pattern nodes: all pattern
 /// nodes when `subpattern` is empty, otherwise the named subpattern's nodes.
+/// With `is_focal`, `ids` is a focal set: a repeated id is INVALID_ARGUMENT
+/// (pair endpoints may repeat), and *is_focal becomes its bitmap over the
+/// graph's nodes.
 [[nodiscard]] Result<std::vector<int>> CheckCensusInputs(
     const Graph& graph, const Pattern& pattern, const std::string& subpattern,
-    std::span<const NodeId> ids);
+    std::span<const NodeId> ids, std::vector<char>* is_focal = nullptr);
 
 /// Pattern match index (Section IV-A1): maps a database node to the ids of
 /// the matches anchored at it. ND-PVOT indexes on the pivot's images only;

@@ -12,8 +12,9 @@ namespace egocensus {
 [[nodiscard]] Result<TopKResult> RunTopKCensus(const Graph& graph, const Pattern& pattern,
                                  std::span<const NodeId> focal,
                                  const TopKOptions& options) {
+  std::vector<char> is_focal;  // filled to reject a repeated focal id
   auto anchor_nodes =
-      CheckCensusInputs(graph, pattern, options.subpattern, focal);
+      CheckCensusInputs(graph, pattern, options.subpattern, focal, &is_focal);
   if (!anchor_nodes.ok()) return anchor_nodes.status();
 
   TopKResult result;

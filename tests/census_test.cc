@@ -154,7 +154,8 @@ TEST(CensusTest, FocalOutOfRangeRejected) {
 
 // Every census entry point answers a bad input with a Status: INVALID_ARGUMENT
 // for an unprepared pattern or an unfinalized graph, OUT_OF_RANGE for a
-// focal id or pair endpoint past the last node. Every one also honours a
+// focal id or pair endpoint past the last node, and INVALID_ARGUMENT for a
+// focal id listed twice (a pair endpoint may repeat). Every one also honours a
 // governor: under a memory budget smaller than its match set it stops with
 // RESOURCE_EXHAUSTED (RunCensus reports it as the exec_status of its
 // partial result).
@@ -166,96 +167,96 @@ TEST(CensusInputsTest, EveryEntryPointRejectsBadInputs) {
   Pattern edge = MakeSingleEdge();
   Pattern unprepared;
   unprepared.AddNode("A");
-  const std::vector<NodeId> focal = {0, 1, 2};
-  const std::vector<NodeId> focal_past_end = {0, 3};
+  // The id lists an entry point is given: valid, with an id past the last
+  // node, and with an id listed twice.
+  enum Ids { kValid, kPastEnd, kRepeated };
+  const std::vector<NodeId> focal[] = {{0, 1, 2}, {0, 3}, {1, 0, 1}};
   // The pair's intersection neighborhood {0, 1} holds a match, so the
   // per-pair matcher of pairwise ND-BAS has something to charge.
-  const std::vector<std::pair<NodeId, NodeId>> pairs = {{0, 1}};
-  const std::vector<std::pair<NodeId, NodeId>> pairs_past_end = {{0, 1},
-                                                                 {1, 3}};
+  const std::vector<std::pair<NodeId, NodeId>> pairs[] = {
+      {{0, 1}}, {{0, 1}, {1, 3}}, {{0, 1}, {1, 2}}};
 
   struct EntryPoint {
     const char* name;
-    bool takes_ids;  // focal ids or node pairs
-    std::function<Status(const Graph&, const Pattern&, bool past_end,
+    bool takes_ids;    // focal ids or node pairs
+    bool takes_focal;  // the ids are a focal set, so none may repeat
+    std::function<Status(const Graph&, const Pattern&, Ids ids,
                          Governor* governor)>
         run;
   };
   const EntryPoint entry_points[] = {
-      {"RunCensus", true,
-       [&](const Graph& graph, const Pattern& p, bool past_end,
+      {"RunCensus", true, true,
+       [&](const Graph& graph, const Pattern& p, Ids ids,
            Governor* governor) {
          CensusOptions options;
          options.fast_path = FastPathMode::kOff;  // it runs no matcher
          options.governor = governor;
-         auto result = RunCensus(graph, p, past_end ? focal_past_end : focal,
-                                 options);
+         auto result = RunCensus(graph, p, focal[ids], options);
          return result.ok() ? result->exec_status : result.status();
        }},
-      {"RunTopKCensus", true,
-       [&](const Graph& graph, const Pattern& p, bool past_end,
+      {"RunTopKCensus", true, true,
+       [&](const Graph& graph, const Pattern& p, Ids ids,
            Governor* governor) {
          TopKOptions options;
          options.governor = governor;
-         return RunTopKCensus(graph, p, past_end ? focal_past_end : focal,
-                              options)
-             .status();
+         return RunTopKCensus(graph, p, focal[ids], options).status();
        }},
-      {"RunApproximateCensus", true,
-       [&](const Graph& graph, const Pattern& p, bool past_end,
+      {"RunApproximateCensus", true, true,
+       [&](const Graph& graph, const Pattern& p, Ids ids,
            Governor* governor) {
          ApproximateCensusOptions options;
          options.governor = governor;
-         return RunApproximateCensus(graph, p,
-                                     past_end ? focal_past_end : focal,
-                                     options)
-             .status();
+         return RunApproximateCensus(graph, p, focal[ids], options).status();
        }},
-      {"RunPairwisePtOpt", false,
-       [&](const Graph& graph, const Pattern& p, bool, Governor* governor) {
+      {"RunPairwisePtOpt", false, false,
+       [&](const Graph& graph, const Pattern& p, Ids, Governor* governor) {
          PairwiseCensusOptions options;
          options.governor = governor;
          return RunPairwisePtOpt(graph, p, options).status();
        }},
-      {"RunPairwisePtBas", false,
-       [&](const Graph& graph, const Pattern& p, bool, Governor* governor) {
+      {"RunPairwisePtBas", false, false,
+       [&](const Graph& graph, const Pattern& p, Ids, Governor* governor) {
          PairwiseCensusOptions options;
          options.governor = governor;
          return RunPairwisePtBas(graph, p, options).status();
        }},
-      {"RunPairwiseNdBas", true,
-       [&](const Graph& graph, const Pattern& p, bool past_end,
+      {"RunPairwiseNdBas", true, false,
+       [&](const Graph& graph, const Pattern& p, Ids ids,
            Governor* governor) {
          PairwiseCensusOptions options;
          options.governor = governor;
-         return RunPairwiseNdBas(graph, p, past_end ? pairs_past_end : pairs,
-                                 options)
-             .status();
+         return RunPairwiseNdBas(graph, p, pairs[ids], options).status();
        }},
-      {"RunPairwiseNdPvot", true,
-       [&](const Graph& graph, const Pattern& p, bool past_end,
+      {"RunPairwiseNdPvot", true, false,
+       [&](const Graph& graph, const Pattern& p, Ids ids,
            Governor* governor) {
          PairwiseCensusOptions options;
          options.governor = governor;
-         return RunPairwiseNdPvot(graph, p, past_end ? pairs_past_end : pairs,
-                                  options)
-             .status();
+         return RunPairwiseNdPvot(graph, p, pairs[ids], options).status();
        }},
   };
   for (const EntryPoint& entry : entry_points) {
     SCOPED_TRACE(entry.name);
-    EXPECT_TRUE(entry.run(g, edge, false, nullptr).ok());
-    EXPECT_EQ(entry.run(g, unprepared, false, nullptr).code(),
+    EXPECT_TRUE(entry.run(g, edge, kValid, nullptr).ok());
+    EXPECT_EQ(entry.run(g, unprepared, kValid, nullptr).code(),
               StatusCode::kInvalidArgument);
-    EXPECT_EQ(entry.run(unfinalized, edge, false, nullptr).code(),
+    EXPECT_EQ(entry.run(unfinalized, edge, kValid, nullptr).code(),
               StatusCode::kInvalidArgument);
     if (entry.takes_ids) {
-      EXPECT_EQ(entry.run(g, edge, true, nullptr).code(),
+      EXPECT_EQ(entry.run(g, edge, kPastEnd, nullptr).code(),
                 StatusCode::kOutOfRange);
+      const Status repeated = entry.run(g, edge, kRepeated, nullptr);
+      if (entry.takes_focal) {
+        EXPECT_EQ(repeated.code(), StatusCode::kInvalidArgument);
+        EXPECT_NE(repeated.message().find("focal node 1 "), std::string::npos)
+            << repeated.message();
+      } else {
+        EXPECT_TRUE(repeated.ok()) << repeated.ToString();
+      }
     }
     Governor governor;
     governor.SetMemoryLimitBytes(1);  // smaller than the two-edge match set
-    EXPECT_EQ(entry.run(g, edge, false, &governor).code(),
+    EXPECT_EQ(entry.run(g, edge, kValid, &governor).code(),
               StatusCode::kResourceExhausted);
   }
 }

@@ -168,6 +168,69 @@ TEST(EgolintCheckpointTest, RemovingTheDriverPollUnrootsTheDrivenChain) {
   EXPECT_EQ(findings[1].check, "checkpoint-coverage");
 }
 
+// A driver in the shape of the census drivers (census/engines.h): it polls
+// once per item and hands each item to the kernel it receives. The
+// parameter name differs from every kernel's name below, so the kernels
+// are driven by being passed, not by a call name the driver loop makes.
+constexpr const char* kDriverHeader =
+    "template <typename Kernel>\n"
+    "void ForEachItem(const Kernel& fn) {\n"
+    "  for (int i = 0; i < num_focal; ++i) {\n"
+    "    if (gov->Checkpoint() != StopReason::kNone) return;\n"
+    "    fn(focal[i]);\n"
+    "  }\n"
+    "}\n";
+
+TEST(EgolintCheckpointTest, LambdaWrittenInlineInADriverCallIsCovered) {
+  std::vector<Finding> findings = Lint({
+      {"src/census/fake_driver.h", kDriverHeader},
+      {"src/census/fake_engine.cc",
+       "void Run() {\n"
+       "  ForEachItem([&](int n) {\n"
+       "    for (int j = 0; j < n; ++j) Touch(matches[j]);\n"
+       "  });\n"
+       "}\n"},
+  });
+  EXPECT_EQ(findings.size(), 0u);
+}
+
+TEST(EgolintCheckpointTest, LambdaPassedToADriverByNameIsCovered) {
+  std::vector<Finding> findings = Lint({
+      {"src/census/fake_driver.h", kDriverHeader},
+      {"src/census/fake_engine.cc",
+       "void Run() {\n"
+       "  auto count_ball = [&](int n) {\n"
+       "    for (int j = 0; j < n; ++j) Touch(matches[j]);\n"
+       "  };\n"
+       "  ForEachItem(count_ball);\n"
+       "}\n"},
+  });
+  EXPECT_EQ(findings.size(), 0u);
+}
+
+TEST(EgolintCheckpointTest, LambdaNoDriverReceivesIsStillFlagged) {
+  // The same per-match loops, in lambdas handed to a function that does
+  // not poll per item and to ParallelFor, which polls per chunk.
+  std::vector<Finding> findings = Lint({
+      {"src/census/fake_driver.h", kDriverHeader},
+      {"src/census/fake_engine.cc",
+       "void Run() {\n"
+       "  auto count_ball = [&](int n) {\n"
+       "    for (int j = 0; j < n; ++j) Touch(matches[j]);\n"
+       "  };\n"
+       "  Apply(count_ball);\n"
+       "  pool->ParallelFor(0, n, 4, [&](int begin, int end, int w) {\n"
+       "    for (int j = begin; j < end; ++j) Touch(matches[j]);\n"
+       "  });\n"
+       "}\n"},
+  });
+  ASSERT_EQ(findings.size(), 2u);
+  EXPECT_EQ(findings[0].check, "checkpoint-coverage");
+  EXPECT_EQ(findings[0].line, 3);
+  EXPECT_EQ(findings[1].check, "checkpoint-coverage");
+  EXPECT_EQ(findings[1].line, 7);
+}
+
 TEST(EgolintCheckpointTest, SuppressionWithReasonSilences) {
   std::vector<Finding> findings = Lint({
       {"src/census/fake_engine.cc",

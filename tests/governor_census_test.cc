@@ -1,10 +1,11 @@
 // Governed census execution: partial results, per-focal completion state,
 // degradation, and the deterministic cancel-at-checkpoint-#i failpoint
 // sweep. The sweep is the core robustness contract: for EVERY checkpoint i
-// (strided) of ND-BAS, ND-DIFF and PT-OPT at 1 and 8 threads, cancelling at
-// exactly checkpoint i must (a) not crash or leak (this binary runs under
-// ASan and TSan in CI), (b) leave every kComplete focal count bit-identical
-// to the uninterrupted run, and (c) report accurate partial-result flags.
+// (strided) of all six engines, and of ND-BAS's subpattern path, at 1 and
+// 8 threads, cancelling at exactly checkpoint i must (a) not crash or leak
+// (this binary runs under ASan and TSan in CI), (b) leave every kComplete
+// focal count bit-identical to the uninterrupted run, and (c) report
+// accurate partial-result flags.
 
 #include "census/census.h"
 
@@ -21,6 +22,7 @@
 #include "graph/generators.h"
 #include "match/cn_matcher.h"
 #include "pattern/catalog.h"
+#include "pattern/pattern_parser.h"
 #include "tests/test_util.h"
 #include "util/thread_pool.h"
 
@@ -176,18 +178,35 @@ TEST_F(GovernorCensusTest, ExplicitCancelDoesNotDegrade) {
 TEST_F(GovernorCensusTest, CancelAtEveryCheckpointSweep) {
   Graph g = SweepGraph();
   Pattern tri = MakeTriangle(false);
+  // COUNTSP: ND-BAS counts the global match set instead of matching inside
+  // each ball.
+  auto tri_edge = ParsePattern(
+      "PATTERN tri {?A-?B; ?B-?C; ?C-?A; SUBPATTERN edge {?A; ?B;}}");
+  ASSERT_TRUE(tri_edge.ok()) << tri_edge.status().ToString();
   auto focal = AllNodes(g);
-  for (auto algorithm : {CensusAlgorithm::kNdBas, CensusAlgorithm::kNdDiff,
-                         CensusAlgorithm::kPtOpt}) {
+  struct Case {
+    CensusAlgorithm algorithm;
+    const char* subpattern;
+  };
+  for (const Case& c : {Case{CensusAlgorithm::kNdBas, ""},
+                        Case{CensusAlgorithm::kNdBas, "edge"},
+                        Case{CensusAlgorithm::kNdPvot, ""},
+                        Case{CensusAlgorithm::kNdDiff, ""},
+                        Case{CensusAlgorithm::kPtBas, ""},
+                        Case{CensusAlgorithm::kPtOpt, ""},
+                        Case{CensusAlgorithm::kPtRnd, ""}}) {
+    const CensusAlgorithm algorithm = c.algorithm;
+    const Pattern& pattern = *c.subpattern == '\0' ? tri : *tri_edge;
     const char* site = CheckpointSite(algorithm);
     for (std::uint32_t threads : {1u, 8u}) {
       CensusOptions opts = GenericOptions();
       opts.algorithm = algorithm;
       opts.k = 2;
       opts.num_threads = threads;
+      opts.subpattern = c.subpattern;
 
       // Uninterrupted reference run (the bit-identity oracle).
-      auto baseline = RunCensus(g, tri, focal, opts);
+      auto baseline = RunCensus(g, pattern, focal, opts);
       ASSERT_TRUE(baseline.ok());
       ASSERT_TRUE(baseline->complete());
 
@@ -197,7 +216,7 @@ TEST_F(GovernorCensusTest, CancelAtEveryCheckpointSweep) {
         Governor gov;
         CensusOptions governed = opts;
         governed.governor = &gov;
-        ASSERT_TRUE(RunCensus(g, tri, focal, governed).ok());
+        ASSERT_TRUE(RunCensus(g, pattern, focal, governed).ok());
       }
       const std::uint64_t hits = failpoints::Hits(site);
       failpoints::DisarmAll();
@@ -206,15 +225,15 @@ TEST_F(GovernorCensusTest, CancelAtEveryCheckpointSweep) {
       // Cancel at checkpoint #i for all i (strided to bound test time).
       const std::uint64_t stride = std::max<std::uint64_t>(1, hits / 20);
       for (std::uint64_t i = 1; i <= hits; i += stride) {
-        SCOPED_TRACE(std::string(CensusAlgorithmName(algorithm)) +
-                     " threads=" + std::to_string(threads) +
+        SCOPED_TRACE(std::string(CensusAlgorithmName(algorithm)) + " " +
+                     c.subpattern + " threads=" + std::to_string(threads) +
                      " cancel@" + std::to_string(i) + "/" +
                      std::to_string(hits));
         Governor gov;
         failpoints::Arm(site, i, [&gov] { gov.RequestCancel(); });
         CensusOptions governed = opts;
         governed.governor = &gov;
-        auto r = RunCensus(g, tri, focal, governed);
+        auto r = RunCensus(g, pattern, focal, governed);
         failpoints::DisarmAll();
         ASSERT_TRUE(r.ok());
         ASSERT_EQ(r->exec_status.code(), StatusCode::kCancelled);
@@ -247,7 +266,7 @@ TEST_F(GovernorCensusTest, CancelAtEveryCheckpointSweep) {
         failpoints::Arm(site, hits + 1, [&gov] { gov.RequestCancel(); });
         CensusOptions governed = opts;
         governed.governor = &gov;
-        auto r = RunCensus(g, tri, focal, governed);
+        auto r = RunCensus(g, pattern, focal, governed);
         failpoints::DisarmAll();
         ASSERT_TRUE(r.ok());
         EXPECT_TRUE(r->complete());

@@ -8,20 +8,26 @@
 // so it needs an audited `// egolint: no-checkpoint(reason)` instead.
 //
 // One structural exemption: loops inside a *driven* function. The engines
-// split work as `driver loop { Checkpoint(); process(item); }`, so the
-// per-item loops inside `process` are bounded by the driver's per-item
+// split work as `driver loop { Checkpoint(); kernel(item); }`, so the
+// per-item loops inside the kernel are bounded by the driver's per-item
 // poll. Driven-ness seeds from calls made lexically inside a loop that
-// polls and propagates through calls in driven bodies; it deliberately
-// does NOT seed from ParallelFor arguments — ParallelFor polls once per
-// chunk, and the explicit in-loop Checkpoint inside the chunk callback is
-// what tightens that to per-item, which is exactly what this check
-// defends. Removing that poll unroots the whole driven chain.
+// polls, and from kernels handed to a *driver* — a function whose body
+// calls Checkpoint() inside a loop (the census drivers in
+// census/engines.h): a lambda written inline in a call to a driver is
+// driven, and so is a function or named lambda passed to one by name. It
+// propagates through calls in driven bodies. It deliberately does NOT seed
+// from ParallelFor arguments — ParallelFor polls once per chunk, and the
+// explicit in-loop Checkpoint inside the chunk callback is what tightens
+// that to per-item, which is exactly what this check defends. Removing
+// that poll unroots the whole driven chain.
 
 #include <algorithm>
 #include <cctype>
 #include <cstddef>
+#include <map>
 #include <set>
 #include <string>
+#include <utility>
 
 #include "analysis.h"
 #include "egolint.h"
@@ -89,6 +95,41 @@ bool RangeWatched(const std::vector<Token>& toks, int begin, int end) {
   return false;
 }
 
+/// The kernels a call hands over: for the call whose `(` is at `open`,
+/// the body ranges of the lambdas written inline as arguments (into
+/// `lambda_bodies`) and the names passed as whole arguments (into `names`).
+void CollectCallArguments(const std::vector<Token>& toks, int open,
+                          std::vector<std::pair<int, int>>* lambda_bodies,
+                          std::set<std::string>* names) {
+  const int close = MatchForward(toks, open, "(", ")") - 1;
+  int depth = 0;
+  for (int i = open + 1; i < close; ++i) {
+    const bool arg_start =
+        depth == 0 && (i == open + 1 || TokIs(toks[i - 1], ","));
+    if (arg_start && TokIs(toks[i], "[")) {
+      int j = MatchForward(toks, i, "[", "]");
+      if (j < close && TokIs(toks[j], "(")) j = MatchForward(toks, j, "(", ")");
+      while (j < close && !TokIs(toks[j], "{")) ++j;
+      if (j < close) {
+        const int body_end = MatchForward(toks, j, "{", "}");
+        lambda_bodies->emplace_back(j + 1, body_end - 1);
+        i = body_end - 1;
+        continue;
+      }
+    }
+    if (arg_start && toks[i].kind == TokenKind::kIdent &&
+        (i + 1 == close || TokIs(toks[i + 1], ","))) {
+      names->insert(std::string(toks[i].text));
+    }
+    if (TokIs(toks[i], "(") || TokIs(toks[i], "[") || TokIs(toks[i], "{")) {
+      ++depth;
+    } else if (TokIs(toks[i], ")") || TokIs(toks[i], "]") ||
+               TokIs(toks[i], "}")) {
+      --depth;
+    }
+  }
+}
+
 /// Statement end for a brace-less loop body: the first `;` at relative
 /// parenthesis depth zero.
 int SkipStatement(const std::vector<Token>& toks, int i) {
@@ -148,22 +189,58 @@ void CheckCheckpointCoverage(const std::vector<FileModel>& models,
     return loops;
   };
 
-  // Driven functions: seed with every call made lexically inside a polling
-  // loop, then close over calls made inside driven bodies (name-level,
-  // cross-file — pt_opt's driven `process` calling Expand covers the loops
-  // in pt_expander.cc).
-  std::set<std::string> driven;
+  // Drivers: functions whose body calls Checkpoint() inside a loop, i.e.
+  // poll once per item (ParallelFor polls per chunk and is not one).
+  std::set<std::string> drivers;
   for (const auto& [model, file_defs] : defs) {
     const std::vector<Token>& toks = model->tokens;
     for (const Loop& loop : extract_loops(toks)) {
-      if (!RangePolls(toks, loop.range_begin, loop.range_end, polling)) {
-        continue;
+      bool checkpoints = false;
+      for (int i = loop.range_begin; i < loop.range_end && !checkpoints; ++i) {
+        checkpoints = TokIs(toks[i], "Checkpoint");
       }
-      for (int i = loop.range_begin; i + 1 < loop.range_end; ++i) {
-        if (toks[i].kind == TokenKind::kIdent && TokIs(toks[i + 1], "(")) {
-          driven.insert(std::string(toks[i].text));
+      if (!checkpoints) continue;
+      for (const FunctionDef& def : file_defs) {
+        if (def.body_begin <= loop.kw_index && loop.kw_index < def.body_end) {
+          drivers.insert(def.name);
         }
       }
+    }
+  }
+
+  // Driven functions: seed with every call made lexically inside a polling
+  // loop and with the kernels handed to a driver (lambda bodies written
+  // inline in the call, per file; names passed as arguments), then close
+  // over calls made inside driven bodies (name-level, cross-file — PT-OPT's
+  // driven kernel calling Expand covers the loops in pt_expander.cc).
+  std::set<std::string> driven;
+  std::map<const FileModel*, std::vector<std::pair<int, int>>> driven_lambdas;
+  auto add_calls = [&driven](const std::vector<Token>& toks, int begin,
+                             int end) {
+    bool added = false;
+    for (int i = begin; i + 1 < end; ++i) {
+      if (toks[i].kind == TokenKind::kIdent && TokIs(toks[i + 1], "(") &&
+          driven.insert(std::string(toks[i].text)).second) {
+        added = true;
+      }
+    }
+    return added;
+  };
+  for (const auto& [model, file_defs] : defs) {
+    const std::vector<Token>& toks = model->tokens;
+    for (const Loop& loop : extract_loops(toks)) {
+      if (RangePolls(toks, loop.range_begin, loop.range_end, polling)) {
+        add_calls(toks, loop.range_begin, loop.range_end);
+      }
+    }
+    for (int i = 0; i + 1 < static_cast<int>(toks.size()); ++i) {
+      if (toks[i].kind == TokenKind::kIdent && TokIs(toks[i + 1], "(") &&
+          drivers.count(std::string(toks[i].text)) != 0) {
+        CollectCallArguments(toks, i + 1, &driven_lambdas[model], &driven);
+      }
+    }
+    for (const auto& [begin, end] : driven_lambdas[model]) {
+      add_calls(toks, begin, end);
     }
   }
   for (bool changed = true; changed;) {
@@ -172,12 +249,7 @@ void CheckCheckpointCoverage(const std::vector<FileModel>& models,
       const std::vector<Token>& toks = model->tokens;
       for (const FunctionDef& def : file_defs) {
         if (driven.count(def.name) == 0) continue;
-        for (int i = def.body_begin; i + 1 < def.body_end; ++i) {
-          if (toks[i].kind == TokenKind::kIdent && TokIs(toks[i + 1], "(") &&
-              driven.insert(std::string(toks[i].text)).second) {
-            changed = true;
-          }
-        }
+        if (add_calls(toks, def.body_begin, def.body_end)) changed = true;
       }
     }
   }
@@ -209,6 +281,9 @@ void CheckCheckpointCoverage(const std::vector<FileModel>& models,
           in_driven_fn = true;
           break;
         }
+      }
+      for (const auto& [begin, end] : driven_lambdas[&model]) {
+        if (begin <= loop.kw_index && loop.kw_index < end) in_driven_fn = true;
       }
       if (in_driven_fn) continue;
       findings->push_back(Finding{
