@@ -63,9 +63,7 @@ int main() {
 
     for (std::size_t batch : config.batch_sizes) {
       DynamicGraph dynamic(base);
-      IncrementalCensus::Options opts;
-      opts.k = k;
-      auto census = IncrementalCensus::Create(&dynamic, pattern, opts);
+      auto census = IncrementalCensus::Create(&dynamic, pattern, census_opts);
       if (!census.ok()) {
         std::cerr << census.status().ToString() << "\n";
         return 1;

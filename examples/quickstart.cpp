@@ -35,7 +35,7 @@ int main() {
     std::cerr << "query failed: " << result.status().ToString() << "\n";
     return 1;
   }
-  result->SortByColumnDesc(1);
+  result->SortByColumns({{1, /*descending=*/true}});
   std::cout << "Top nodes by squares in their 2-hop ego network:\n"
             << result->ToString(10) << "\n";
 

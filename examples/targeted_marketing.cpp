@@ -54,7 +54,7 @@ int main() {
     std::cerr << "query failed: " << result.status().ToString() << "\n";
     return 1;
   }
-  result->SortByColumnDesc(1);
+  result->SortByColumns({{1, /*descending=*/true}});
   std::cout << "Best targets (most couple-pairs within 2 hops):\n"
             << result->ToString(10);
 

@@ -38,14 +38,6 @@ const char* CensusAlgorithmName(CensusAlgorithm algorithm) {
   return "?";
 }
 
-CensusAlgorithm AutoCensusAlgorithm(const Pattern& pattern) {
-  for (int v = 0; v < pattern.NumNodes(); ++v) {
-    if (pattern.LabelConstraint(v).has_value()) return CensusAlgorithm::kPtOpt;
-  }
-  return pattern.Predicates().empty() ? CensusAlgorithm::kNdPvot
-                                      : CensusAlgorithm::kPtOpt;
-}
-
 const char* FastPathModeName(FastPathMode mode) {
   switch (mode) {
     case FastPathMode::kAuto:

@@ -27,11 +27,6 @@ enum class CensusAlgorithm {
 
 const char* CensusAlgorithmName(CensusAlgorithm algorithm);
 
-/// The planner's engine for a single-node census: PT-OPT when the pattern
-/// is selective (label constraints or predicates, where pattern-driven wins
-/// in Fig. 4(d)), ND-PVOT otherwise (the non-selective case of Fig. 4(c)).
-CensusAlgorithm AutoCensusAlgorithm(const Pattern& pattern);
-
 /// Routing of the combinatorial fast path for <= 4-node unlabeled patterns
 /// (src/census/fastpath/, docs/FAST_PATH.md). kAuto routes eligible
 /// censuses to the closed-form kernels (counts stay bit-identical to the
@@ -120,6 +115,8 @@ struct PtOptions {
 /// Options of a single-node census (RunCensus): the common and PT slices
 /// plus engine selection, parallelism and graceful degradation.
 struct CensusOptions : CensusCommon, PtOptions {
+  /// The engine. A query's plan step (PlanCensus, lang/engine.h) picks it
+  /// unless the request pins one.
   CensusAlgorithm algorithm = CensusAlgorithm::kNdPvot;
 
   /// Combinatorial fast-path routing (see FastPathMode). `algorithm` is

@@ -145,8 +145,17 @@ class DynamicGraph {
   }
 
   /// Rebuilds a fresh CSR base from base+delta and clears the delta
-  /// structures. Invalidates all previously returned spans.
+  /// structures. Invalidates all previously returned spans. Does not bump
+  /// version(): the graph it describes is unchanged.
   void Compact();
+
+  /// The compaction policy, applied at batch boundaries (the end of an
+  /// IncrementalCensus batch, the daemon's UPDATE): Compact() once the
+  /// delta exceeds kCompactThreshold of the base edge count.
+  static constexpr double kCompactThreshold = 0.25;
+  void MaybeCompact() {
+    if (DeltaFraction() > kCompactThreshold) Compact();
+  }
 
   /// Equivalent fully static graph (finalized): same node ids (tombstoned
   /// nodes become isolated), current edges, labels, and node attributes.

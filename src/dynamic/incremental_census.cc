@@ -79,7 +79,7 @@ bool IncrementalCensus::Ball::Contains(NodeId n) const {
 
 Result<IncrementalCensus> IncrementalCensus::Create(DynamicGraph* graph,
                                                     Pattern pattern,
-                                                    Options options) {
+                                                    CensusOptions options) {
   if (graph == nullptr) {
     return Status::InvalidArgument("IncrementalCensus: graph is null");
   }
@@ -90,7 +90,7 @@ Result<IncrementalCensus> IncrementalCensus::Create(DynamicGraph* graph,
 }
 
 Result<IncrementalCensus> IncrementalCensus::Create(
-    DynamicGraph* graph, Pattern pattern, Options options,
+    DynamicGraph* graph, Pattern pattern, CensusOptions options,
     std::vector<NodeId> focal) {
   if (graph == nullptr) {
     return Status::InvalidArgument("IncrementalCensus: graph is null");
@@ -180,12 +180,7 @@ Status IncrementalCensus::InitCounts(std::vector<NodeId> focal,
       snapshot = graph_->Materialize();
       g = &snapshot;
     }
-    CensusOptions census_options;
-    census_options.algorithm = AutoCensusAlgorithm(pattern_);
-    census_options.k = options_.k;
-    census_options.subpattern = options_.subpattern;
-    census_options.governor = options_.governor;
-    auto result = RunCensus(*g, pattern_, focal_list, census_options);
+    auto result = RunCensus(*g, pattern_, focal_list, options_);
     if (!result.ok()) return result.status();
     // Maintenance needs every count exact, so a stopped initial census
     // fails creation instead of seeding it with lower bounds.
@@ -544,10 +539,7 @@ Result<MaintenanceStats> IncrementalCensus::ApplyBatch(
   }
   if (deltas_out != nullptr) *deltas_out = std::move(deltas);
 
-  if (options_.auto_compact &&
-      graph_->DeltaFraction() > options_.compact_threshold) {
-    graph_->Compact();
-  }
+  graph_->MaybeCompact();
   return stats;
 }
 

@@ -4,12 +4,11 @@
 #include <cstdint>
 #include <functional>
 #include <span>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "census/census.h"
 #include "dynamic/dynamic_graph.h"
-#include "exec/governor.h"
 #include "pattern/pattern.h"
 #include "util/status.h"
 
@@ -65,39 +64,31 @@ struct MaintenanceStats {
 /// small region — orders of magnitude below a full recompute.
 class IncrementalCensus {
  public:
-  struct Options {
-    /// Neighborhood radius k of SUBGRAPH(ID, k).
-    std::uint32_t k = 1;
-    /// COUNTSP subpattern name; empty counts the whole pattern.
-    std::string subpattern;
-    /// Compact the overlay when the delta exceeds compact_threshold of the
-    /// base edge count (checked at batch boundaries).
-    bool auto_compact = true;
-    double compact_threshold = 0.25;
-    /// Optional resource governor. A stop in the initial census fails
-    /// Create with the governor's status; ApplyBatch checkpoints once per
-    /// update and stops between updates, returning the governor's status.
-    /// Already-applied prefix updates stay applied (the documented
-    /// batch-abort semantics) and the maintained counts remain exact for
-    /// the applied prefix. Null = ungoverned.
-    Governor* governor = nullptr;
-  };
-
   /// Change-listener: receives the aggregated count deltas of every
   /// applied batch (fired once per ApplyBatch that changed any count).
   using Listener = std::function<void(const std::vector<CountDelta>&)>;
 
-  /// Builds the initial census over all (non-removed) nodes of `graph` and
-  /// returns a maintainer. `graph` must outlive the returned object;
-  /// `pattern` must be prepared. Patterns with edge-attribute predicates
-  /// are not supported by the dynamic layer.
+  /// Builds the initial census over all (non-removed) nodes of `graph`,
+  /// running RunCensus with `options`, and returns a maintainer that keeps
+  /// its k, subpattern and governor. `graph` must outlive the returned
+  /// object; `pattern` must be prepared. Patterns with edge-attribute
+  /// predicates are not supported by the dynamic layer.
+  ///
+  /// The governor (null = ungoverned): a stop in the initial census fails
+  /// Create with the governor's status; ApplyBatch checkpoints once per
+  /// update and stops between updates, returning the governor's status.
+  /// Already-applied prefix updates stay applied (the documented
+  /// batch-abort semantics) and the maintained counts remain exact for the
+  /// applied prefix.
   [[nodiscard]] static Result<IncrementalCensus> Create(DynamicGraph* graph,
-                                          Pattern pattern, Options options);
+                                          Pattern pattern,
+                                          CensusOptions options);
 
   /// As above, restricted to an explicit focal set (removed and
   /// out-of-range ids are rejected). Nodes added later are not focal.
   [[nodiscard]] static Result<IncrementalCensus> Create(DynamicGraph* graph,
-                                          Pattern pattern, Options options,
+                                          Pattern pattern,
+                                          CensusOptions options,
                                           std::vector<NodeId> focal);
 
   /// counts()[n] = maintained census count of focal node n (0 for
@@ -110,7 +101,7 @@ class IncrementalCensus {
   }
 
   const Pattern& pattern() const { return pattern_; }
-  const Options& options() const { return options_; }
+  /// Stats of every batch applied so far, accumulated.
   const MaintenanceStats& lifetime_stats() const { return lifetime_stats_; }
 
   void AddListener(Listener listener) {
@@ -121,12 +112,14 @@ class IncrementalCensus {
   /// Count deltas are aggregated across the batch, delivered to listeners,
   /// and optionally returned via `deltas_out`. Invalid updates abort the
   /// batch with an error (already-applied prefix updates stay applied).
+  /// A completed batch ends with DynamicGraph::MaybeCompact.
   [[nodiscard]] Result<MaintenanceStats> ApplyBatch(
       std::span<const GraphUpdate> updates,
       std::vector<CountDelta>* deltas_out = nullptr);
 
  private:
-  IncrementalCensus(DynamicGraph* graph, Pattern pattern, Options options)
+  IncrementalCensus(DynamicGraph* graph, Pattern pattern,
+                    CensusOptions options)
       : graph_(graph), pattern_(std::move(pattern)),
         options_(std::move(options)) {}
 
@@ -174,7 +167,7 @@ class IncrementalCensus {
 
   DynamicGraph* graph_ = nullptr;
   Pattern pattern_;
-  Options options_;
+  CensusOptions options_;
 
   std::vector<int> anchor_nodes_;
   bool whole_pattern_ = true;

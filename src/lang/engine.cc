@@ -38,11 +38,55 @@ void ApplyOrderByLimit(const Query& query, ResultTable* table) {
   if (query.limit.has_value()) table->Truncate(*query.limit);
 }
 
-Result<ResultTable> QueryEngine::Execute(std::string_view query_text,
-                                         const Options& options) {
+AggregateExec QueryRun::Total() const {
+  AggregateExec total;
+  total.stats.threads_used = 0;
+  for (const AggregateExec& aggregate : aggregates) {
+    total.stats.Merge(aggregate.stats);
+    if (total.status.ok()) total.status = aggregate.status;
+    total.complete += aggregate.complete;
+    total.approx += aggregate.approx;
+    total.pending += aggregate.pending;
+  }
+  return total;
+}
+
+CensusOptions PlanCensus(const AnalyzedQuery::CountItem& item,
+                         const QueryEngine::Options& options) {
+  CensusOptions census = options.census;
+  census.k = item.spec->neighborhood.k;
+  census.subpattern = item.spec->count_subpattern ? item.spec->subpattern : "";
+  if (options.auto_algorithm) {
+    const Pattern& pattern = *item.pattern;
+    bool selective = !pattern.Predicates().empty();
+    for (int v = 0; v < pattern.NumNodes(); ++v) {
+      selective = selective || pattern.LabelConstraint(v).has_value();
+    }
+    census.algorithm =
+        selective ? CensusAlgorithm::kPtOpt : CensusAlgorithm::kNdPvot;
+  }
+  return census;
+}
+
+Result<QueryRun> QueryEngine::RunQuery(std::string_view query_text,
+                                       const Options& options) {
   auto query = ParseQuery(query_text);
   if (!query.ok()) return query.status();
-  return ExecuteParsed(*query, options);
+  return RunParsed(*query, options);
+}
+
+Result<ResultTable> QueryEngine::Execute(std::string_view query_text,
+                                         const Options& options) {
+  auto run = RunQuery(query_text, options);
+  if (!run.ok()) return run.status();
+  return std::move(run->table);
+}
+
+Result<ResultTable> QueryEngine::ExecuteParsed(const Query& query,
+                                               const Options& options) {
+  auto run = RunParsed(query, options);
+  if (!run.ok()) return run.status();
+  return std::move(run->table);
 }
 
 GraphIndexes GraphIndexes::Build(const Graph& graph) {
@@ -70,20 +114,18 @@ const CenterDistanceIndex& QueryEngine::CachedCenters() {
   return *centers_cache_;
 }
 
-Result<ResultTable> QueryEngine::ExecuteParsed(const Query& query,
-                                               const Options& options) {
+Result<QueryRun> QueryEngine::RunParsed(const Query& query,
+                                        const Options& options) {
   auto analyzed = AnalyzeQuery(query, registered_);
   if (!analyzed.ok()) return analyzed.status();
-  last_stats_.clear();
-  last_exec_.clear();
-  auto table = analyzed->pairwise ? ExecutePairwise(*analyzed, options)
-                                  : ExecuteSingle(*analyzed, options);
-  if (table.ok()) ApplyOrderByLimit(query, &*table);
-  return table;
+  auto run = analyzed->pairwise ? RunPairwise(*analyzed, options)
+                                : RunSingle(*analyzed, options);
+  if (run.ok()) ApplyOrderByLimit(query, &run->table);
+  return run;
 }
 
-Result<ResultTable> QueryEngine::ExecuteSingle(const AnalyzedQuery& analyzed,
-                                               const Options& options) {
+Result<QueryRun> QueryEngine::RunSingle(const AnalyzedQuery& analyzed,
+                                        const Options& options) {
   const Query& query = *analyzed.query;
 
   // Focal node selection.
@@ -99,16 +141,11 @@ Result<ResultTable> QueryEngine::ExecuteSingle(const AnalyzedQuery& analyzed,
   }
 
   // Run each census aggregate.
+  QueryRun run;
   std::vector<std::vector<std::uint64_t>> count_columns;
   std::vector<std::vector<FocalState>> state_columns;
   for (const auto& item : analyzed.counts) {
-    CensusOptions census = options.census;
-    census.k = item.spec->neighborhood.k;
-    census.subpattern =
-        item.spec->count_subpattern ? item.spec->subpattern : "";
-    if (options.auto_algorithm) {
-      census.algorithm = AutoCensusAlgorithm(*item.pattern);
-    }
+    CensusOptions census = PlanCensus(item, options);
     // An aggregate bound for the combinatorial fast path never touches the
     // PT center index, so don't pay its first-query build for one. The
     // pattern/option checks here mirror DecideFastPath; the graph-level
@@ -129,8 +166,8 @@ Result<ResultTable> QueryEngine::ExecuteSingle(const AnalyzedQuery& analyzed,
     }
     auto result = RunCensus(graph_, *item.pattern, focal, census);
     if (!result.ok()) return result.status();
-    last_stats_.push_back(result->stats);
-    AggregateExec exec;
+    AggregateExec& exec = run.aggregates.emplace_back();
+    exec.stats = result->stats;
     exec.status = result->exec_status;
     for (NodeId n : focal) {
       switch (result->focal_state[n]) {
@@ -139,7 +176,6 @@ Result<ResultTable> QueryEngine::ExecuteSingle(const AnalyzedQuery& analyzed,
         case FocalState::kPending: ++exec.pending; break;
       }
     }
-    last_exec_.push_back(std::move(exec));
     state_columns.push_back(std::move(result->focal_state));
     count_columns.push_back(std::move(result->counts));
   }
@@ -154,7 +190,7 @@ Result<ResultTable> QueryEngine::ExecuteSingle(const AnalyzedQuery& analyzed,
     std::size_t count_idx = 0;
     for (std::size_t i = 0; i < query.select.size(); ++i) {
       if (query.select[i].kind == SelectItem::Kind::kId) continue;
-      if (last_exec_[count_idx].interrupted()) {
+      if (run.aggregates[count_idx].interrupted()) {
         state_of_count.push_back(count_idx);
         names.push_back(names[i] + ".state");
       }
@@ -180,21 +216,20 @@ Result<ResultTable> QueryEngine::ExecuteSingle(const AnalyzedQuery& analyzed,
     }
     table.AddRow(std::move(row));
   }
-  return table;
+  run.table = std::move(table);
+  return run;
 }
 
-Result<ResultTable> QueryEngine::ExecutePairwise(const AnalyzedQuery& analyzed,
-                                                 const Options& options) {
+Result<QueryRun> QueryEngine::RunPairwise(const AnalyzedQuery& analyzed,
+                                          const Options& options) {
   const Query& query = *analyzed.query;
 
   std::vector<PairCounts> pair_columns;
   for (const auto& item : analyzed.counts) {
+    const CensusOptions census = PlanCensus(item, options);
     PairwiseCensusOptions pairwise;
-    static_cast<CensusCommon&>(pairwise) = options.census;
-    static_cast<PtOptions&>(pairwise) = options.census;
-    pairwise.k = item.spec->neighborhood.k;
-    pairwise.subpattern =
-        item.spec->count_subpattern ? item.spec->subpattern : "";
+    static_cast<CensusCommon&>(pairwise) = census;
+    static_cast<PtOptions&>(pairwise) = census;
     pairwise.neighborhood =
         item.spec->neighborhood.kind == NeighborhoodSpec::Kind::kIntersection
             ? PairNeighborhood::kIntersection
@@ -225,7 +260,7 @@ Result<ResultTable> QueryEngine::ExecutePairwise(const AnalyzedQuery& analyzed,
   Rng rng(options.rnd_seed);
   RowBinding binding;
   binding.aliases = &query.from_aliases;
-  ResultTable table(ColumnNames(query));
+  QueryRun run{ResultTable(ColumnNames(query)), {}};
   auto emit = [&](NodeId n1, NodeId n2, std::uint64_t key) {
     binding.n1 = n1;
     binding.n2 = n2;
@@ -243,14 +278,14 @@ Result<ResultTable> QueryEngine::ExecutePairwise(const AnalyzedQuery& analyzed,
         ++count_idx;
       }
     }
-    table.AddRow(std::move(row));
+    run.table.AddRow(std::move(row));
   };
   for (std::uint64_t key : keys) {
     auto [a, b] = UnpackPair(key);
     emit(a, b, key);
     emit(b, a, key);
   }
-  return table;
+  return run;
 }
 
 }  // namespace egocensus

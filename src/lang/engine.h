@@ -38,13 +38,37 @@ std::vector<std::string> ColumnNames(const Query& query);
 /// Sorts `table` by the query's ORDER BY ordinals, then applies its LIMIT.
 void ApplyOrderByLimit(const Query& query, ResultTable* table);
 
+/// What one census aggregate of a query did: its census's stats, its exec
+/// status and the per-focal completion tally. A governed query that hits
+/// its deadline or budget still produces a table; this is where callers
+/// learn it is partial and how partial.
+struct AggregateExec {
+  CensusStats stats;
+  Status status;  // OK, or kDeadlineExceeded/kResourceExhausted/kCancelled
+  std::uint64_t complete = 0;  // focal nodes with exact counts
+  std::uint64_t approx = 0;    // focal nodes with degraded estimates
+  std::uint64_t pending = 0;   // focal nodes with lower-bound counts
+  bool interrupted() const { return !status.ok(); }
+};
+
+/// What one query did: its result table and one AggregateExec per census
+/// aggregate, in SELECT order. Pairwise queries report no aggregates: a
+/// stopped pairwise census makes the query fail with the governor's status
+/// instead of returning a table.
+struct QueryRun {
+  ResultTable table;
+  std::vector<AggregateExec> aggregates;
+
+  /// The aggregates summed: stats merged by CensusStats::Merge, focal
+  /// tallies added, and the first non-OK status (the CLI exits non-zero on
+  /// it even though the run produced a partial table). A run without
+  /// aggregates is OK and used no threads.
+  [[nodiscard]] AggregateExec Total() const;
+};
+
 /// Executes pattern census queries against a graph: parse -> analyze ->
-/// plan (algorithm selection) -> evaluate.
-///
-/// Planning: with `auto_algorithm` (default) single-node censuses use
-/// AutoCensusAlgorithm (census/census.h); pairwise censuses always use the
-/// pattern-driven evaluator. Setting auto_algorithm=false uses
-/// census_options.algorithm verbatim.
+/// plan (PlanCensus, per aggregate) -> evaluate, returning what ran as a
+/// QueryRun.
 ///
 /// Pairwise result contract: rows are emitted only for ordered pairs
 /// (n1, n2), n1 != n2, with a nonzero count for at least one aggregate that
@@ -57,9 +81,9 @@ class QueryEngine {
   /// Engine borrowing pre-built shared indexes instead of lazily building
   /// its own. `shared` (and `graph`) must outlive the engine and must have
   /// been built over this exact graph. One engine still serves one request
-  /// at a time (Execute mutates last_stats_/last_exec_); re-entrancy comes
-  /// from constructing one cheap engine per request over the same shared
-  /// indexes.
+  /// at a time (its lazy index caches are unsynchronized); re-entrancy
+  /// comes from constructing one cheap engine per request over the same
+  /// shared indexes.
   QueryEngine(const Graph& graph, const GraphIndexes* shared)
       : graph_(graph), shared_indexes_(shared) {}
 
@@ -70,60 +94,37 @@ class QueryEngine {
   }
 
   struct Options {
-    /// Every census the query runs; pairwise aggregates take its
-    /// CensusCommon and PtOptions slices, so one governor stops both.
+    /// Every census the query runs, as PlanCensus adapts it per aggregate;
+    /// pairwise aggregates take its CensusCommon and PtOptions slices, so
+    /// one governor stops both.
     CensusOptions census;
+    /// False once a request pins `census.algorithm`; true lets the plan
+    /// step pick each aggregate's engine.
     bool auto_algorithm = true;
     /// Seed for WHERE RND() draws (deterministic per node scan order).
     std::uint64_t rnd_seed = 99;
   };
 
-  /// Execution outcome of one census aggregate of the last single-table
-  /// query: its exec status plus the per-focal completion tally. A governed
-  /// query that hits its deadline/budget still produces a table; this is
-  /// where callers learn it is partial and how partial.
-  struct AggregateExec {
-    Status status;  // OK, or kDeadlineExceeded/kResourceExhausted/kCancelled
-    std::uint64_t complete = 0;  // focal nodes with exact counts
-    std::uint64_t approx = 0;    // focal nodes with degraded estimates
-    std::uint64_t pending = 0;   // focal nodes with lower-bound counts
-    bool interrupted() const { return !status.ok(); }
-  };
+  /// Parses, analyzes, plans and evaluates `query_text`.
+  [[nodiscard]] Result<QueryRun> RunQuery(std::string_view query_text,
+                                          const Options& options);
 
+  /// RunQuery's result table alone.
   [[nodiscard]] Result<ResultTable> Execute(std::string_view query_text,
-                              const Options& options);
+                                            const Options& options);
   [[nodiscard]] Result<ResultTable> Execute(std::string_view query_text) {
     return Execute(query_text, Options());
   }
   [[nodiscard]] Result<ResultTable> ExecuteParsed(const Query& query,
-                                    const Options& options);
-  [[nodiscard]] Result<ResultTable> ExecuteParsed(const Query& query) {
-    return ExecuteParsed(query, Options());
-  }
-
-  /// Census statistics of the aggregates of the last single-table query, in
-  /// SELECT order.
-  const std::vector<CensusStats>& last_stats() const { return last_stats_; }
-
-  /// Execution outcomes of the aggregates of the last single-table query,
-  /// in SELECT order (empty for pairwise queries: a stopped pairwise census
-  /// makes Execute return the governor's status instead of a table).
-  const std::vector<AggregateExec>& last_exec() const { return last_exec_; }
-
-  /// First non-OK aggregate exec status of the last query, or OK. The CLI
-  /// exits non-zero on this even though Execute returned a (partial) table.
-  [[nodiscard]] Status last_exec_status() const {
-    for (const AggregateExec& exec : last_exec_) {
-      if (!exec.status.ok()) return exec.status;
-    }
-    return Status::Ok();
-  }
+                                                  const Options& options);
 
  private:
-  [[nodiscard]] Result<ResultTable> ExecuteSingle(const AnalyzedQuery& analyzed,
-                                    const Options& options);
-  [[nodiscard]] Result<ResultTable> ExecutePairwise(const AnalyzedQuery& analyzed,
-                                      const Options& options);
+  [[nodiscard]] Result<QueryRun> RunParsed(const Query& query,
+                                           const Options& options);
+  [[nodiscard]] Result<QueryRun> RunSingle(const AnalyzedQuery& analyzed,
+                                           const Options& options);
+  [[nodiscard]] Result<QueryRun> RunPairwise(const AnalyzedQuery& analyzed,
+                                             const Options& options);
 
   /// Lazily built per-graph indexes, shared across queries on this engine:
   /// the node profile index (matcher candidate filtering) and a
@@ -134,11 +135,19 @@ class QueryEngine {
   const Graph& graph_;
   const GraphIndexes* shared_indexes_ = nullptr;
   std::vector<Pattern> registered_;
-  std::vector<CensusStats> last_stats_;
-  std::vector<AggregateExec> last_exec_;
   std::optional<ProfileIndex> profiles_cache_;
   std::optional<CenterDistanceIndex> centers_cache_;
 };
+
+/// The plan step: the options of the census that evaluates aggregate
+/// `item` under the query-wide `options`, for single-node, pairwise and
+/// maintained censuses alike. It sets the aggregate's radius k and COUNTSP
+/// subpattern and, unless the request pinned an engine, the engine: PT-OPT
+/// for a selective pattern (label constraints or predicates, where
+/// pattern-driven wins in Fig. 4(d)), ND-PVOT otherwise (the non-selective
+/// case of Fig. 4(c)).
+CensusOptions PlanCensus(const AnalyzedQuery::CountItem& item,
+                         const QueryEngine::Options& options);
 
 }  // namespace egocensus
 

@@ -11,8 +11,8 @@
 namespace egocensus {
 
 Result<MaintainSession> MaintainSession::Create(
-    DynamicGraph* graph, std::string_view query_text, const Options& options,
-    std::span<const Pattern> registered) {
+    DynamicGraph* graph, std::string_view query_text,
+    const QueryEngine::Options& options, std::span<const Pattern> registered) {
   if (graph == nullptr) {
     return Status::InvalidArgument("MaintainSession: graph is null");
   }
@@ -45,15 +45,8 @@ Result<MaintainSession> MaintainSession::Create(
     }
   }
 
-  IncrementalCensus::Options census_options;
-  census_options.k = item.spec->neighborhood.k;
-  census_options.subpattern =
-      item.spec->count_subpattern ? item.spec->subpattern : "";
-  census_options.auto_compact = options.auto_compact;
-  census_options.compact_threshold = options.compact_threshold;
-  census_options.governor = options.governor;
-  auto census = IncrementalCensus::Create(graph, *item.pattern,
-                                          census_options, std::move(focal));
+  auto census = IncrementalCensus::Create(
+      graph, *item.pattern, PlanCensus(item, options), std::move(focal));
   if (!census.ok()) return census.status();
   // `item` points into *query; move the query only after its last use.
   return MaintainSession(graph, std::move(census).value(),
@@ -65,7 +58,6 @@ Result<ResultTable> MaintainSession::ApplyBatch(
   std::vector<CountDelta> deltas;
   auto stats = census_.ApplyBatch(updates, &deltas);
   if (!stats.ok()) return stats.status();
-  last_stats_ = stats.value();
 
   ResultTable table({"ID", "OLD", "NEW", "DELTA"});
   for (const CountDelta& delta : deltas) {

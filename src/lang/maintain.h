@@ -10,6 +10,7 @@
 #include "dynamic/dynamic_graph.h"
 #include "dynamic/incremental_census.h"
 #include "lang/ast.h"
+#include "lang/engine.h"
 #include "lang/result_table.h"
 #include "util/status.h"
 
@@ -18,7 +19,10 @@ namespace egocensus {
 /// MAINTAIN execution mode of the query planner: instead of evaluating a
 /// census query once against a static graph, a MaintainSession compiles it
 /// into an IncrementalCensus over a DynamicGraph and keeps the result
-/// up to date under an update stream.
+/// up to date under an update stream. It takes the static engine's options
+/// and plan step: the initial census runs with PlanCensus's options (engine,
+/// matcher, fast path, threads, degradation), and the maintainer keeps the
+/// plan's k, subpattern and governor.
 ///
 /// Supported queries: single-table SELECT with exactly one COUNTP/COUNTSP
 /// aggregate over SUBGRAPH(ID, k). The WHERE clause fixes the focal node
@@ -27,37 +31,17 @@ namespace egocensus {
 /// through ApplyBatch once the session exists.
 class MaintainSession {
  public:
-  struct Options {
-    /// k and subpattern are taken from the query; the compaction knobs of
-    /// the maintainer are configured here.
-    bool auto_compact = true;
-    double compact_threshold = 0.25;
-    /// Seed for WHERE RND() draws (deterministic per node scan order).
-    std::uint64_t rnd_seed = 99;
-    /// Optional resource governor, forwarded to the IncrementalCensus: it
-    /// governs the initial census (a stop fails Create with its status)
-    /// and checkpoints once per update (a stop aborts the batch between
-    /// updates and keeps the applied prefix). Null = ungoverned.
-    Governor* governor = nullptr;
-  };
-
   /// Parses, analyzes, and plans `query_text`, runs the initial census,
   /// and returns a live session. `registered` supplies library patterns
   /// usable by name (inline PATTERN blocks shadow them). `graph` must
-  /// outlive the session.
-  [[nodiscard]] static Result<MaintainSession> Create(DynamicGraph* graph,
-                                        std::string_view query_text,
-                                        const Options& options,
-                                        std::span<const Pattern> registered);
-  [[nodiscard]] static Result<MaintainSession> Create(DynamicGraph* graph,
-                                        std::string_view query_text,
-                                        const Options& options) {
-    return Create(graph, query_text, options, {});
-  }
-  [[nodiscard]] static Result<MaintainSession> Create(DynamicGraph* graph,
-                                        std::string_view query_text) {
-    return Create(graph, query_text, Options(), {});
-  }
+  /// outlive the session. A governor in `options.census` governs the
+  /// initial census (a stop fails Create with its status) and checkpoints
+  /// once per update (a stop aborts the batch between updates and keeps the
+  /// applied prefix).
+  [[nodiscard]] static Result<MaintainSession> Create(
+      DynamicGraph* graph, std::string_view query_text,
+      const QueryEngine::Options& options = {},
+      std::span<const Pattern> registered = {});
 
   /// Applies the updates and returns the count changes as a table with
   /// columns ID | OLD | NEW | DELTA (one row per focal node whose count
@@ -74,8 +58,6 @@ class MaintainSession {
     census_.AddListener(std::move(listener));
   }
 
-  /// Stats of the last ApplyBatch.
-  const MaintenanceStats& last_stats() const { return last_stats_; }
   const IncrementalCensus& census() const { return census_; }
 
  private:
@@ -85,7 +67,6 @@ class MaintainSession {
   DynamicGraph* graph_ = nullptr;
   IncrementalCensus census_;
   Query query_;
-  MaintenanceStats last_stats_;
 };
 
 }  // namespace egocensus

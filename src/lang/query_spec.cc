@@ -1,5 +1,6 @@
 #include "lang/query_spec.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "util/strings.h"
@@ -11,6 +12,13 @@ namespace {
 /// Largest deadline_ms / memory_budget_mb (~49 days, 4 PiB): small enough
 /// that the microsecond and byte conversions downstream cannot wrap.
 constexpr std::uint64_t kMaxLimit = 0xFFFFFFFFull;
+
+/// Applies a server-wide cap to a per-request limit (see RequestCaps).
+std::uint64_t ClampLimit(std::uint64_t requested, std::uint64_t cap) {
+  if (cap == 0) return requested;
+  if (requested == 0) return cap;
+  return std::min(requested, cap);
+}
 
 /// Unsigned value in [0, max]; empty keeps `*out`.
 [[nodiscard]] Status Count(std::string_view value, std::uint64_t max,
@@ -154,12 +162,39 @@ void ForwardQueryOptions(const std::map<std::string, std::string>& flags,
   }
 }
 
+QueryEngine::Options GovernRequest(const QuerySpec& spec,
+                                   const RequestCaps& caps,
+                                   std::uint64_t start_us,
+                                   Governor* governor) {
+  QueryEngine::Options options = spec.options;
+  options.census.num_threads = static_cast<std::uint32_t>(
+      ClampLimit(options.census.num_threads, caps.max_threads));
+  if (governor == nullptr) return options;
+  std::uint64_t deadline_ms =
+      ClampLimit(spec.deadline_ms, caps.max_deadline_ms);
+  if (deadline_ms > 0) {
+    governor->SetDeadline(Deadline::AtMicros(start_us + deadline_ms * 1000));
+  }
+  governor->SetMemoryLimitBytes(
+      ClampLimit(spec.memory_budget_mb, caps.max_memory_budget_mb) << 20);
+  options.census.governor = governor;
+  return options;
+}
+
 void WriteQueryResult(ResultTable& table, const QuerySpec& spec,
                       std::ostream& os) {
   if (spec.top.has_value()) {
-    std::size_t cols = table.NumColumns();
-    while (cols > 0 && EndsWith(table.columns()[cols - 1], ".state")) --cols;
-    if (cols >= 2) table.SortByColumnDesc(cols - 1);
+    // Count columns are the ones ColumnNames spells COUNTP(...)/COUNTSP(...);
+    // their `.state` companions end in ".state", not ")".
+    const std::vector<std::string>& names = table.columns();
+    for (std::size_t col = names.size(); col-- > 0;) {
+      if ((StartsWith(names[col], "COUNTP(") ||
+           StartsWith(names[col], "COUNTSP(")) &&
+          EndsWith(names[col], ")")) {
+        table.SortByColumns({{col, /*descending=*/true}});
+        break;
+      }
+    }
   }
   if (spec.format == ResultFormat::kCsv) {
     table.WriteCsv(os);

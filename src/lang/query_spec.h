@@ -17,6 +17,7 @@
 #include <string>
 #include <string_view>
 
+#include "exec/governor.h"
 #include "lang/engine.h"
 #include "lang/result_table.h"
 #include "util/status.h"
@@ -63,9 +64,32 @@ std::span<const QueryOption> QueryOptions();
 void ForwardQueryOptions(const std::map<std::string, std::string>& flags,
                          std::map<std::string, std::string>* headers);
 
+/// Server-wide ceilings on a request's limits. 0 = uncapped: the request's
+/// own value applies verbatim, and a request without a limit adopts the
+/// cap (a capped server never runs an unbounded request). The CLI runs
+/// uncapped.
+struct RequestCaps {
+  std::uint64_t max_deadline_ms = 0;
+  std::uint64_t max_memory_budget_mb = 0;
+  std::uint32_t max_threads = 0;
+};
+
+/// The one place a request becomes a governed run. Returns the spec's
+/// options with `num_threads` clamped by `caps` and `governor` attached,
+/// after arming it with the spec's deadline, counted from `start_us` (on
+/// the Timer::NowMicros clock: frame receipt in the daemon), and its
+/// memory budget, each clamped by `caps`. A null governor leaves the run
+/// ungoverned: the CLI passes one only when the spec sets a limit, so an
+/// unlimited run records no governor metrics.
+[[nodiscard]] QueryEngine::Options GovernRequest(const QuerySpec& spec,
+                                                 const RequestCaps& caps,
+                                                 std::uint64_t start_us,
+                                                 Governor* governor);
+
 /// Renders `table` as csv or text. With `top`, rows first sort descending
-/// on the last count column (an interrupted run's trailing `.state`
-/// columns never sort), and text stops after `top` rows; csv keeps all.
+/// on the last count column (the last `COUNTP(`/`COUNTSP(` column that
+/// ColumnNames produces; an interrupted run's trailing `.state` columns
+/// never sort), and text stops after `top` rows; csv keeps all.
 void WriteQueryResult(ResultTable& table, const QuerySpec& spec,
                       std::ostream& os);
 

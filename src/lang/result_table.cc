@@ -15,25 +15,6 @@ void ResultTable::AddRow(std::vector<AttributeValue> row) {
   rows_.push_back(std::move(row));
 }
 
-namespace {
-
-double NumericValue(const AttributeValue& v) {
-  if (const auto* i = std::get_if<std::int64_t>(&v)) {
-    return static_cast<double>(*i);
-  }
-  if (const auto* d = std::get_if<double>(&v)) return *d;
-  return 0.0;
-}
-
-}  // namespace
-
-void ResultTable::SortByColumnDesc(std::size_t col) {
-  std::stable_sort(rows_.begin(), rows_.end(),
-                   [col](const auto& a, const auto& b) {
-                     return NumericValue(a[col]) > NumericValue(b[col]);
-                   });
-}
-
 void ResultTable::SortByColumns(
     const std::vector<std::pair<std::size_t, bool>>& keys) {
   std::stable_sort(rows_.begin(), rows_.end(),

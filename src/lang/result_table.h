@@ -29,10 +29,6 @@ class ResultTable {
     return rows_[row];
   }
 
-  /// Stable-sorts rows by a numeric column, descending (for top-K
-  /// inspection of census counts).
-  void SortByColumnDesc(std::size_t col);
-
   /// Stable-sorts rows by multiple (column, descending) keys, first key
   /// highest priority.
   void SortByColumns(const std::vector<std::pair<std::size_t, bool>>& keys);

@@ -28,15 +28,6 @@ namespace egocensus::net {
 
 namespace {
 
-/// Applies a server-wide cap to a per-request limit. 0 means "uncapped" on
-/// both sides: no cap passes the request through, no request limit adopts
-/// the cap (a server with caps never runs an unbounded request).
-std::uint64_t ClampLimit(std::uint64_t requested, std::uint64_t cap) {
-  if (cap == 0) return requested;
-  if (requested == 0) return cap;
-  return std::min(requested, cap);
-}
-
 /// Payload bytes a message encodes to (headers + separators + body), for
 /// the ring buffer's bytes_in/bytes_out without re-encoding the frame.
 std::uint64_t PayloadBytes(const Message& message) {
@@ -579,16 +570,10 @@ Message CensusServer::Dispatch(const Message& request, int client_fd,
       // the queue is evicted without ever executing.
       Governor governor;
       governor.SetAnnotation("request " + ctx.id);
-      std::uint64_t deadline_ms =
-          ClampLimit(spec->deadline_ms, options_.max_deadline_ms);
-      if (deadline_ms > 0) {
-        ctx.deadline_us = ctx.received_us + deadline_ms * 1000;
-        governor.SetDeadline(Deadline::AtMicros(ctx.deadline_us));
-      }
-      std::uint64_t budget_mb =
-          ClampLimit(spec->memory_budget_mb, options_.max_memory_budget_mb);
-      if (budget_mb > 0) {
-        governor.SetMemoryLimitBytes(budget_mb * 1024ull * 1024ull);
+      const QueryEngine::Options governed =
+          GovernRequest(*spec, options_, ctx.received_us, &governor);
+      if (!governor.deadline().unlimited()) {
+        ctx.deadline_us = governor.deadline().micros();
       }
       // One registration covers the queue wait and the execution, until
       // the response is composed.
@@ -602,7 +587,7 @@ Message CensusServer::Dispatch(const Message& request, int client_fd,
           QueueSlot slot(&queue_);
           governor.SetQueueWaitMicros(ctx.queue_wait_us);
           response = request.type == FrameType::kQuery
-                         ? HandleQuery(request, *spec, governor, ctx)
+                         ? HandleQuery(request, *spec, governed, ctx)
                          : HandleUpdate(request, governor, ctx);
           // RESULT or ERROR (a stopped pairwise census has no partial
           // table), the response names how its governor ended.
@@ -685,7 +670,8 @@ Message CensusServer::Dispatch(const Message& request, int client_fd,
 }
 
 Message CensusServer::HandleQuery(const Message& request,
-                                  const QuerySpec& spec, Governor& governor,
+                                  const QuerySpec& spec,
+                                  const QueryEngine::Options& options,
                                   RequestContext& ctx) {
   std::string graph_name = request.Header("graph", "");
   if (graph_name.empty()) {
@@ -699,11 +685,6 @@ Message CensusServer::HandleQuery(const Message& request,
   auto entry = registry_.Get(graph_name);
   if (!entry.ok()) return ErrorResponse(ctx, entry.status());
 
-  QueryEngine::Options options = spec.options;
-  options.census.num_threads = static_cast<std::uint32_t>(ClampLimit(
-      options.census.num_threads, options_.max_threads));
-  options.census.governor = &governor;
-
   // Shared lock: concurrent QUERYs run together; UPDATE waits for all of
   // them and vice versa.
   GraphEntry& graph = **entry;
@@ -716,36 +697,17 @@ Message CensusServer::HandleQuery(const Message& request,
   Message response;
   {
     QueryEngine engine(graph.snapshot, &graph.indexes);
-    auto table = engine.Execute(request.body, options);
-    if (!table.ok()) return ErrorResponse(ctx, table.status());
+    auto run = engine.RunQuery(request.body, options);
+    if (!run.ok()) return ErrorResponse(ctx, run.status());
 
-    Status exec_status = engine.last_exec_status();
-    std::uint64_t complete = 0, approx = 0, pending = 0;
-    for (const QueryEngine::AggregateExec& exec : engine.last_exec()) {
-      complete += exec.complete;
-      approx += exec.approx;
-      pending += exec.pending;
-    }
-    // Per-graph routing tallies (surfaced in STATUS): one count per census
-    // aggregate, attributed to the engine that actually ran it.
-    std::uint64_t routed = 0, generic = 0;
+    const AggregateExec total = run->Total();
+    // Per-aggregate phase spans, laid out sequentially from the measured
+    // phase durations (aggregates of one query do run in sequence; the
+    // offsets are therefore approximate only across parse/format gaps).
     std::uint64_t phase_offset_us = ctx.QueueMicros();
-    std::size_t aggregate = 0;
-    for (const CensusStats& stats : engine.last_stats()) {
-      if (stats.fastpath_routed != 0) {
-        ++routed;
-      } else {
-        ++generic;
-      }
-      if (stats.threads_used > ctx.threads) ctx.threads = stats.threads_used;
-      if (stats.pattern_nodes > ctx.pattern_nodes) {
-        ctx.pattern_nodes = stats.pattern_nodes;
-      }
-      if (stats.k > ctx.k) ctx.k = stats.k;
-      // Per-aggregate phase spans, laid out sequentially from the measured
-      // phase durations (aggregates of one query do run in sequence; the
-      // offsets are therefore approximate only across parse/format gaps).
-      const std::string prefix = "agg" + std::to_string(aggregate++) + "/";
+    for (std::size_t i = 0; i < run->aggregates.size(); ++i) {
+      const CensusStats& stats = run->aggregates[i].stats;
+      const std::string prefix = "agg" + std::to_string(i) + "/";
       const std::pair<const char*, double> phases[] = {
           {"match", stats.match_seconds},
           {"index", stats.index_seconds},
@@ -757,26 +719,33 @@ Message CensusServer::HandleQuery(const Message& request,
         phase_offset_us += dur;
       }
     }
-    ctx.fastpath_routed = routed;
-    ctx.fastpath_generic = generic;
-    graph.fastpath_routed.fetch_add(routed, std::memory_order_relaxed);
-    graph.fastpath_generic.fetch_add(generic,
-                                         std::memory_order_relaxed);
-    ctx.rows = table->NumRows();
+    ctx.threads = total.stats.threads_used;
+    ctx.pattern_nodes = total.stats.pattern_nodes;
+    ctx.k = total.stats.k;
+    // Per-graph routing tallies (surfaced in STATUS): one count per census
+    // aggregate, attributed to the engine that actually ran it.
+    ctx.fastpath_routed = total.stats.fastpath_routed;
+    ctx.fastpath_generic = run->aggregates.size() - ctx.fastpath_routed;
+    graph.fastpath_routed.fetch_add(ctx.fastpath_routed,
+                                    std::memory_order_relaxed);
+    graph.fastpath_generic.fetch_add(ctx.fastpath_generic,
+                                     std::memory_order_relaxed);
+    ResultTable& table = run->table;
+    ctx.rows = table.NumRows();
     response.type = FrameType::kResult;
-    response.headers["exec_status"] = StatusCodeName(exec_status.code());
-    if (!exec_status.ok()) {
-      response.headers["exec_message"] = exec_status.message();
+    response.headers["exec_status"] = StatusCodeName(total.status.code());
+    if (!total.status.ok()) {
+      response.headers["exec_message"] = total.status.message();
     }
-    response.headers["rows"] = std::to_string(table->NumRows());
-    response.headers["focal_complete"] = std::to_string(complete);
-    response.headers["focal_approx"] = std::to_string(approx);
-    response.headers["focal_pending"] = std::to_string(pending);
-    response.headers["fastpath_routed"] = std::to_string(routed);
+    response.headers["rows"] = std::to_string(table.NumRows());
+    response.headers["focal_complete"] = std::to_string(total.complete);
+    response.headers["focal_approx"] = std::to_string(total.approx);
+    response.headers["focal_pending"] = std::to_string(total.pending);
+    response.headers["fastpath_routed"] = std::to_string(ctx.fastpath_routed);
     response.headers["graph_version"] =
         std::to_string(graph.dynamic.version());
     std::ostringstream body;
-    WriteQueryResult(*table, spec, body);
+    WriteQueryResult(table, spec, body);
     response.body = body.str();
   }
 #if EGO_OBS_ENABLED
@@ -836,7 +805,7 @@ Message CensusServer::HandleUpdate(const Message& request,
     }
   }
   if (applied > 0) {
-    if (graph.dynamic.DeltaFraction() > 0.25) graph.dynamic.Compact();
+    graph.dynamic.MaybeCompact();
     graph.RefreshSnapshot();
     ++graph.updates_applied;
   }

@@ -122,7 +122,10 @@ class HangupWatcher {
 
 class CensusServer {
  public:
-  struct Options {
+  /// The RequestCaps base holds the server-wide caps clamping the
+  /// per-request limits (`--max-deadline-ms`, `--max-memory-budget-mb`,
+  /// `--max-threads`).
+  struct Options : RequestCaps {
     /// Listen endpoint; port 0 binds an ephemeral port (read via port()).
     Endpoint listen;
 
@@ -136,13 +139,6 @@ class CensusServer {
 
     /// Total request payload bytes that may sit queued at once.
     std::uint64_t queue_bytes = 32ull << 20;
-
-    // Server-wide caps clamping the per-request limits. 0 = uncapped: the
-    // request's own header applies verbatim (and an uncapped request stays
-    // uncapped).
-    std::uint64_t max_deadline_ms = 0;
-    std::uint64_t max_memory_budget_mb = 0;
-    std::uint32_t max_threads = 0;
 
     /// Entries kept in the recent-request ring surfaced by STATUS.
     std::size_t ring_capacity = 64;
@@ -272,9 +268,11 @@ class CensusServer {
   /// running; `*close_after` is set by SHUTDOWN.
   Message Dispatch(const Message& request, int client_fd, bool* close_after);
 
-  /// Run one admitted request under the governor Dispatch built for it.
+  /// Run one admitted request under the governor Dispatch built for it
+  /// (attached to a QUERY's `options`).
   Message HandleQuery(const Message& request, const QuerySpec& spec,
-                      Governor& governor, RequestContext& ctx);
+                      const QueryEngine::Options& options,
+                      RequestContext& ctx);
   Message HandleUpdate(const Message& request, Governor& governor,
                        RequestContext& ctx);
   Message HandleStatus(const Message& request, RequestContext& ctx);

@@ -8,6 +8,7 @@
 #include <sstream>
 #include <tuple>
 
+#include "exec/governor.h"
 #include "graph/generators.h"
 #include "lang/query_spec.h"
 #include "pattern/catalog.h"
@@ -191,25 +192,86 @@ TEST(EngineTest, ForcedAlgorithmRespected) {
   }
 }
 
-TEST(EngineTest, LastStatsPopulated) {
+TEST(EngineTest, RunReportsEachAggregatesStats) {
   Graph g = MakeGraph(4, {{0, 1}, {1, 2}, {2, 0}, {2, 3}});
   QueryEngine engine(g);
   engine.RegisterPattern(MakeTriangle(false));
   // num_matches is a matcher stat; route to the generic engine to see it.
   QueryEngine::Options options;
   options.census.fast_path = FastPathMode::kOff;
-  auto result = engine.Execute(
+  auto run = engine.RunQuery(
       "SELECT ID, COUNTP(clq3-unlb, SUBGRAPH(ID, 1)) FROM nodes", options);
-  ASSERT_TRUE(result.ok());
-  ASSERT_EQ(engine.last_stats().size(), 1u);
-  EXPECT_EQ(engine.last_stats()[0].num_matches, 1u);
+  ASSERT_TRUE(run.ok());
+  ASSERT_EQ(run->aggregates.size(), 1u);
+  EXPECT_EQ(run->aggregates[0].stats.num_matches, 1u);
+  EXPECT_EQ(run->aggregates[0].complete, 4u);
+  EXPECT_TRUE(run->Total().status.ok());
 
   // A routed run reports itself in stats instead.
-  auto routed = engine.Execute(
-      "SELECT ID, COUNTP(clq3-unlb, SUBGRAPH(ID, 1)) FROM nodes");
+  auto routed = engine.RunQuery(
+      "SELECT ID, COUNTP(clq3-unlb, SUBGRAPH(ID, 1)) FROM nodes",
+      QueryEngine::Options());
   ASSERT_TRUE(routed.ok());
-  ASSERT_EQ(engine.last_stats().size(), 1u);
-  EXPECT_EQ(engine.last_stats()[0].fastpath_routed, 1u);
+  ASSERT_EQ(routed->aggregates.size(), 1u);
+  EXPECT_EQ(routed->aggregates[0].stats.fastpath_routed, 1u);
+}
+
+TEST(EngineTest, InterruptedRunReportsEachAggregatesStop) {
+  GeneratorOptions gen;
+  gen.num_nodes = 200;
+  gen.num_labels = 2;
+  gen.seed = 5;
+  Graph g = GeneratePreferentialAttachment(gen);
+  // The triangle goes to the fast path, the labeled edge to PT-OPT.
+  const char* query =
+      "PATTERN t {?A-?B; ?B-?C; ?C-?A;}\n"
+      "PATTERN l {?A-?B; [?A.LABEL=0];}\n"
+      "SELECT ID, COUNTP(t, SUBGRAPH(ID, 1)), COUNTP(l, SUBGRAPH(ID, 2)) "
+      "FROM nodes";
+  Governor cancelled;
+  cancelled.RequestCancel();
+  Governor starved;
+  starved.SetMemoryLimitBytes(1);
+  const struct {
+    Governor* governor;
+    StatusCode code;
+  } cases[] = {{&cancelled, StatusCode::kCancelled},
+               {&starved, StatusCode::kResourceExhausted}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(StatusCodeName(c.code));
+    QueryEngine engine(g);
+    QueryEngine::Options options;
+    options.census.governor = c.governor;
+    auto run = engine.RunQuery(query, options);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    const ResultTable& table = run->table;
+    // Each count column gets a trailing .state column, in SELECT order.
+    EXPECT_EQ(table.columns(),
+              (std::vector<std::string>{"ID", "COUNTP(t,1)", "COUNTP(l,2)",
+                                        "COUNTP(t,1).state",
+                                        "COUNTP(l,2).state"}));
+    ASSERT_EQ(run->aggregates.size(), 2u);
+    for (std::size_t i = 0; i < run->aggregates.size(); ++i) {
+      const AggregateExec& aggregate = run->aggregates[i];
+      EXPECT_EQ(aggregate.status.code(), c.code) << "aggregate " << i;
+      std::map<std::string, std::uint64_t> states;
+      for (std::size_t r = 0; r < table.NumRows(); ++r) {
+        ++states[std::get<std::string>(table.At(r, 3 + i))];
+      }
+      EXPECT_EQ(aggregate.complete, states["complete"]) << "aggregate " << i;
+      EXPECT_EQ(aggregate.approx, states["approx"]) << "aggregate " << i;
+      EXPECT_EQ(aggregate.pending, states["pending"]) << "aggregate " << i;
+      EXPECT_EQ(aggregate.complete + aggregate.approx + aggregate.pending,
+                table.NumRows());
+    }
+    // The run's status is the first stop; its tallies cover every row of
+    // both aggregates.
+    const AggregateExec total = run->Total();
+    EXPECT_EQ(total.status.code(), c.code);
+    EXPECT_EQ(total.status.message(), run->aggregates[0].status.message());
+    EXPECT_EQ(total.complete + total.approx + total.pending,
+              2 * table.NumRows());
+  }
 }
 
 TEST(EngineTest, SemanticErrors) {
@@ -245,7 +307,7 @@ TEST(EngineTest, ResultTableSortAndCsv) {
   auto result = engine.Execute(
       "SELECT ID, COUNTP(single_edge, SUBGRAPH(ID, 1)) FROM nodes");
   ASSERT_TRUE(result.ok());
-  result->SortByColumnDesc(1);
+  result->SortByColumns({{1, /*descending=*/true}});
   EXPECT_EQ(IntAt(*result, 0, 0), 0);  // hub first
   std::ostringstream os;
   result->WriteCsv(os);
@@ -476,7 +538,7 @@ TEST(QuerySpecTest, ExplicitEngineTurnsTheFastPathOffUnlessChosen) {
 }
 
 TEST(QuerySpecTest, WriteQueryResultSortsOnTheLastCountColumn) {
-  ResultTable table({"ID", "c", "c.state"});
+  ResultTable table({"ID", "COUNTP(t,1)", "COUNTP(t,1).state"});
   table.AddRow({std::int64_t{0}, std::int64_t{1}, std::string("complete")});
   table.AddRow({std::int64_t{1}, std::int64_t{5}, std::string("pending")});
   table.AddRow({std::int64_t{2}, std::int64_t{3}, std::string("complete")});
@@ -484,13 +546,24 @@ TEST(QuerySpecTest, WriteQueryResultSortsOnTheLastCountColumn) {
   spec.top = 1;
   std::ostringstream csv;
   WriteQueryResult(table, spec, csv);
-  // csv keeps every row, sorted by c (not by the .state column).
+  // csv keeps every row, sorted by the count (not by the .state column).
   EXPECT_EQ(csv.str(),
-            "ID,c,c.state\n1,5,pending\n2,3,complete\n0,1,complete\n");
+            "ID,COUNTP(t,1),COUNTP(t,1).state\n1,5,pending\n2,3,complete\n"
+            "0,1,complete\n");
   spec.format = ResultFormat::kText;
   std::ostringstream text;
   WriteQueryResult(table, spec, text);
   EXPECT_EQ(text.str(), table.ToString(1));
+
+  // Count first: the ID column after it is not a count and never sorts.
+  ResultTable count_first({"COUNTSP(s,p,2)", "ID"});
+  count_first.AddRow({std::int64_t{2}, std::int64_t{0}});
+  count_first.AddRow({std::int64_t{0}, std::int64_t{1}});
+  count_first.AddRow({std::int64_t{7}, std::int64_t{2}});
+  spec.format = ResultFormat::kCsv;
+  std::ostringstream ranked;
+  WriteQueryResult(count_first, spec, ranked);
+  EXPECT_EQ(ranked.str(), "COUNTSP(s,p,2),ID\n7,2\n2,0\n0,1\n");
 }
 
 TEST(QuerySpecTest, ServerDocListsExactlyTheQueryHeaders) {

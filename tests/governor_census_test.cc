@@ -403,7 +403,7 @@ TEST_F(GovernorCensusTest, DynamicBatchAbortsAtUpdateBoundary) {
   Graph g = MakeGraph(6, {{0, 1}, {1, 2}, {2, 0}, {2, 3}, {3, 4}});
   DynamicGraph dg(std::move(g));
   Governor gov;
-  IncrementalCensus::Options opts;
+  CensusOptions opts;
   opts.k = 1;
   opts.governor = &gov;
   auto census = IncrementalCensus::Create(&dg, MakeTriangle(false), opts);
@@ -442,7 +442,7 @@ TEST_F(GovernorCensusTest, DynamicExpiredDeadlineLeavesCountsUntouched) {
   Graph g = MakeGraph(4, {{0, 1}, {1, 2}, {2, 0}});
   DynamicGraph dg(std::move(g));
   Governor gov;
-  IncrementalCensus::Options opts;
+  CensusOptions opts;
   opts.k = 1;
   opts.governor = &gov;
   auto census = IncrementalCensus::Create(&dg, MakeTriangle(false), opts);

@@ -22,12 +22,12 @@ TEST(ResultTableTest, RowsPaddedToColumns) {
   EXPECT_EQ(std::get<std::int64_t>(t.At(0, 2)), 0);
 }
 
-TEST(ResultTableTest, SortByColumnDesc) {
+TEST(ResultTableTest, SortByOneKeyDescending) {
   ResultTable t({"id", "count"});
   t.AddRow({std::int64_t{1}, std::int64_t{5}});
   t.AddRow({std::int64_t{2}, std::int64_t{9}});
   t.AddRow({std::int64_t{3}, std::int64_t{7}});
-  t.SortByColumnDesc(1);
+  t.SortByColumns({{1, /*descending=*/true}});
   EXPECT_EQ(std::get<std::int64_t>(t.At(0, 0)), 2);
   EXPECT_EQ(std::get<std::int64_t>(t.At(1, 0)), 3);
   EXPECT_EQ(std::get<std::int64_t>(t.At(2, 0)), 1);

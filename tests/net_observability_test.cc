@@ -361,6 +361,7 @@ TEST(NetObservabilityTest, MetricsExpositionParsesAndCountsTraffic) {
 // ---- slow-query capture ----------------------------------------------------
 
 TEST(NetObservabilityTest, SlowQueryRingCapturesDelayedRequest) {
+  if (!failpoints::CompiledIn()) GTEST_SKIP() << "failpoints compiled out";
   failpoints::DisarmAll();
   CensusServer::Options options;
   options.slow_query_threshold_ms = 50;

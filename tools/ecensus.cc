@@ -42,6 +42,7 @@
 #include "util/build_info.h"
 #include "util/strings.h"
 #include "util/table_printer.h"
+#include "util/timer.h"
 
 namespace {
 
@@ -138,9 +139,8 @@ int Usage() {
       "                [query options] (runs the query, prints metric tables)\n"
       "  ecensus update --graph FILE --updates FILE\n"
       "                 (--query SQL | --query-file FILE)\n"
-      "                 [--batch-size N] [--top N] [--csv] [--seed S]\n"
-      "                 [--timeout-ms MS] [--memory-budget-mb MB]\n"
-      "                 [--trace FILE.json] [--metrics FILE.json|.csv]\n"
+      "                 [--batch-size N] [query options] (the initial\n"
+      "                 census runs them as query does)\n"
       "  ecensus remote query --connect HOST:PORT --graph NAME\n"
       "                 (--query SQL | --query-file FILE) [query options]\n"
       "  ecensus remote update --connect HOST:PORT --graph NAME\n"
@@ -222,22 +222,20 @@ int WriteObsExports(const ObsExport& o) {
   return 0;
 }
 
-/// Arms `governor` with the spec's deadline and memory budget; true when
-/// either is set (callers then thread the governor through).
-bool GovernorFromSpec(const QuerySpec& spec, Governor* governor) {
-  if (spec.deadline_ms > 0) {
-    governor->SetDeadline(Deadline::AfterMillis(spec.deadline_ms));
-  }
-  governor->SetMemoryLimitBytes(spec.memory_budget_mb << 20);
-  return spec.deadline_ms > 0 || spec.memory_budget_mb > 0;
+/// The options a CLI request runs with: uncapped, and governed only when
+/// the spec sets a limit, since nothing else can stop a local run.
+QueryEngine::Options CliRunOptions(const QuerySpec& spec, Governor* governor) {
+  const bool limited = spec.deadline_ms > 0 || spec.memory_budget_mb > 0;
+  return GovernRequest(spec, RequestCaps{}, Timer::NowMicros(),
+                       limited ? governor : nullptr);
 }
 
 /// Per-aggregate execution outcome of an interrupted query (stderr, next to
 /// the partial result table on stdout).
-void PrintExecSummary(const std::vector<QueryEngine::AggregateExec>& exec,
+void PrintExecSummary(const std::vector<AggregateExec>& aggregates,
                       std::ostream& os) {
-  for (std::size_t i = 0; i < exec.size(); ++i) {
-    const QueryEngine::AggregateExec& e = exec[i];
+  for (std::size_t i = 0; i < aggregates.size(); ++i) {
+    const AggregateExec& e = aggregates[i];
     os << "aggregate " << i << ": " << e.status.ToString()
        << " (focal complete=" << e.complete << " approx=" << e.approx
        << " pending=" << e.pending << ")\n";
@@ -248,26 +246,19 @@ void PrintExecSummary(const std::vector<QueryEngine::AggregateExec>& exec,
 /// threads, peak neighborhood, execution outcome). Written to stderr so
 /// stdout stays a pure result table — byte-identical across thread counts
 /// and repeat runs (the exec columns are OK/all-complete when ungoverned).
-void WriteStatsCsv(const std::vector<CensusStats>& stats,
-                   const std::vector<QueryEngine::AggregateExec>& exec,
+void WriteStatsCsv(const std::vector<AggregateExec>& aggregates,
                    std::ostream& os) {
-  if (stats.empty()) return;
+  if (aggregates.empty()) return;
   os << "aggregate,num_matches,match_seconds,index_seconds,census_seconds,"
         "threads_used,peak_neighborhood,exec_status,focal_complete,"
         "focal_approx,focal_pending\n";
-  for (std::size_t i = 0; i < stats.size(); ++i) {
-    const CensusStats& s = stats[i];
+  for (std::size_t i = 0; i < aggregates.size(); ++i) {
+    const AggregateExec& e = aggregates[i];
+    const CensusStats& s = e.stats;
     os << i << "," << s.num_matches << "," << s.match_seconds << ","
        << s.index_seconds << "," << s.census_seconds << "," << s.threads_used
-       << "," << s.peak_neighborhood;
-    if (i < exec.size()) {
-      const QueryEngine::AggregateExec& e = exec[i];
-      os << "," << StatusCodeName(e.status.code()) << "," << e.complete << ","
-         << e.approx << "," << e.pending;
-    } else {
-      os << ",OK,0,0,0";
-    }
-    os << "\n";
+       << "," << s.peak_neighborhood << "," << StatusCodeName(e.status.code())
+       << "," << e.complete << "," << e.approx << "," << e.pending << "\n";
   }
 }
 
@@ -446,28 +437,24 @@ int RunQuery(const Args& args, bool stats_mode) {
   if (stats_mode) obs::SetEnabled(true);
 
   QueryEngine engine(*graph);
-  QueryEngine::Options options = spec->options;
   Governor governor;
-  if (GovernorFromSpec(*spec, &governor)) {
-    options.census.governor = &governor;
-  }
-  auto result = engine.Execute(*query, options);
-  if (!result.ok()) return Fail(result.status());
+  auto run = engine.RunQuery(*query, CliRunOptions(*spec, &governor));
+  if (!run.ok()) return Fail(run.status());
   // A governed run that stopped early still produced a (partial) table;
   // print it, then exit non-zero with the stop reason.
-  Status exec_status = engine.last_exec_status();
+  Status exec_status = run->Total().status;
   if (stats_mode) {
     // Result rows are elided: the subcommand's product is the metric view.
-    std::cout << "query returned " << result->NumRows() << " rows\n\n";
+    std::cout << "query returned " << run->table.NumRows() << " rows\n\n";
     // egolint: allow-obs(Registry is declared unconditionally and stubbed under EGO_OBS_ENABLED=0 — stats mode degrades to an empty table)
     PrintMetricsTables(obs::Registry::Global().Snapshot(), std::cout);
   } else {
-    WriteQueryResult(*result, *spec, std::cout);
+    WriteQueryResult(run->table, *spec, std::cout);
     if (spec->format == ResultFormat::kCsv) {
-      WriteStatsCsv(engine.last_stats(), engine.last_exec(), std::cerr);
+      WriteStatsCsv(run->aggregates, std::cerr);
     } else {
-      for (std::size_t i = 0; i < engine.last_stats().size(); ++i) {
-        const CensusStats& s = engine.last_stats()[i];
+      for (std::size_t i = 0; i < run->aggregates.size(); ++i) {
+        const CensusStats& s = run->aggregates[i].stats;
         std::cout << "aggregate " << i << ": "
                   << (s.fastpath_routed != 0 ? "engine=fastpath " : "")
                   << "threads=" << s.threads_used
@@ -480,7 +467,7 @@ int RunQuery(const Args& args, bool stats_mode) {
     }
   }
   if (!exec_status.ok()) {
-    PrintExecSummary(engine.last_exec(), std::cerr);
+    PrintExecSummary(run->aggregates, std::cerr);
     WriteObsExports(obs_export);
     return Fail(exec_status);
   }
@@ -506,17 +493,12 @@ int RunUpdate(Args& args) {
   if (!args.status().ok()) return Fail(args.status());
 
   DynamicGraph dynamic(std::move(*graph));
-  MaintainSession::Options options;
-  options.rnd_seed = spec->options.rnd_seed;
   Governor governor;
-  if (GovernorFromSpec(*spec, &governor)) {
-    options.governor = &governor;
-  }
-  auto session = MaintainSession::Create(&dynamic, *query, options);
+  auto session = MaintainSession::Create(&dynamic, *query,
+                                         CliRunOptions(*spec, &governor));
   if (!session.ok()) return Fail(session.status());
 
   bool csv = spec->format == ResultFormat::kCsv;
-  MaintenanceStats total;
   std::span<const GraphUpdate> remaining(*updates);
   std::size_t batch_index = 0;
   while (!remaining.empty()) {
@@ -524,7 +506,6 @@ int RunUpdate(Args& args) {
     auto deltas = session->ApplyBatch(remaining.first(n));
     if (!deltas.ok()) return Fail(deltas.status());
     remaining = remaining.subspan(n);
-    total.Accumulate(session->last_stats());
     if (!csv) {
       std::cout << "batch " << batch_index << " (" << n << " updates, "
                 << deltas->NumRows() << " changed counts):\n";
@@ -539,6 +520,7 @@ int RunUpdate(Args& args) {
   if (!csv) std::cout << "maintained counts:\n";
   WriteQueryResult(counts, *spec, std::cout);
   if (!csv) {
+    const MaintenanceStats& total = session->census().lifetime_stats();
     std::cout << "stats: applied=" << total.updates_applied
               << " noop=" << total.noop_updates
               << " delta_matches=" << total.delta_matches
