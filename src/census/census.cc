@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <numeric>
 #include <optional>
 #include <string>
@@ -82,19 +83,23 @@ void MarkAllComplete(const CountLoop& loop, CensusResult* result) {
   for (NodeId n : loop.focal) result->focal_state[n] = FocalState::kComplete;
 }
 
+std::unique_ptr<Matcher> SelectMatcher(bool use_gql_matcher,
+                                       const ProfileIndex* profile_index) {
+  if (use_gql_matcher) return std::make_unique<GqlMatcher>(profile_index);
+  return std::make_unique<CnMatcher>(profile_index);
+}
+
 MatchSet FindMatchesTimed(const Graph& graph, const Pattern& pattern,
                           const CensusCommon& options, CensusStats* stats,
                           bool* interrupted) {
   EGO_SPAN("census/match");
   Timer timer;
-  CnMatcher cn(options.profile_index);
-  GqlMatcher gql(options.profile_index);
-  Matcher& matcher =
-      options.use_gql_matcher ? static_cast<Matcher&>(gql) : cn;
+  std::unique_ptr<Matcher> matcher =
+      SelectMatcher(options.use_gql_matcher, options.profile_index);
   MatchOptions match_options;
   match_options.governor = options.governor;
-  MatchSet matches = matcher.FindMatches(graph, pattern, match_options);
-  *interrupted = matcher.interrupted();
+  MatchSet matches = matcher->FindMatches(graph, pattern, match_options);
+  *interrupted = matcher->interrupted();
   stats->match_seconds = timer.ElapsedSeconds();
   stats->num_matches = matches.size();
   return matches;

@@ -4,27 +4,30 @@
 // Internal header: the census engines RunCensus dispatches, and the two
 // counting drivers every counting loop runs on.
 //
-// RunCensus checks the inputs, sizes the all-pending result, runs the one
-// whole-graph match step and turns the governor's state into exec_status.
-// An engine receives the prepared pattern, the focal set (as both a list
-// and a bitmap) and the match anchors, and keeps only its kernel: the index
-// it builds, its per-worker scratch, and the work per focal node, match or
-// match cluster. The drivers below own the rest (docs/PARALLEL.md): the
-// per-unit failpoint and Checkpoint(), the per-worker scratch and its
-// high-water memory charge, serial versus pool, the merge, completion, and
-// the census/count span and timer.
+// Every census entry point (RunCensus, the approximate census, top-K and
+// the four pairwise engines) is three steps: the input check, the one
+// whole-graph match step, and a kernel on a driver. A kernel is the index
+// its engine builds, its per-worker scratch, and the work per unit (focal
+// node, node pair, match or match cluster). The drivers below own the rest
+// (docs/PARALLEL.md): the per-unit failpoint and Checkpoint(), the
+// per-worker scratch and its high-water memory charge, serial versus pool,
+// the merge, and the census/count span and timer.
 
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
 
 #include "census/census.h"
+#include "census/pairwise.h"
 #include "census/pmi.h"
 #include "exec/failpoints.h"
 #include "graph/graph.h"
+#include "graph/subgraph.h"
 #include "match/match_set.h"
+#include "match/matcher.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/thread_pool.h"
@@ -87,9 +90,15 @@ void RunPtOpt(const CensusContext& ctx, CensusResult* result);
 void CountPivoted(const CountLoop& loop, const Graph& graph, std::uint32_t k,
                   const PivotIndex& index, CensusResult* result);
 
+/// The matcher a census selects: GQL under use_gql_matcher, CN otherwise.
+/// ND-BAS matches inside extracted regions, whose ids are local, so it
+/// passes no profile index.
+std::unique_ptr<Matcher> SelectMatcher(bool use_gql_matcher,
+                                       const ProfileIndex* profile_index);
+
 /// The one whole-graph match step of every census entry point: runs the
-/// selected matcher (CN or GQL, with the shared profile index) under the
-/// options' governor and records match_seconds/num_matches into stats. If
+/// selected matcher (with the shared profile index) under the options'
+/// governor and records match_seconds/num_matches into stats. If
 /// the governor stopped the matcher mid-search, *interrupted is set and the
 /// returned set is the valid prefix found — callers must then skip
 /// counting (counting a partial match set would produce wrong per-focal
@@ -102,7 +111,7 @@ MatchSet FindMatchesTimed(const Graph& graph, const Pattern& pattern,
 
 /// One worker's state in a counting loop: the kernel's scratch, reused
 /// across the units the worker runs, and the worker's counters.
-template <typename Scratch>
+template <typename Scratch, typename Sum = std::vector<std::uint64_t>>
 class Worker {
  public:
   template <typename Make>
@@ -116,8 +125,8 @@ class Worker {
 
   Scratch scratch;
   CensusStats stats;
-  /// The summed-vector driver's private count vector (parallel runs only).
-  std::vector<std::uint64_t> counts;
+  /// The summed-vector driver's private accumulator (parallel runs only).
+  Sum sum;
 
  private:
   ScratchCharge charge_;
@@ -131,13 +140,14 @@ class Worker {
 /// otherwise. Then, in worker order, it hands each worker to merge() and
 /// sums its counters into *stats. The census/count span and
 /// stats->census_seconds cover all of it.
-template <typename Make, typename Body, typename Merge>
+template <typename Sum = std::vector<std::uint64_t>, typename Make,
+          typename Body, typename Merge>
 void Shard(const CountLoop& loop, std::size_t size, std::size_t grain,
            const Make& make, const Body& body, const Merge& merge,
            CensusStats* stats) {
   EGO_SPAN("census/count");
   Timer timer;
-  std::deque<Worker<decltype(make())>> workers;
+  std::deque<Worker<decltype(make()), Sum>> workers;
   for (unsigned w = 0; w < loop.NumWorkers(); ++w) {
     workers.emplace_back(make, loop.governor);
   }
@@ -157,73 +167,117 @@ void Shard(const CountLoop& loop, std::size_t size, std::size_t grain,
   stats->census_seconds = timer.ElapsedSeconds();
 }
 
-/// The per-focal driver (docs/PARALLEL.md, determinism case 1): runs
-/// kernel(n, worker) for every focal node n with one census/focal failpoint
-/// and one Checkpoint() each. A kernel returns n's count, or nullopt when
-/// a charge or its own matcher stopped mid-node. Only a returned count is
-/// written — to counts[n], which no other worker touches — and marks n
-/// complete, so a stop leaves every unfinished node pending and untouched.
-template <typename Make, typename Kernel>
-void ForEachFocal(const CountLoop& loop, std::size_t grain, const Make& make,
-                  const Kernel& kernel, CensusResult* result) {
+/// The per-unit driver (docs/PARALLEL.md, determinism case 1): runs
+/// kernel(units[i], worker) for every unit (a focal node, a node pair) with
+/// one census/focal failpoint and one Checkpoint() each. A kernel returns
+/// the unit's value, or nullopt when a charge or its own matcher stopped
+/// mid-unit. Only a returned value reaches store(i, value), which writes a
+/// slot no other unit touches: a stop leaves unfinished units untouched.
+template <typename Unit, typename Make, typename Kernel, typename Store>
+void ForEachUnit(const CountLoop& loop, std::span<const Unit> units,
+                 std::size_t grain, const Make& make, const Kernel& kernel,
+                 const Store& store, CensusStats* stats) {
   Governor* const gov = loop.governor;
   Shard(
-      loop, loop.focal.size(), grain, make,
+      loop, units.size(), grain, make,
       [&](std::size_t begin, std::size_t end, auto& worker) {
         for (std::size_t i = begin; i < end; ++i) {
           EGO_FAILPOINT("census/focal");
           if (gov != nullptr && gov->Checkpoint() != StopReason::kNone) return;
-          const NodeId n = loop.focal[i];
-          const std::optional<std::uint64_t> count = kernel(n, worker);
-          if (!count.has_value()) return;
-          result->counts[n] = *count;
-          result->focal_state[n] = FocalState::kComplete;
+          auto value = kernel(units[i], worker);
+          if (!value.has_value()) return;
+          store(i, *value);
         }
       },
-      [](auto&) {}, &result->stats);
+      [](auto&) {}, stats);
+}
+
+/// The per-focal store (units = loop.focal): writes n's count to counts[n]
+/// and marks n complete; a node a stop left unfinished stays pending.
+inline auto StoreFocal(const CountLoop& loop, CensusResult* result) {
+  return [&loop, result](std::size_t i, std::uint64_t count) {
+    result->counts[loop.focal[i]] = count;
+    result->focal_state[loop.focal[i]] = FocalState::kComplete;
+  };
+}
+
+/// Adds a parallel worker's private accumulator into the total: a per-node
+/// count vector (single-node PT engines) or a PairCounts (pairwise ones).
+inline void AddInto(const std::vector<std::uint64_t>& sum,
+                    std::vector<std::uint64_t>* total) {
+  for (std::size_t n = 0; n < total->size(); ++n) (*total)[n] += sum[n];
+}
+inline void AddInto(const PairCounts& sum, PairCounts* total) {
+  for (const auto& [pair, count] : sum) (*total)[pair] += count;
 }
 
 /// The summed-vector driver (docs/PARALLEL.md, determinism case 2): runs
-/// kernel(unit, counts, worker) for every unit in [0, num_units) — a match
-/// for PT-BAS, a match cluster for PT-OPT/PT-RND — with one census/cluster
-/// failpoint and one Checkpoint() each; a kernel returns false when its
-/// charge overran the budget. Units add into shared nodes' counts, so a
-/// parallel worker adds into a private vector and the vectors are summed
-/// in worker order under census/merge; the serial run adds into the
-/// result's own. Completion is all-or-nothing: every focal node is marked
-/// complete only when nothing stopped, and otherwise all stay pending with
-/// lower-bound counts.
-template <typename Make, typename Kernel>
-void SumOverUnits(const CountLoop& loop, std::size_t num_units,
+/// kernel(unit, sum, worker) for every unit in [0, num_units) (a match for
+/// PT-BAS, a match cluster for PT-OPT) with one census/cluster failpoint and
+/// one Checkpoint() each; a kernel returns false when its charge overran
+/// the budget. Units add into the same entries of *total, which starts at
+/// zero, so a parallel worker adds into a private copy and the copies are
+/// added into *total in worker order under census/merge. Returns false when
+/// the governor stopped: *total then holds lower bounds.
+template <typename Sum, typename Make, typename Kernel>
+bool SumOverUnits(const CountLoop& loop, std::size_t num_units,
                   std::size_t grain, const Make& make, const Kernel& kernel,
-                  CensusResult* result) {
+                  Sum* total, CensusStats* stats) {
   Governor* const gov = loop.governor;
-  std::vector<std::uint64_t>& total = result->counts;
-  Shard(
+  const Sum zero = loop.pool == nullptr ? Sum() : *total;
+  Shard<Sum>(
       loop, num_units, grain, make,
       [&](std::size_t begin, std::size_t end, auto& worker) {
-        std::uint64_t* counts = total.data();
+        Sum* sum = total;
         if (loop.pool != nullptr) {
-          if (worker.counts.empty()) worker.counts.assign(total.size(), 0);
-          counts = worker.counts.data();
+          if (worker.sum.empty()) worker.sum = zero;
+          sum = &worker.sum;
         }
         for (std::size_t unit = begin; unit < end; ++unit) {
           EGO_FAILPOINT("census/cluster");
           if (gov != nullptr && gov->Checkpoint() != StopReason::kNone) return;
-          if (!kernel(unit, counts, worker)) return;
+          if (!kernel(unit, *sum, worker)) return;
         }
       },
       [&](auto& worker) {
-        if (worker.counts.empty()) return;
+        if (worker.sum.empty()) return;
         EGO_FAILPOINT("census/merge");
-        for (std::size_t n = 0; n < total.size(); ++n) {
-          total[n] += worker.counts[n];
-        }
+        AddInto(worker.sum, total);
       },
-      &result->stats);
-  if (gov == nullptr || !gov->stopped()) {
-    MarkAllComplete(loop, result);
+      stats);
+  return gov == nullptr || !gov->stopped();
+}
+
+/// Whole-pattern ND-BAS's scratch, shared with pairwise ND-BAS: an
+/// extractor, the region it extracted last, and the selected matcher.
+struct RegionScratch {
+  RegionScratch(const Graph& graph, bool use_gql_matcher)
+      : extractor(graph), matcher(SelectMatcher(use_gql_matcher, nullptr)) {}
+  SubgraphExtractor extractor;
+  EgoSubgraph sub;
+  std::unique_ptr<Matcher> matcher;
+};
+
+/// Whole-pattern ND-BAS's per-unit count, shared with pairwise ND-BAS:
+/// records the region just extracted into w.scratch.sub as a ball, charges
+/// its footprint and matches the pattern inside it. nullopt when the charge
+/// or the matcher stopped.
+inline std::optional<std::uint64_t> CountInRegion(const Pattern& pattern,
+                                                  Governor* governor,
+                                                  Worker<RegionScratch>& w) {
+  const Graph& region = w.scratch.sub.graph;
+  RecordBall(region.NumNodes(), &w.stats);
+  // Extraction footprint: adjacency (~2 ids/edge) + node remaps.
+  if (!w.Charge(region.NumNodes() * 4 * sizeof(NodeId) +
+                region.NumEdges() * 2 * sizeof(NodeId))) {
+    return std::nullopt;
   }
+  MatchOptions match_options;
+  match_options.governor = governor;
+  const MatchSet matches =
+      w.scratch.matcher->FindMatches(region, pattern, match_options);
+  if (w.scratch.matcher->interrupted()) return std::nullopt;
+  return matches.size();
 }
 
 }  // namespace egocensus::internal

@@ -57,8 +57,9 @@ void RunFastPath(const CensusContext& ctx, const PatternShape& shape,
   const Graph& graph = *ctx.graph;
   const std::uint32_t k = ctx.options->k;
   const fastpath::CountLevel level = fastpath::LevelForShape(shape);
-  ForEachFocal(
-      ctx.loop, /*grain=*/4, [&graph] { return fastpath::EgoKernel(graph); },
+  ForEachUnit(
+      ctx.loop, ctx.loop.focal, /*grain=*/4,
+      [&graph] { return fastpath::EgoKernel(graph); },
       [&](NodeId n, Worker<fastpath::EgoKernel>& w)
           -> std::optional<std::uint64_t> {
         fastpath::EgoKernel& kernel = w.scratch;
@@ -67,7 +68,7 @@ void RunFastPath(const CensusContext& ctx, const PatternShape& shape,
         if (!w.Charge(kernel.ScratchBytes())) return std::nullopt;
         return fastpath::ShapeCount(kernel.Count(level), shape);
       },
-      result);
+      StoreFocal(ctx.loop, result), &result->stats);
 }
 
 }  // namespace egocensus::internal

@@ -29,7 +29,7 @@ FastPathDecision DecideFastPath(const Graph& graph, const Pattern& pattern,
 
 /// Combinatorial census engine: per focal node, builds the induced
 /// ego-network and evaluates the shape's closed-form count. It runs on the
-/// per-focal driver like the node-driven engines, so it shares their
+/// per-unit driver like the node-driven engines, so it shares their
 /// parallelization, governance, and partial-result contract.
 /// stats.num_matches stays 0: no matcher runs.
 void RunFastPath(const CensusContext& ctx, const PatternShape& shape,

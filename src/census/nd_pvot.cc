@@ -10,11 +10,11 @@ namespace egocensus::internal {
 // ND-PVOT (Section IV-A1 / Algorithm 2): build the PivotIndex
 // (census/pmi.h) over the matches once, then BFS each focal node's k-hop
 // neighborhood and count the indexed matches inside it. The index is
-// read-only once built, so every worker of the per-focal driver shares it.
+// read-only once built, so every worker of the per-unit driver shares it.
 void CountPivoted(const CountLoop& loop, const Graph& graph, std::uint32_t k,
                   const PivotIndex& index, CensusResult* result) {
-  ForEachFocal(
-      loop, /*grain=*/8, [] { return BfsWorkspace(); },
+  ForEachUnit(
+      loop, loop.focal, /*grain=*/8, [] { return BfsWorkspace(); },
       [&](NodeId n, Worker<BfsWorkspace>& w) -> std::optional<std::uint64_t> {
         // The BFS workspace is the per-worker footprint.
         if (!w.Charge(graph.NumNodes() * sizeof(NodeId))) return std::nullopt;
@@ -23,7 +23,7 @@ void CountPivoted(const CountLoop& loop, const Graph& graph, std::uint32_t k,
         RecordBall(bfs.visited().size(), &w.stats);
         return index.Count(bfs, k, &w.stats.containment_checks);
       },
-      result);
+      StoreFocal(loop, result), &result->stats);
 }
 
 void RunNdPvot(const CensusContext& ctx, CensusResult* result) {

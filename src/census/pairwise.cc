@@ -1,97 +1,85 @@
 #include "census/pairwise.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "census/engines.h"
 #include "census/pmi.h"
 #include "census/pt_common.h"
-#include "census/pt_expander.h"
 #include "graph/bfs.h"
-#include "graph/subgraph.h"
-#include "match/cn_matcher.h"
 
 namespace egocensus {
 namespace {
 
-using internal::BuildPtSetup;
+using internal::AnchorBalls;
+using internal::ClusterExpansion;
+using internal::CountLoop;
 using internal::PtSetup;
+using internal::RegionScratch;
 using internal::SimultaneousExpander;
-
-/// The whole-graph match step of a pairwise engine. Pairwise results carry
-/// no stats, and a stop during matching is the governor's status.
-[[nodiscard]] Result<MatchSet> MatchWholeGraph(
-    const Graph& graph, const Pattern& pattern,
-    const PairwiseCensusOptions& options, const char* engine) {
-  CensusStats stats;
-  bool interrupted = false;
-  MatchSet matches = internal::FindMatchesTimed(graph, pattern, options,
-                                                &stats, &interrupted);
-  if (interrupted) return options.governor->ToStatus(engine);
-  return matches;
-}
+using internal::Worker;
 
 /// The pair endpoints as one id list, for CheckCensusInputs.
 std::vector<NodeId> Endpoints(std::span<const std::pair<NodeId, NodeId>> pairs) {
   std::vector<NodeId> ids;
-  ids.reserve(2 * pairs.size());
-  for (const auto& [a, b] : pairs) {
-    ids.push_back(a);
-    ids.push_back(b);
-  }
+  for (const auto& [a, b] : pairs) ids.insert(ids.end(), {a, b});
   return ids;
 }
 
-/// Adds +1 for every unordered pair from `nodes` (all of which contain the
-/// match in their intersection neighborhood).
-void EmitIntersectionPairs(const std::vector<NodeId>& nodes,
-                           PairCounts* counts) {
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    for (std::size_t j = i + 1; j < nodes.size(); ++j) {
-      ++(*counts)[PackPair(nodes[i], nodes[j])];
-    }
+/// Appendix B's region of an explicit pair: the k-balls of both endpoints.
+/// A node is inside when both balls (intersection) or either (union) reach
+/// it, and its distance d(n, n') is the max (intersection) or min (union)
+/// of its two distances.
+struct PairBalls {
+  explicit PairBalls(bool intersection) : intersection(intersection) {}
+
+  void Run(const Graph& graph, std::pair<NodeId, NodeId> pair,
+           std::uint32_t k) {
+    first.Run(graph, pair.first, k);
+    second.Run(graph, pair.second, k);
   }
+  bool Inside(NodeId n) const {
+    return intersection ? first.Reached(n) && second.Reached(n)
+                        : first.Reached(n) || second.Reached(n);
+  }
+  std::uint32_t Distance(NodeId n) const {
+    const std::uint32_t d1 = first.DistanceTo(n);
+    const std::uint32_t d2 = second.DistanceTo(n);
+    return intersection ? std::max(d1, d2) : std::min(d1, d2);
+  }
+
+  bool intersection;
+  BfsWorkspace first;
+  BfsWorkspace second;
+};
+
+/// A match's nodes with their coverage masks (bit j: the node's k-ball
+/// holds the match's j-th anchor).
+using NodeMasks = std::vector<std::pair<NodeId, std::uint16_t>>;
+
+std::uint16_t FullMask(std::size_t num_anchors) {
+  return static_cast<std::uint16_t>((1u << num_anchors) - 1);
 }
 
-/// Groups: (coverage mask over the match's anchors) -> nodes with exactly
-/// that nonzero mask. Adds +1 for every unordered pair whose joint coverage
-/// is complete.
-void EmitUnionPairs(
-    const std::vector<std::pair<std::uint16_t, std::vector<NodeId>>>& groups,
-    std::uint16_t full_mask, PairCounts* counts) {
-  for (std::size_t gi = 0; gi < groups.size(); ++gi) {
-    for (std::size_t gj = gi; gj < groups.size(); ++gj) {
-      if ((groups[gi].first | groups[gj].first) != full_mask) continue;
-      const auto& a = groups[gi].second;
-      const auto& b = groups[gj].second;
-      if (gi == gj) {
-        for (std::size_t i = 0; i < a.size(); ++i) {
-          for (std::size_t j = i + 1; j < a.size(); ++j) {
-            ++(*counts)[PackPair(a[i], a[j])];
-          }
-        }
-      } else {
-        for (NodeId x : a) {
-          for (NodeId y : b) {
-            ++(*counts)[PackPair(x, y)];
-          }
+/// Appendix B's pair emission for one match: adds +1 for every unordered
+/// pair of `near` whose masks jointly cover all anchors. Intersection
+/// passes only full-mask nodes, so every pair of them counts.
+void EmitPairs(const NodeMasks& near, std::uint16_t full_mask,
+               PairCounts* counts) {
+  std::unordered_map<std::uint16_t, std::vector<NodeId>> groups;
+  for (const auto& [n, mask] : near) groups[mask].push_back(n);
+  for (auto a = groups.begin(); a != groups.end(); ++a) {
+    for (auto b = a; b != groups.end(); ++b) {
+      if ((a->first | b->first) != full_mask) continue;
+      const std::vector<NodeId>& x = a->second;
+      const std::vector<NodeId>& y = b->second;
+      for (std::size_t i = 0; i < x.size(); ++i) {
+        for (std::size_t j = a == b ? i + 1 : 0; j < y.size(); ++j) {
+          ++(*counts)[PackPair(x[i], y[j])];
         }
       }
     }
   }
-}
-
-std::vector<std::pair<std::uint16_t, std::vector<NodeId>>> GroupByMask(
-    const std::vector<std::pair<NodeId, std::uint16_t>>& node_masks) {
-  std::unordered_map<std::uint16_t, std::vector<NodeId>> map;
-  for (const auto& [n, mask] : node_masks) {
-    if (mask != 0) map[mask].push_back(n);
-  }
-  std::vector<std::pair<std::uint16_t, std::vector<NodeId>>> groups;
-  groups.reserve(map.size());
-  for (auto& [mask, nodes] : map) {
-    groups.emplace_back(mask, std::move(nodes));
-  }
-  return groups;
 }
 
 }  // namespace
@@ -101,66 +89,55 @@ std::vector<std::pair<std::uint16_t, std::vector<NodeId>>> GroupByMask(
   auto anchor_nodes = CheckCensusInputs(graph, pattern, options.subpattern, {});
   if (!anchor_nodes.ok()) return anchor_nodes.status();
   constexpr const char* kEngine = "pairwise census (pt-opt)";
-  auto matches = MatchWholeGraph(graph, pattern, options, kEngine);
-  if (!matches.ok()) return matches.status();
-  MatchAnchors anchors(&*matches, *anchor_nodes);
+  Governor* gov = options.governor;
+  CensusStats stats;  // pairwise results carry no stats
+  bool interrupted = false;
+  MatchSet matches = internal::FindMatchesTimed(graph, pattern, options,
+                                                &stats, &interrupted);
+  if (interrupted) return gov->ToStatus(kEngine);
+  MatchAnchors anchors(&matches, *anchor_nodes);
   PairCounts counts;
   if (anchors.NumMatches() == 0) return counts;
 
   const std::uint32_t k = options.k;
-  Governor* gov = options.governor;
-  PtSetup setup = BuildPtSetup(graph, pattern, anchors, options, k, gov);
+  PtSetup setup =
+      internal::BuildPtSetup(graph, pattern, anchors, options, k, gov);
   if (gov != nullptr && gov->stopped()) return gov->ToStatus(kEngine);
 
-  SimultaneousExpander expander(graph, setup.expander);
-  std::vector<std::vector<NodeId>> anchor_sets;
-  std::vector<NodeId> buffer;
-  std::vector<NodeId> full_nodes;
-  std::vector<std::pair<NodeId, std::uint16_t>> node_masks;
-  for (const auto& cluster : setup.clusters) {
-    if (gov != nullptr && gov->Checkpoint() != StopReason::kNone) {
-      return gov->ToStatus(kEngine);
-    }
-    anchor_sets.clear();
-    for (std::uint32_t mid : cluster) {
-      anchors.Get(mid, &buffer);
-      anchor_sets.push_back(buffer);
-    }
-    expander.Expand(anchor_sets, &setup.anchor_dist);
-    const auto& match_anchor_idx = expander.match_anchor_indices();
-    for (const auto& idx : match_anchor_idx) {
-      if (options.neighborhood == PairNeighborhood::kIntersection) {
-        full_nodes.clear();
-        for (std::size_t slot = 0; slot < expander.NumVisited(); ++slot) {
-          bool near = true;
-          for (std::uint32_t a : idx) {
-            if (expander.Pmd(slot, a) > k) {
-              near = false;
-              break;
+  const bool intersection =
+      options.neighborhood == PairNeighborhood::kIntersection;
+  const bool finished = internal::SumOverUnits(
+      CountLoop{{}, gov, nullptr}, setup.clusters.size(), /*grain=*/1,
+      [&] { return ClusterExpansion(graph, setup.expander); },
+      [&](std::size_t c, PairCounts& sum,
+          Worker<ClusterExpansion, PairCounts>& w) {
+        const std::vector<std::uint32_t>& cluster = setup.clusters[c];
+        const SimultaneousExpander& expander = w.scratch.expander;
+        // The expansion table, as PT-OPT charges it.
+        if (!w.Charge(expander.NumVisited() * cluster.size() *
+                      sizeof(std::uint32_t))) {
+          return false;
+        }
+        w.scratch.Expand(cluster, anchors, setup, &w.stats);
+        NodeMasks near;
+        for (const auto& idx : expander.match_anchor_indices()) {
+          const std::uint16_t full = FullMask(idx.size());
+          near.clear();
+          for (std::size_t slot = 0; slot < expander.NumVisited(); ++slot) {
+            std::uint16_t mask = 0;
+            for (std::size_t j = 0; j < idx.size(); ++j) {
+              if (expander.Pmd(slot, idx[j]) <= k) mask |= 1u << j;
+            }
+            if (intersection ? mask == full : mask != 0) {
+              near.emplace_back(expander.VisitedNode(slot), mask);
             }
           }
-          if (near) full_nodes.push_back(expander.VisitedNode(slot));
+          EmitPairs(near, full, &sum);
         }
-        EmitIntersectionPairs(full_nodes, &counts);
-      } else {
-        node_masks.clear();
-        const std::uint16_t full_mask =
-            static_cast<std::uint16_t>((1u << idx.size()) - 1);
-        for (std::size_t slot = 0; slot < expander.NumVisited(); ++slot) {
-          std::uint16_t mask = 0;
-          for (std::size_t j = 0; j < idx.size(); ++j) {
-            if (expander.Pmd(slot, idx[j]) <= k) {
-              mask = static_cast<std::uint16_t>(mask | (1u << j));
-            }
-          }
-          if (mask != 0) {
-            node_masks.emplace_back(expander.VisitedNode(slot), mask);
-          }
-        }
-        EmitUnionPairs(GroupByMask(node_masks), full_mask, &counts);
-      }
-    }
-  }
+        return true;
+      },
+      &counts, &stats);
+  if (!finished) return gov->ToStatus(kEngine);
   return counts;
 }
 
@@ -169,55 +146,49 @@ std::vector<std::pair<std::uint16_t, std::vector<NodeId>>> GroupByMask(
   auto anchor_nodes = CheckCensusInputs(graph, pattern, options.subpattern, {});
   if (!anchor_nodes.ok()) return anchor_nodes.status();
   constexpr const char* kEngine = "pairwise census (pt-bas)";
-  auto matches = MatchWholeGraph(graph, pattern, options, kEngine);
-  if (!matches.ok()) return matches.status();
-  MatchAnchors anchors(&*matches, *anchor_nodes);
-  PairCounts counts;
+  Governor* gov = options.governor;
+  CensusStats stats;  // pairwise results carry no stats
+  bool interrupted = false;
+  MatchSet matches = internal::FindMatchesTimed(graph, pattern, options,
+                                                &stats, &interrupted);
+  if (interrupted) return gov->ToStatus(kEngine);
+  MatchAnchors anchors(&matches, *anchor_nodes);
   const int t = anchors.NumAnchors();
   const std::uint32_t k = options.k;
 
-  Governor* gov = options.governor;
-  std::vector<BfsWorkspace> bfs(t);
-  std::vector<NodeId> full_nodes;
-  std::vector<std::pair<NodeId, std::uint16_t>> node_masks;
-  for (std::size_t m = 0; m < anchors.NumMatches(); ++m) {
-    if (gov != nullptr && gov->Checkpoint() != StopReason::kNone) {
-      return gov->ToStatus(kEngine);
-    }
-    int min_idx = 0;
-    for (int j = 0; j < t; ++j) {
-      bfs[j].Run(graph, anchors.Anchor(m, j), k);
-      if (bfs[j].visited().size() < bfs[min_idx].visited().size()) {
-        min_idx = j;
-      }
-    }
-    if (options.neighborhood == PairNeighborhood::kIntersection) {
-      full_nodes.clear();
-      for (NodeId n : bfs[min_idx].visited()) {
-        bool near = true;
-        for (int j = 0; j < t; ++j) {
-          if (j != min_idx && !bfs[j].Reached(n)) {
-            near = false;
-            break;
+  const bool intersection =
+      options.neighborhood == PairNeighborhood::kIntersection;
+  PairCounts counts;
+  const bool finished = internal::SumOverUnits(
+      CountLoop{{}, gov, nullptr}, anchors.NumMatches(), /*grain=*/4,
+      [t] { return AnchorBalls(t); },
+      [&](std::size_t m, PairCounts& sum, Worker<AnchorBalls, PairCounts>& w) {
+        // t BFS workspaces, as PT-BAS charges them.
+        if (!w.Charge(std::uint64_t{graph.NumNodes()} * t * sizeof(NodeId))) {
+          return false;
+        }
+        AnchorBalls& balls = w.scratch;
+        const std::vector<NodeId>& smallest =
+            balls.Run(graph, anchors, m, k, &w.stats);
+        NodeMasks near;
+        if (intersection) {
+          for (NodeId n : smallest) {
+            if (balls.ReachedByAll(n, &w.stats.containment_checks)) {
+              near.emplace_back(n, FullMask(t));
+            }
           }
+        } else {
+          std::unordered_map<NodeId, std::uint16_t> masks;
+          for (int j = 0; j < t; ++j) {
+            for (NodeId n : balls.balls[j].visited()) masks[n] |= 1u << j;
+          }
+          near.assign(masks.begin(), masks.end());
         }
-        if (near) full_nodes.push_back(n);
-      }
-      EmitIntersectionPairs(full_nodes, &counts);
-    } else {
-      // Union: collect coverage masks over the union of all anchors'
-      // neighborhoods.
-      std::unordered_map<NodeId, std::uint16_t> masks;
-      for (int j = 0; j < t; ++j) {
-        for (NodeId n : bfs[j].visited()) {
-          masks[n] = static_cast<std::uint16_t>(masks[n] | (1u << j));
-        }
-      }
-      node_masks.assign(masks.begin(), masks.end());
-      EmitUnionPairs(GroupByMask(node_masks),
-                     static_cast<std::uint16_t>((1u << t) - 1), &counts);
-    }
-  }
+        EmitPairs(near, FullMask(t), &sum);
+        return true;
+      },
+      &counts, &stats);
+  if (!finished) return gov->ToStatus(kEngine);
   return counts;
 }
 
@@ -228,62 +199,57 @@ std::vector<std::pair<std::uint16_t, std::vector<NodeId>>> GroupByMask(
   auto anchor_nodes = CheckCensusInputs(graph, pattern, options.subpattern,
                                         Endpoints(pairs));
   if (!anchor_nodes.ok()) return anchor_nodes.status();
-  const bool whole_pattern = options.subpattern.empty();
-  std::vector<std::uint64_t> counts(pairs.size(), 0);
-  const std::uint32_t k = options.k;
-
   constexpr const char* kEngine = "pairwise census (nd-bas)";
   Governor* gov = options.governor;
-  if (whole_pattern) {
-    SubgraphExtractor extractor(graph);
-    const bool need_attrs = pattern.HasGeneralPredicates();
-    CnMatcher matcher;
-    MatchOptions match_options;
-    match_options.governor = gov;
-    for (std::size_t i = 0; i < pairs.size(); ++i) {
-      if (gov != nullptr && gov->Checkpoint() != StopReason::kNone) {
-        return gov->ToStatus(kEngine);
-      }
-      EgoSubgraph sub =
-          options.neighborhood == PairNeighborhood::kIntersection
-              ? extractor.ExtractIntersection(pairs[i].first, pairs[i].second,
-                                              k, need_attrs)
-              : extractor.ExtractUnion(pairs[i].first, pairs[i].second, k,
-                                       need_attrs);
-      counts[i] = matcher.FindMatches(sub.graph, pattern, match_options).size();
-      if (matcher.interrupted()) return gov->ToStatus(kEngine);
-    }
-    return counts;
-  }
-
-  auto matches = MatchWholeGraph(graph, pattern, options, kEngine);
-  if (!matches.ok()) return matches.status();
-  MatchAnchors anchors(&*matches, *anchor_nodes);
-  BfsWorkspace bfs1, bfs2;
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    if (gov != nullptr && gov->Checkpoint() != StopReason::kNone) {
-      return gov->ToStatus(kEngine);
-    }
-    bfs1.Run(graph, pairs[i].first, k);
-    bfs2.Run(graph, pairs[i].second, k);
-    std::uint64_t count = 0;
-    for (std::size_t m = 0; m < anchors.NumMatches(); ++m) {
-      bool inside = true;
-      for (int j = 0; j < anchors.NumAnchors(); ++j) {
-        NodeId a = anchors.Anchor(m, j);
-        bool covered =
-            options.neighborhood == PairNeighborhood::kIntersection
-                ? (bfs1.Reached(a) && bfs2.Reached(a))
-                : (bfs1.Reached(a) || bfs2.Reached(a));
-        if (!covered) {
-          inside = false;
-          break;
-        }
-      }
-      if (inside) ++count;
-    }
+  const std::uint32_t k = options.k;
+  const bool intersection =
+      options.neighborhood == PairNeighborhood::kIntersection;
+  const CountLoop loop{{}, gov, nullptr};
+  std::vector<std::uint64_t> counts(pairs.size(), 0);
+  auto store = [&counts](std::size_t i, std::uint64_t count) {
     counts[i] = count;
+  };
+  CensusStats stats;  // pairwise results carry no stats
+  if (options.subpattern.empty()) {
+    // Whole pattern: match inside each pair's extracted region.
+    const bool need_attrs = pattern.HasGeneralPredicates();
+    const bool use_gql = options.use_gql_matcher;
+    internal::ForEachUnit(
+        loop, pairs, /*grain=*/2,
+        [&graph, use_gql] { return RegionScratch(graph, use_gql); },
+        [&](std::pair<NodeId, NodeId> pair, Worker<RegionScratch>& w) {
+          const auto [a, b] = pair;
+          SubgraphExtractor& extractor = w.scratch.extractor;
+          w.scratch.sub =
+              intersection ? extractor.ExtractIntersection(a, b, k, need_attrs)
+                           : extractor.ExtractUnion(a, b, k, need_attrs);
+          return internal::CountInRegion(pattern, gov, w);
+        },
+        store, &stats);
+  } else {
+    bool interrupted = false;
+    MatchSet matches = internal::FindMatchesTimed(graph, pattern, options,
+                                                  &stats, &interrupted);
+    if (interrupted) return gov->ToStatus(kEngine);
+    MatchAnchors anchors(&matches, *anchor_nodes);
+    internal::ForEachUnit(
+        loop, pairs, /*grain=*/4,
+        [intersection] { return PairBalls(intersection); },
+        [&](std::pair<NodeId, NodeId> pair, Worker<PairBalls>& w)
+            -> std::optional<std::uint64_t> {
+          // Two BFS workspaces, as ND-BAS charges one.
+          if (!w.Charge(2 * graph.NumNodes() * sizeof(NodeId))) {
+            return std::nullopt;
+          }
+          PairBalls& region = w.scratch;
+          region.Run(graph, pair, k);
+          return anchors.CountInside(
+              [&region](NodeId a) { return region.Inside(a); },
+              &w.stats.containment_checks);
+        },
+        store, &stats);
   }
+  if (gov != nullptr && gov->stopped()) return gov->ToStatus(kEngine);
   return counts;
 }
 
@@ -295,50 +261,50 @@ std::vector<std::pair<std::uint16_t, std::vector<NodeId>>> GroupByMask(
                                         Endpoints(pairs));
   if (!anchor_nodes.ok()) return anchor_nodes.status();
   constexpr const char* kEngine = "pairwise census (nd-pvot)";
-  auto matches = MatchWholeGraph(graph, pattern, options, kEngine);
-  if (!matches.ok()) return matches.status();
-  MatchAnchors anchors(&*matches, *anchor_nodes);
+  Governor* gov = options.governor;
+  CensusStats stats;  // pairwise results carry no stats
+  bool interrupted = false;
+  MatchSet matches = internal::FindMatchesTimed(graph, pattern, options,
+                                                &stats, &interrupted);
+  if (interrupted) return gov->ToStatus(kEngine);
+  MatchAnchors anchors(&matches, *anchor_nodes);
   const PivotIndex index(pattern, anchors);
   const std::uint32_t k = options.k;
   const bool intersection =
       options.neighborhood == PairNeighborhood::kIntersection;
 
   std::vector<std::uint64_t> counts(pairs.size(), 0);
-  Governor* gov = options.governor;
-  BfsWorkspace bfs1, bfs2;
-  auto covered = [&](NodeId n) {
-    return intersection ? (bfs1.Reached(n) && bfs2.Reached(n))
-                        : (bfs1.Reached(n) || bfs2.Reached(n));
-  };
-  // Intersection: d = max of the two distances; union: d = min.
-  auto distance = [&](NodeId n) {
-    std::uint32_t d1 = bfs1.DistanceTo(n);
-    std::uint32_t d2 = bfs2.DistanceTo(n);
-    return intersection ? std::max(d1, d2) : std::min(d1, d2);
-  };
-  std::uint64_t checks = 0;  // pairwise results carry no stats
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    if (gov != nullptr && gov->Checkpoint() != StopReason::kNone) {
-      return gov->ToStatus(kEngine);
-    }
-    bfs1.Run(graph, pairs[i].first, k);
-    bfs2.Run(graph, pairs[i].second, k);
-    std::uint64_t count = 0;
-    auto process = [&](NodeId n) {
-      count += index.CountAt(n, distance, k, covered, &checks);
-    };
-    if (intersection) {
-      for (NodeId n : bfs1.visited()) {
-        if (bfs2.Reached(n)) process(n);
-      }
-    } else {
-      for (NodeId n : bfs1.visited()) process(n);
-      for (NodeId n : bfs2.visited()) {
-        if (!bfs1.Reached(n)) process(n);
-      }
-    }
-    counts[i] = count;
-  }
+  internal::ForEachUnit(
+      CountLoop{{}, gov, nullptr}, pairs, /*grain=*/8,
+      [intersection] { return PairBalls(intersection); },
+      [&](std::pair<NodeId, NodeId> pair, Worker<PairBalls>& w)
+          -> std::optional<std::uint64_t> {
+        // Two BFS workspaces, as ND-PVOT charges one.
+        if (!w.Charge(2 * graph.NumNodes() * sizeof(NodeId))) {
+          return std::nullopt;
+        }
+        PairBalls& region = w.scratch;
+        region.Run(graph, pair, k);
+        auto distance = [&region](NodeId n) { return region.Distance(n); };
+        auto inside = [&region](NodeId n) { return region.Inside(n); };
+        std::uint64_t count = 0;
+        auto count_at = [&](NodeId n) {
+          count += index.CountAt(n, distance, k, inside,
+                                 &w.stats.containment_checks);
+        };
+        for (NodeId n : region.first.visited()) {
+          if (inside(n)) count_at(n);
+        }
+        if (!intersection) {
+          for (NodeId n : region.second.visited()) {
+            if (!region.first.Reached(n)) count_at(n);
+          }
+        }
+        return count;
+      },
+      [&counts](std::size_t i, std::uint64_t count) { counts[i] = count; },
+      &stats);
+  if (gov != nullptr && gov->stopped()) return gov->ToStatus(kEngine);
   return counts;
 }
 

@@ -36,8 +36,10 @@ using PairCounts = std::unordered_map<std::uint64_t, std::uint64_t>;
 
 /// Options of the pairwise censuses. Every engine reads CensusCommon: k,
 /// subpattern, use_gql_matcher and profile_index for its whole-graph match
-/// step, and the governor, which the match and each outer cluster/match/pair
-/// loop poll — on a stop the engine returns the governor's status, because
+/// step (use_gql_matcher also for whole-pattern ND-BAS's per-pair matching),
+/// and the governor, which the match and the census driver's per-cluster,
+/// per-match or per-pair checkpoint poll, and which the kernels charge their
+/// scratch to — on a stop the engine returns the governor's status, because
 /// pairwise counts are sparse maps and a partial result is
 /// indistinguishable from "those pairs are zero". Pairwise PT-OPT also reads
 /// PtOptions and always expands best-first.
@@ -64,8 +66,9 @@ struct PairwiseCensusOptions : CensusCommon, PtOptions {
                                     const PairwiseCensusOptions& options);
 
 /// Node-driven baseline for an explicit pair list: materializes the
-/// intersection/union subgraph of each pair and matches inside it (whole
-/// pattern), or brute-force checks global matches (subpattern).
+/// intersection/union subgraph of each pair and matches inside it with the
+/// selected matcher (whole pattern), or brute-force checks global matches
+/// (subpattern).
 [[nodiscard]] Result<std::vector<std::uint64_t>> RunPairwiseNdBas(
     const Graph& graph, const Pattern& pattern,
     std::span<const std::pair<NodeId, NodeId>> pairs,

@@ -42,6 +42,24 @@ class MatchAnchors {
     for (int j = 0; j < NumAnchors(); ++j) out->push_back(Anchor(index, j));
   }
 
+  /// The brute-force count of one region (ND-BAS with a subpattern, single
+  /// node or pair): the matches whose anchors all satisfy `inside`. Each
+  /// anchor test adds one to *checks.
+  template <typename Inside>
+  std::uint64_t CountInside(const Inside& inside,
+                            std::uint64_t* checks) const {
+    std::uint64_t count = 0;
+    for (std::size_t m = 0; m < NumMatches(); ++m) {
+      int j = 0;
+      for (; j < NumAnchors(); ++j) {
+        ++*checks;
+        if (!inside(Anchor(m, j))) break;
+      }
+      if (j == NumAnchors()) ++count;
+    }
+    return count;
+  }
+
  private:
   const MatchSet* matches_;
   std::vector<int> anchor_nodes_;

@@ -1,7 +1,7 @@
 #include <vector>
 
 #include "census/engines.h"
-#include "graph/bfs.h"
+#include "census/pt_common.h"
 
 namespace egocensus::internal {
 
@@ -19,42 +19,25 @@ void RunPtBas(const CensusContext& ctx, CensusResult* result) {
   const MatchAnchors& anchors = *ctx.anchors;
   const int t = anchors.NumAnchors();
 
-  using Balls = std::vector<BfsWorkspace>;
-  SumOverUnits(
-      ctx.loop, anchors.NumMatches(), /*grain=*/4, [t] { return Balls(t); },
-      [&](std::size_t m, std::uint64_t* counts, Worker<Balls>& w) {
+  const bool finished = SumOverUnits(
+      ctx.loop, anchors.NumMatches(), /*grain=*/4,
+      [t] { return AnchorBalls(t); },
+      [&](std::size_t m, std::vector<std::uint64_t>& counts,
+          Worker<AnchorBalls>& w) {
         // t BFS workspaces + the private count vector.
         if (!w.Charge(static_cast<std::uint64_t>(graph.NumNodes()) *
                       (t * sizeof(NodeId) + sizeof(std::uint64_t)))) {
           return false;
         }
-        Balls& bfs = w.scratch;
-        int min_idx = 0;
-        std::size_t min_size = 0;
-        for (int j = 0; j < t; ++j) {
-          bfs[j].Run(graph, anchors.Anchor(m, j), k);
-          RecordBall(bfs[j].visited().size(), &w.stats);
-          if (j == 0 || bfs[j].visited().size() < min_size) {
-            min_idx = j;
-            min_size = bfs[j].visited().size();
-          }
-        }
-        for (NodeId n : bfs[min_idx].visited()) {
+        AnchorBalls& balls = w.scratch;
+        for (NodeId n : balls.Run(graph, anchors, m, k, &w.stats)) {
           if (!is_focal[n]) continue;
-          bool near = true;
-          for (int j = 0; j < t; ++j) {
-            if (j == min_idx) continue;
-            ++w.stats.containment_checks;
-            if (!bfs[j].Reached(n)) {
-              near = false;
-              break;
-            }
-          }
-          if (near) ++counts[n];
+          if (balls.ReachedByAll(n, &w.stats.containment_checks)) ++counts[n];
         }
         return true;
       },
-      result);
+      &result->counts, &result->stats);
+  if (finished) MarkAllComplete(ctx.loop, result);
 }
 
 }  // namespace egocensus::internal

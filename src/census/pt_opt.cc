@@ -1,10 +1,7 @@
-#include <algorithm>
 #include <vector>
 
 #include "census/engines.h"
 #include "census/pt_common.h"
-#include "census/pt_expander.h"
-#include "obs/metrics.h"
 
 namespace egocensus::internal {
 
@@ -40,29 +37,15 @@ void RunPtOpt(const CensusContext& ctx, CensusResult* result) {
   result->stats.index_seconds = setup.index_seconds;
   // Stopped while clustering: nothing was counted, all stay kPending.
   if (gov != nullptr && gov->stopped()) return;
-  if (obs::Enabled()) {
-    static const obs::HistogramHandle cluster_hist(
-        "census/pt/cluster_size");
-    // egolint: no-checkpoint(O(clusters) metric recording, no match work)
-    for (const auto& cluster : setup.clusters) {
-      cluster_hist.Record(cluster.size());
-    }
-  }
   setup.expander.best_first = options.algorithm != CensusAlgorithm::kPtRnd;
 
-  struct Expansion {
-    Expansion(const Graph& graph, const ExpanderOptions& options)
-        : expander(graph, options) {}
-    SimultaneousExpander expander;
-    std::vector<std::vector<NodeId>> anchor_sets;
-    std::vector<NodeId> buffer;
-  };
-  SumOverUnits(
+  const bool finished = SumOverUnits(
       ctx.loop, setup.clusters.size(), /*grain=*/1,
-      [&] { return Expansion(graph, setup.expander); },
-      [&](std::size_t c, std::uint64_t* counts, Worker<Expansion>& w) {
+      [&] { return ClusterExpansion(graph, setup.expander); },
+      [&](std::size_t c, std::vector<std::uint64_t>& counts,
+          Worker<ClusterExpansion>& w) {
         const std::vector<std::uint32_t>& cluster = setup.clusters[c];
-        SimultaneousExpander& expander = w.scratch.expander;
+        const SimultaneousExpander& expander = w.scratch.expander;
         // Simultaneous-expansion distance table: per-visited-node rows over
         // the cluster's anchors, plus the private count vector.
         if (!w.Charge(static_cast<std::uint64_t>(graph.NumNodes()) *
@@ -71,19 +54,7 @@ void RunPtOpt(const CensusContext& ctx, CensusResult* result) {
                           sizeof(std::uint32_t))) {
           return false;
         }
-        std::vector<std::vector<NodeId>>& anchor_sets = w.scratch.anchor_sets;
-        anchor_sets.clear();
-        for (std::uint32_t mid : cluster) {
-          anchors.Get(mid, &w.scratch.buffer);
-          anchor_sets.push_back(w.scratch.buffer);
-        }
-        expander.Expand(anchor_sets, &setup.anchor_dist);
-        EGO_HIST_RECORD("census/pt/expansion_size", expander.NumVisited());
-        // The expander's traversal counters are the worker's totals so far.
-        w.stats.nodes_expanded = expander.stats().pops;
-        w.stats.reinsertions = expander.stats().reinsertions;
-        w.stats.peak_neighborhood = std::max<std::uint64_t>(
-            w.stats.peak_neighborhood, expander.NumVisited());
+        w.scratch.Expand(cluster, anchors, setup, &w.stats);
         const auto& match_anchor_idx = expander.match_anchor_indices();
         for (std::size_t slot = 0; slot < expander.NumVisited(); ++slot) {
           NodeId n = expander.VisitedNode(slot);
@@ -102,7 +73,8 @@ void RunPtOpt(const CensusContext& ctx, CensusResult* result) {
         }
         return true;
       },
-      result);
+      &result->counts, &result->stats);
+  if (finished) MarkAllComplete(ctx.loop, result);
 }
 
 }  // namespace egocensus::internal

@@ -1,6 +1,7 @@
 #include "census/topk.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "census/engines.h"
 #include "census/pmi.h"
@@ -39,66 +40,55 @@ namespace egocensus {
     std::uint64_t bound;
     bool exact;
   };
-  std::vector<Bound> bounds;
-  bounds.reserve(focal.size());
-  BfsWorkspace bfs;
-  for (NodeId n : focal) {
-    if (gov != nullptr && gov->Checkpoint() != StopReason::kNone) {
-      return gov->ToStatus("top-k census (bounding pass)");
-    }
-    bfs.Run(graph, n, k);
-    result.stats.nodes_expanded += bfs.visited().size();
-    bool exact = true;
-    const std::uint64_t bound = index.Bound(bfs, k, &exact);
-    bounds.push_back({n, bound, exact});
+  std::vector<Bound> bounds(focal.size());
+  internal::ForEachUnit(
+      {focal, gov, nullptr}, focal, /*grain=*/8, [] { return BfsWorkspace(); },
+      [&](NodeId n, internal::Worker<BfsWorkspace>& w) -> std::optional<Bound> {
+        // The BFS workspace is the per-worker footprint.
+        if (!w.Charge(graph.NumNodes() * sizeof(NodeId))) return std::nullopt;
+        BfsWorkspace& bfs = w.scratch;
+        bfs.Run(graph, n, k);
+        internal::RecordBall(bfs.visited().size(), &w.stats);
+        bool exact = true;
+        const std::uint64_t bound = index.Bound(bfs, k, &exact);
+        return Bound{n, bound, exact};
+      },
+      [&bounds](std::size_t i, const Bound& b) { bounds[i] = b; },
+      &result.stats);
+  if (gov != nullptr && gov->stopped()) {
+    return gov->ToStatus("top-k census (bounding pass)");
   }
   std::sort(bounds.begin(), bounds.end(), [](const Bound& a, const Bound& b) {
     return a.bound != b.bound ? a.bound > b.bound : a.node < b.node;
   });
 
-  // Pass 2: evaluate exact counts in decreasing-bound order until the
-  // current K-th best dominates every remaining bound.
+  // Pass 2: evaluate exact counts in decreasing-bound order, keeping the
+  // best K sorted (count descending, ties toward smaller ids), until the
+  // K-th best count reaches every remaining bound.
   const std::size_t top_k = std::min(options.top_k, bounds.size());
-  // Current best K as (count, node), kept as a min-heap on count.
-  std::vector<std::pair<std::uint64_t, NodeId>> heap;
-  auto heap_cmp = [](const auto& a, const auto& b) {
-    // Min-heap by count; among equal counts evict the larger node id first
-    // so ties resolve toward smaller ids.
-    return a.first != b.first ? a.first > b.first : a.second < b.second;
+  std::vector<std::pair<NodeId, std::uint64_t>>& top = result.top;
+  auto better = [](const auto& a, const auto& b) {
+    return a.second != b.second ? a.second > b.second : a.first < b.first;
   };
+  BfsWorkspace bfs;
   for (const Bound& b : bounds) {
     if (gov != nullptr && gov->Checkpoint() != StopReason::kNone) {
       return gov->ToStatus("top-k census (exact pass)");
     }
-    if (heap.size() == top_k &&
-        (top_k == 0 || heap.front().first >= b.bound)) {
+    if (top.size() == top_k && (top_k == 0 || top.back().second >= b.bound)) {
       break;  // no remaining node can displace the current top-K
     }
-    std::uint64_t count;
-    if (b.exact) {
-      count = b.bound;
-    } else {
+    std::uint64_t count = b.bound;
+    if (!b.exact) {
       bfs.Run(graph, b.node, k);
       result.stats.nodes_expanded += bfs.visited().size();
       count = index.Count(bfs, k, &result.stats.containment_checks);
       ++result.exact_evaluations;
     }
-    if (heap.size() < top_k) {
-      heap.emplace_back(count, b.node);
-      std::push_heap(heap.begin(), heap.end(), heap_cmp);
-    } else if (top_k > 0 && (count > heap.front().first ||
-                             (count == heap.front().first &&
-                              b.node < heap.front().second))) {
-      std::pop_heap(heap.begin(), heap.end(), heap_cmp);
-      heap.back() = {count, b.node};
-      std::push_heap(heap.begin(), heap.end(), heap_cmp);
-    }
+    const std::pair<NodeId, std::uint64_t> entry(b.node, count);
+    top.insert(std::upper_bound(top.begin(), top.end(), entry, better), entry);
+    if (top.size() > top_k) top.pop_back();
   }
-  std::sort(heap.begin(), heap.end(), [](const auto& a, const auto& b) {
-    return a.first != b.first ? a.first > b.first : a.second < b.second;
-  });
-  result.top.reserve(heap.size());
-  for (const auto& [count, node] : heap) result.top.emplace_back(node, count);
   result.stats.census_seconds = census_timer.ElapsedSeconds();
   return result;
 }

@@ -149,9 +149,10 @@ class DynamicGraph {
   /// version(): the graph it describes is unchanged.
   void Compact();
 
-  /// The compaction policy, applied at batch boundaries (the end of an
-  /// IncrementalCensus batch, the daemon's UPDATE): Compact() once the
-  /// delta exceeds kCompactThreshold of the base edge count.
+  /// IncrementalCensus's compaction policy, applied at the end of each
+  /// batch: Compact() once the delta exceeds kCompactThreshold of the base
+  /// edge count. (The daemon compacts after every UPDATE that applied
+  /// anything, because its queries read the compacted base.)
   static constexpr double kCompactThreshold = 0.25;
   void MaybeCompact() {
     if (DeltaFraction() > kCompactThreshold) Compact();
@@ -221,10 +222,6 @@ class DynamicSubgraphExtractor {
   /// of incremental maintenance around an updated edge.
   EgoSubgraph ExtractAroundPair(NodeId u, NodeId v, std::uint32_t radius,
                                 bool copy_attributes = false);
-
-  /// BFS workspace of the last ExtractKHop/ExtractAroundPair call (global
-  /// distances from the first seed).
-  const BfsWorkspace& last_bfs() const { return bfs1_; }
 
  private:
   void EnsureCapacity();

@@ -50,7 +50,6 @@ class Deadline {
  public:
   Deadline() = default;
 
-  static Deadline Unlimited() { return Deadline(); }
   static Deadline AtMicros(std::uint64_t absolute_micros) {
     return Deadline(absolute_micros);
   }

@@ -25,9 +25,6 @@ class ResultTable {
   const AttributeValue& At(std::size_t row, std::size_t col) const {
     return rows_[row][col];
   }
-  const std::vector<AttributeValue>& Row(std::size_t row) const {
-    return rows_[row];
-  }
 
   /// Stable-sorts rows by multiple (column, descending) keys, first key
   /// highest priority.

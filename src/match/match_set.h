@@ -40,8 +40,6 @@ class MatchSet {
     return nodes_[index * arity_ + v];
   }
 
-  void Reserve(std::size_t matches) { nodes_.reserve(matches * arity_); }
-
  private:
   int arity_;
   std::vector<NodeId> nodes_;

@@ -2,27 +2,27 @@
 #define EGOCENSUS_NET_REGISTRY_H_
 
 // Named registry of resident graphs — the state the daemon exists to keep
-// warm. Each entry holds the mutable DynamicGraph, a materialized immutable
-// snapshot for queries, and the pre-built GraphIndexes over that snapshot,
-// so a QUERY costs zero load/index work (the 10x the bench measures against
-// per-process execution).
+// warm. Each entry holds one copy of the graph: the DynamicGraph, whose
+// compacted CSR base is what queries read, and the pre-built GraphIndexes
+// over that base, so a QUERY costs zero load/index work (the 10x the bench
+// measures against per-process execution).
 //
 // Locking, two levels:
 //  * The registry map itself is guarded by a plain Mutex held only for
 //    lookup/insert/erase — never across a census.
 //  * Each entry carries a SharedMutex: QUERY holds it shared for the
 //    whole census (any number in parallel), UPDATE holds it exclusive while
-//    mutating + re-materializing + re-indexing. UPDATE therefore serializes
+//    mutating + compacting + re-indexing. UPDATE therefore serializes
 //    against in-flight QUERYs per graph and queries never observe a
 //    half-applied batch.
 //
 // Entries are handed out as shared_ptr, so UNLOAD only removes the name:
-// requests already inside the entry finish against the old snapshot and the
+// requests already inside the entry finish against the old graph and the
 // memory dies with the last reference.
 //
 // Both levels are compile-time contracts: the mutexes are the annotated
 // util/mutex.h capabilities and every guarded field carries EGO_GUARDED_BY,
-// so a QUERY path touching the snapshot without the entry lock fails the
+// so a QUERY path touching the graph without the entry lock fails the
 // clang -Werror=thread-safety build (docs/STATIC_ANALYSIS.md).
 
 #include <atomic>
@@ -50,13 +50,11 @@ struct GraphEntry {
   /// Guards the graph state below: shared for QUERY, exclusive for UPDATE.
   SharedMutex mutex;
 
-  /// Ground truth under updates.
+  /// The graph. Outside an UPDATE its delta is empty: an UPDATE that
+  /// applied anything compacts it and rebuilds `indexes` over the new
+  /// base, so QueryEngines borrow base() and `indexes` for the duration of
+  /// a shared lock.
   DynamicGraph dynamic EGO_GUARDED_BY(mutex);
-
-  /// Materialized immutable view of `dynamic` + indexes over it. Rebuilt
-  /// under the exclusive lock after every UPDATE batch; QueryEngines borrow
-  /// both for the duration of a shared lock.
-  Graph snapshot EGO_GUARDED_BY(mutex);
   GraphIndexes indexes EGO_GUARDED_BY(mutex);
 
   /// Monotone update-batch counter (0 = as loaded).
@@ -70,18 +68,9 @@ struct GraphEntry {
 
   GraphEntry(std::string graph_name, Graph loaded)
       : name(std::move(graph_name)), dynamic(std::move(loaded)) {
-    // Materialized inline rather than via RefreshSnapshot(): no other
-    // thread can reach the entry during construction, so the lock
-    // RefreshSnapshot() requires would be pure overhead here.
-    snapshot = dynamic.Materialize();
-    indexes = GraphIndexes::Build(snapshot);
-  }
-
-  /// Re-materializes `snapshot` + `indexes` from `dynamic` after an UPDATE
-  /// batch, under the exclusive lock the annotation demands.
-  void RefreshSnapshot() EGO_REQUIRES(mutex) {
-    snapshot = dynamic.Materialize();
-    indexes = GraphIndexes::Build(snapshot);
+    // No other thread can reach the entry during construction, so the
+    // indexes are built without the lock.
+    indexes = GraphIndexes::Build(dynamic.base());
   }
 };
 

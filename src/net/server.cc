@@ -696,7 +696,7 @@ Message CensusServer::HandleQuery(const Message& request,
 #endif
   Message response;
   {
-    QueryEngine engine(graph.snapshot, &graph.indexes);
+    QueryEngine engine(graph.dynamic.base(), &graph.indexes);
     auto run = engine.RunQuery(request.body, options);
     if (!run.ok()) return ErrorResponse(ctx, run.status());
 
@@ -805,8 +805,8 @@ Message CensusServer::HandleUpdate(const Message& request,
     }
   }
   if (applied > 0) {
-    graph.dynamic.MaybeCompact();
-    graph.RefreshSnapshot();
+    graph.dynamic.Compact();
+    graph.indexes = GraphIndexes::Build(graph.dynamic.base());
     ++graph.updates_applied;
   }
 

@@ -31,7 +31,7 @@
 // Graph state lives in the GraphRegistry (net/registry.h): QUERY holds an
 // entry's lock shared, UPDATE exclusive, so updates serialize against
 // in-flight queries per graph and queries always see a consistent
-// snapshot + indexes.
+// graph + indexes.
 //
 // STATUS and METRICS render one DaemonSnapshot. Snapshot() reads the
 // counters, the fair queue (under one lock), the graph summaries and the

@@ -231,6 +231,35 @@ TEST(EgolintCheckpointTest, LambdaNoDriverReceivesIsStillFlagged) {
   EXPECT_EQ(findings[1].line, 7);
 }
 
+TEST(EgolintCheckpointTest, SameNamedFunctionOutsideCheckedDirsDrivesNothing) {
+  // The census polling loop drives every function named Run; the Run in
+  // src/lang shares only the name, so the census function it calls keeps
+  // its unpolled focal loop flagged.
+  std::vector<Finding> findings = Lint({
+      {"src/census/fake_maintainer.cc",
+       "void ApplyBatch() {\n"
+       "  for (int i = 0; i < num_updates; ++i) {\n"
+       "    if (gov->Checkpoint() != StopReason::kNone) return;\n"
+       "    ws.Run(updates[i]);\n"
+       "  }\n"
+       "}\n"},
+      {"src/lang/fake_query.cc",
+       "void Run() {\n"
+       "  CountAll();\n"
+       "}\n"},
+      {"src/census/fake_census.cc",
+       "void CountAll() {\n"
+       "  for (int i = 0; i < num_focal; ++i) {\n"
+       "    Work(focal[i]);\n"
+       "  }\n"
+       "}\n"},
+  });
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].check, "checkpoint-coverage");
+  EXPECT_EQ(findings[0].file, "src/census/fake_census.cc");
+  EXPECT_EQ(findings[0].line, 2);
+}
+
 TEST(EgolintCheckpointTest, SuppressionWithReasonSilences) {
   std::vector<Finding> findings = Lint({
       {"src/census/fake_engine.cc",

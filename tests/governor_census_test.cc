@@ -5,7 +5,9 @@
 // 8 threads, cancelling at exactly checkpoint i must (a) not crash or leak
 // (this binary runs under ASan and TSan in CI), (b) leave every kComplete
 // focal count bit-identical to the uninterrupted run, and (c) report
-// accurate partial-result flags.
+// accurate partial-result flags. Top-K and the four pairwise engines,
+// which stop all or nothing, must return CANCELLED at every checkpoint and
+// the ungoverned result when the cancel comes after the last.
 
 #include "census/census.h"
 
@@ -13,8 +15,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "census/pairwise.h"
+#include "census/topk.h"
 #include "dynamic/dynamic_graph.h"
 #include "dynamic/incremental_census.h"
 #include "exec/failpoints.h"
@@ -273,6 +280,139 @@ TEST_F(GovernorCensusTest, CancelAtEveryCheckpointSweep) {
         EXPECT_EQ(r->counts, baseline->counts);
       }
     }
+  }
+}
+
+/// A pairwise result in one comparable form: the sorted (pair, count)
+/// entries.
+std::vector<std::uint64_t> Flatten(const PairCounts& counts) {
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> entries(
+      counts.begin(), counts.end());
+  std::sort(entries.begin(), entries.end());
+  std::vector<std::uint64_t> flat;
+  for (const auto& [pair, count] : entries) {
+    flat.push_back(pair);
+    flat.push_back(count);
+  }
+  return flat;
+}
+
+// The other census entry points stop all or nothing: cancelling at any hit
+// of their unit failpoint returns CANCELLED, and arming past the last hit
+// returns the ungoverned result.
+TEST_F(GovernorCensusTest, CancelAtEveryCheckpointSweepOfTopKAndPairwise) {
+  Graph g = SweepGraph();
+  Pattern tri = MakeTriangle(false);
+  auto tri_edge = ParsePattern(
+      "PATTERN tri {?A-?B; ?B-?C; ?C-?A; SUBPATTERN edge {?A; ?B;}}");
+  ASSERT_TRUE(tri_edge.ok()) << tri_edge.status().ToString();
+  auto focal = AllNodes(g);
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  for (NodeId n = 0; n + 7 < g.NumNodes(); n += 3) pairs.emplace_back(n, n + 7);
+
+  using Run = std::function<Result<std::vector<std::uint64_t>>(Governor*)>;
+  struct Case {
+    std::string name;
+    const char* site;
+    Run run;
+  };
+  std::vector<Case> cases;
+  struct Query {
+    const Pattern* pattern;
+    const char* subpattern;
+  };
+  for (const Query& q : {Query{&tri, ""}, Query{&*tri_edge, "edge"}}) {
+    const Pattern& pattern = *q.pattern;
+    const std::string subpattern = q.subpattern;
+    cases.push_back(
+        {"top-k " + subpattern, "census/focal", [&, subpattern](Governor* gov)
+             -> Result<std::vector<std::uint64_t>> {
+           TopKOptions opts;
+           opts.k = 2;
+           opts.subpattern = subpattern;
+           opts.governor = gov;
+           auto r = RunTopKCensus(g, pattern, focal, opts);
+           if (!r.ok()) return r.status();
+           std::vector<std::uint64_t> flat;
+           for (const auto& [n, count] : r->top) {
+             flat.push_back(n);
+             flat.push_back(count);
+           }
+           return flat;
+         }});
+    for (auto neighborhood :
+         {PairNeighborhood::kIntersection, PairNeighborhood::kUnion}) {
+      PairwiseCensusOptions opts;
+      opts.k = 2;
+      opts.subpattern = subpattern;
+      opts.neighborhood = neighborhood;
+      const std::string suffix =
+          subpattern + (neighborhood == PairNeighborhood::kUnion ? " union"
+                                                                 : " inter");
+      auto governed = [opts](Governor* gov) {
+        PairwiseCensusOptions o = opts;
+        o.governor = gov;
+        return o;
+      };
+      cases.push_back({"pt-opt " + suffix, "census/cluster",
+                       [&, governed](Governor* gov)
+                           -> Result<std::vector<std::uint64_t>> {
+                         auto r = RunPairwisePtOpt(g, pattern, governed(gov));
+                         if (!r.ok()) return r.status();
+                         return Flatten(*r);
+                       }});
+      cases.push_back({"pt-bas " + suffix, "census/cluster",
+                       [&, governed](Governor* gov)
+                           -> Result<std::vector<std::uint64_t>> {
+                         auto r = RunPairwisePtBas(g, pattern, governed(gov));
+                         if (!r.ok()) return r.status();
+                         return Flatten(*r);
+                       }});
+      cases.push_back({"nd-bas " + suffix, "census/focal",
+                       [&, governed](Governor* gov) {
+                         return RunPairwiseNdBas(g, pattern, pairs,
+                                                 governed(gov));
+                       }});
+      cases.push_back({"nd-pvot " + suffix, "census/focal",
+                       [&, governed](Governor* gov) {
+                         return RunPairwiseNdPvot(g, pattern, pairs,
+                                                  governed(gov));
+                       }});
+    }
+  }
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    auto baseline = c.run(nullptr);
+    ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+
+    failpoints::Arm(c.site, 0, nullptr);
+    {
+      Governor gov;
+      ASSERT_TRUE(c.run(&gov).ok());
+    }
+    const std::uint64_t hits = failpoints::Hits(c.site);
+    failpoints::DisarmAll();
+    ASSERT_GT(hits, 0u);
+
+    const std::uint64_t stride = std::max<std::uint64_t>(1, hits / 20);
+    for (std::uint64_t i = 1; i <= hits; i += stride) {
+      SCOPED_TRACE("cancel@" + std::to_string(i) + "/" +
+                   std::to_string(hits));
+      Governor gov;
+      failpoints::Arm(c.site, i, [&gov] { gov.RequestCancel(); });
+      auto r = c.run(&gov);
+      failpoints::DisarmAll();
+      ASSERT_FALSE(r.ok());
+      EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
+    }
+
+    Governor gov;
+    failpoints::Arm(c.site, hits + 1, [&gov] { gov.RequestCancel(); });
+    auto r = c.run(&gov);
+    failpoints::DisarmAll();
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(*r, *baseline);
   }
 }
 

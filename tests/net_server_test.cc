@@ -221,6 +221,65 @@ TEST(NetServerTest, UpdateIsAtomicAgainstConcurrentQueries) {
   EXPECT_EQ(final_response->body, after);
 }
 
+TEST(NetServerTest, NodeUpdatesServeTheReferenceGraph) {
+  // Queries read the graph an UPDATE leaves behind: node additions, edges
+  // to them and tombstones must all reach QUERY and STATUS, and a tombstone
+  // must still reject an edge after the next batch.
+  Graph graph = TestGraph(600, 4, 29);
+  const NodeId removed = 7;
+  NodeId neighbor = kInvalidNode;  // of node 300, for the `re`
+  for (NodeId n : graph.Neighbors(300)) {
+    if (n != removed) {
+      neighbor = n;
+      break;
+    }
+  }
+  ASSERT_NE(neighbor, kInvalidNode);
+  DynamicGraph reference(graph);
+  auto server = StartServer(std::move(graph), {});
+  auto client = Client::Connect(EndpointOf(*server));
+  ASSERT_TRUE(client.ok());
+
+  struct Batch {
+    std::string text;
+    const char* exec_status;
+    const char* applied;
+  };
+  const Batch batches[] = {
+      // Node 600 is the one `an` adds.
+      {"an 1\nae 600 5\nrn 7\nre 300 " + std::to_string(neighbor) + "\n",
+       "OK", "4"},
+      // The applied prefix stays when an update fails.
+      {"ae 600 20\nae 7 30\n", "INVALID_ARGUMENT", "1"},
+  };
+  for (const Batch& batch : batches) {
+    SCOPED_TRACE(batch.text);
+    std::istringstream stream(batch.text);
+    auto updates = ParseUpdateStream(stream);
+    ASSERT_TRUE(updates.ok());
+    for (const GraphUpdate& update : *updates) {
+      if (!reference.Apply(update).ok()) break;
+    }
+    auto updated = client->Call(Client::UpdateRequest("g", batch.text));
+    ASSERT_TRUE(updated.ok());
+    EXPECT_EQ(updated->Header("exec_status", ""), batch.exec_status);
+    EXPECT_EQ(updated->Header("applied", ""), batch.applied);
+
+    auto queried = client->Call(Client::QueryRequest("g", kTriangleQuery));
+    ASSERT_TRUE(queried.ok());
+    EXPECT_EQ(queried->body,
+              LocalCsv(reference.Materialize(), kTriangleQuery));
+
+    auto status = client->Call(Client::StatusRequest());
+    ASSERT_TRUE(status.ok());
+    const std::string summary =
+        "\"name\": \"g\", \"nodes\": " + std::to_string(reference.NumNodes()) +
+        ", \"edges\": " + std::to_string(reference.NumEdges()) +
+        ", \"version\": " + std::to_string(reference.version()) + ",";
+    EXPECT_NE(status->body.find(summary), std::string::npos) << status->body;
+  }
+}
+
 TEST(NetServerTest, DeadlinedQueryIsPartialWhileOthersComplete) {
   // Heavy enough that a 1 ms deadline cannot finish it (radius-2 triangle
   // census, ~hundreds of ms serial) while ungoverned peers still complete

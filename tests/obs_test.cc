@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <sstream>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "census/census.h"
+#include "census/pairwise.h"
 #include "graph/generators.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -231,7 +234,8 @@ TEST_F(ObsRuntimeTest, SpanStartedDisabledNotRecorded) {
 }
 
 /// End-to-end: a census run populates matcher + engine metrics and phase
-/// spans, for both the CN and the GQL matcher.
+/// spans, for both the CN and the GQL matcher, whether it matches the whole
+/// graph or inside each extracted region.
 TEST_F(ObsRuntimeTest, CensusPopulatesMetricsForBothMatchers) {
   GeneratorOptions gen;
   gen.num_nodes = 200;
@@ -278,6 +282,51 @@ TEST_F(ObsRuntimeTest, CensusPopulatesMetricsForBothMatchers) {
   }
   EXPECT_TRUE(saw_match);
   EXPECT_TRUE(saw_count);
+
+  // Whole-pattern ND-BAS, single node and pairwise, matches inside each
+  // extracted region instead of the whole graph; the choice reaches that
+  // matcher too.
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  for (NodeId n = 0; n + 1 < graph.NumNodes(); n += 2) {
+    pairs.emplace_back(n, n + 1);
+  }
+  auto samples = [](const char* name) -> std::uint64_t {
+    MetricsSnapshot snap = Registry::Global().Snapshot();
+    auto it = snap.histograms.find(name);
+    return it == snap.histograms.end() ? 0 : it->second.count;
+  };
+  using Run = std::function<std::vector<std::uint64_t>(bool)>;
+  const std::pair<const char*, Run> region_matchers[] = {
+      {"nd-bas",
+       [&](bool use_gql) {
+         CensusOptions nd = options;
+         nd.algorithm = CensusAlgorithm::kNdBas;
+         nd.use_gql_matcher = use_gql;
+         auto r = RunCensus(graph, pattern, focal, nd);
+         EXPECT_TRUE(r.ok());
+         return r.ok() ? r->counts : std::vector<std::uint64_t>{};
+       }},
+      {"pairwise nd-bas", [&](bool use_gql) {
+         PairwiseCensusOptions pairwise;
+         pairwise.k = 1;
+         pairwise.use_gql_matcher = use_gql;
+         auto r = RunPairwiseNdBas(graph, pattern, pairs, pairwise);
+         EXPECT_TRUE(r.ok());
+         return r.ok() ? *r : std::vector<std::uint64_t>{};
+       }}};
+  for (const auto& [name, run] : region_matchers) {
+    SCOPED_TRACE(name);
+    Registry::Global().Reset();
+    const std::vector<std::uint64_t> cn_counts = run(false);
+    EXPECT_GT(samples("match/cn/candidate_set_size"), 0u);
+    EXPECT_EQ(samples("match/gql/candidate_set_size"), 0u);
+
+    Registry::Global().Reset();
+    const std::vector<std::uint64_t> gql_counts = run(true);
+    EXPECT_GT(samples("match/gql/candidate_set_size"), 0u);
+    EXPECT_EQ(samples("match/cn/candidate_set_size"), 0u);
+    EXPECT_EQ(gql_counts, cn_counts);
+  }
 }
 
 TEST_F(ObsRuntimeTest, ParallelCensusRecordsWorkerSpansAndPoolCounters) {

@@ -15,8 +15,10 @@
 // calls Checkpoint() inside a loop (the census drivers in
 // census/engines.h): a lambda written inline in a call to a driver is
 // driven, and so is a function or named lambda passed to one by name. It
-// propagates through calls in driven bodies. It deliberately does NOT seed
-// from ParallelFor arguments — ParallelFor polls once per chunk, and the
+// propagates through calls in driven bodies of checked files only, so a
+// same-named function elsewhere (a `Run` in src/lang) does not carry it
+// into the census code it calls. It deliberately does NOT seed from
+// ParallelFor arguments — ParallelFor polls once per chunk, and the
 // explicit in-loop Checkpoint inside the chunk callback is what tightens
 // that to per-item, which is exactly what this check defends. Removing
 // that poll unroots the whole driven chain.
@@ -211,8 +213,9 @@ void CheckCheckpointCoverage(const std::vector<FileModel>& models,
   // Driven functions: seed with every call made lexically inside a polling
   // loop and with the kernels handed to a driver (lambda bodies written
   // inline in the call, per file; names passed as arguments), then close
-  // over calls made inside driven bodies (name-level, cross-file — PT-OPT's
-  // driven kernel calling Expand covers the loops in pt_expander.cc).
+  // over calls made inside driven bodies in the checked files (name-level,
+  // cross-file — PT-OPT's driven kernel calling Expand covers the loops in
+  // pt_expander.cc).
   std::set<std::string> driven;
   std::map<const FileModel*, std::vector<std::pair<int, int>>> driven_lambdas;
   auto add_calls = [&driven](const std::vector<Token>& toks, int begin,
@@ -246,6 +249,7 @@ void CheckCheckpointCoverage(const std::vector<FileModel>& models,
   for (bool changed = true; changed;) {
     changed = false;
     for (const auto& [model, file_defs] : defs) {
+      if (!InCheckedDir(model->source->path)) continue;
       const std::vector<Token>& toks = model->tokens;
       for (const FunctionDef& def : file_defs) {
         if (driven.count(def.name) == 0) continue;
