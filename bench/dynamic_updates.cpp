@@ -7,7 +7,9 @@
 // batches of B and the per-batch maintenance time is compared with the time
 // of one full recompute (what a static engine would have to pay per batch
 // to stay fresh). The acceptance bar for the dynamic subsystem is a >= 10x
-// speedup at B = 1 (single-edge updates).
+// speedup at B = 1 (single-edge updates). After each batch size's stream
+// the maintained counts are compared with RunCensus over the materialized
+// graph; a mismatch exits 1.
 
 #include <algorithm>
 #include <cstdint>
@@ -16,6 +18,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "census/census.h"
 #include "dynamic/dynamic_graph.h"
 #include "dynamic/incremental_census.h"
 #include "graph/generators.h"
@@ -100,6 +103,15 @@ int main() {
           return 1;
         }
         applied += stats->updates_applied;
+      }
+
+      // The maintained counts must be the census of the graph they track.
+      Graph current = dynamic.Materialize();
+      auto fresh = RunCensus(current, pattern, AllNodes(current), census_opts);
+      if (!fresh.ok() || fresh->counts != census->counts()) {
+        std::cerr << "k=" << k << " batch size " << batch
+                  << ": maintained counts differ from a full recompute\n";
+        return 1;
       }
 
       double per_batch = inc_seconds / static_cast<double>(num_batches);

@@ -253,7 +253,7 @@ bool SumOverUnits(const CountLoop& loop, std::size_t num_units,
 struct RegionScratch {
   RegionScratch(const Graph& graph, bool use_gql_matcher)
       : extractor(graph), matcher(SelectMatcher(use_gql_matcher, nullptr)) {}
-  SubgraphExtractor extractor;
+  SubgraphExtractor<Graph> extractor;
   EgoSubgraph sub;
   std::unique_ptr<Matcher> matcher;
 };

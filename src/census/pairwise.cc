@@ -53,6 +53,12 @@ struct PairBalls {
   BfsWorkspace second;
 };
 
+/// What one PairCounts entry costs the memory budget: an unordered_map
+/// node (next pointer, 8-byte key, 8-byte count; libstdc++ caches no hash
+/// for integer keys) rounded up to malloc's 32-byte chunk, plus its 8-byte
+/// bucket slot at load factor 1.
+constexpr std::uint64_t kPairEntryBytes = 40;
+
 /// A match's nodes with their coverage masks (bit j: the node's k-ball
 /// holds the match's j-th anchor).
 using NodeMasks = std::vector<std::pair<NodeId, std::uint16_t>>;
@@ -113,11 +119,6 @@ void EmitPairs(const NodeMasks& near, std::uint16_t full_mask,
           Worker<ClusterExpansion, PairCounts>& w) {
         const std::vector<std::uint32_t>& cluster = setup.clusters[c];
         const SimultaneousExpander& expander = w.scratch.expander;
-        // The expansion table, as PT-OPT charges it.
-        if (!w.Charge(expander.NumVisited() * cluster.size() *
-                      sizeof(std::uint32_t))) {
-          return false;
-        }
         w.scratch.Expand(cluster, anchors, setup, &w.stats);
         NodeMasks near;
         for (const auto& idx : expander.match_anchor_indices()) {
@@ -134,7 +135,10 @@ void EmitPairs(const NodeMasks& near, std::uint16_t full_mask,
           }
           EmitPairs(near, full, &sum);
         }
-        return true;
+        // The expansion table, as PT-OPT charges it, and the pairs so far.
+        return w.Charge(expander.NumVisited() * cluster.size() *
+                            sizeof(std::uint32_t) +
+                        sum.size() * kPairEntryBytes);
       },
       &counts, &stats);
   if (!finished) return gov->ToStatus(kEngine);
@@ -163,10 +167,6 @@ void EmitPairs(const NodeMasks& near, std::uint16_t full_mask,
       CountLoop{{}, gov, nullptr}, anchors.NumMatches(), /*grain=*/4,
       [t] { return AnchorBalls(t); },
       [&](std::size_t m, PairCounts& sum, Worker<AnchorBalls, PairCounts>& w) {
-        // t BFS workspaces, as PT-BAS charges them.
-        if (!w.Charge(std::uint64_t{graph.NumNodes()} * t * sizeof(NodeId))) {
-          return false;
-        }
         AnchorBalls& balls = w.scratch;
         const std::vector<NodeId>& smallest =
             balls.Run(graph, anchors, m, k, &w.stats);
@@ -185,7 +185,9 @@ void EmitPairs(const NodeMasks& near, std::uint16_t full_mask,
           near.assign(masks.begin(), masks.end());
         }
         EmitPairs(near, FullMask(t), &sum);
-        return true;
+        // t BFS workspaces, as PT-BAS charges them, and the pairs so far.
+        return w.Charge(std::uint64_t{graph.NumNodes()} * t * sizeof(NodeId) +
+                        sum.size() * kPairEntryBytes);
       },
       &counts, &stats);
   if (!finished) return gov->ToStatus(kEngine);
@@ -219,7 +221,7 @@ void EmitPairs(const NodeMasks& near, std::uint16_t full_mask,
         [&graph, use_gql] { return RegionScratch(graph, use_gql); },
         [&](std::pair<NodeId, NodeId> pair, Worker<RegionScratch>& w) {
           const auto [a, b] = pair;
-          SubgraphExtractor& extractor = w.scratch.extractor;
+          auto& extractor = w.scratch.extractor;
           w.scratch.sub =
               intersection ? extractor.ExtractIntersection(a, b, k, need_attrs)
                            : extractor.ExtractUnion(a, b, k, need_attrs);

@@ -39,13 +39,17 @@ PtSetup BuildPtSetup(const Graph& graph, const Pattern& pattern,
                      const MatchAnchors& anchors, const PtOptions& options,
                      std::uint32_t k, Governor* governor);
 
-/// PT-BAS's per-match work: the k-ball of every anchor of one match.
+/// PT-BAS's per-match work: the k-ball of every anchor of one match. It
+/// also finds the focal nodes a maintained census adjusts for a match an
+/// update creates or kills, over the DynamicGraph overlay.
 struct AnchorBalls {
   explicit AnchorBalls(int num_anchors) : balls(num_anchors) {}
 
-  /// BFSes the anchors' balls of match `m`, records each in *stats, and
-  /// returns the nodes of the smallest (the first among equals).
-  const std::vector<NodeId>& Run(const Graph& graph,
+  /// BFSes the anchors' balls of match `m` in `graph` (a Graph or a
+  /// DynamicGraph), records each in *stats, and returns the nodes of the
+  /// smallest (the first among equals).
+  template <typename GraphT>
+  const std::vector<NodeId>& Run(const GraphT& graph,
                                  const MatchAnchors& anchors, std::size_t m,
                                  std::uint32_t k, CensusStats* stats) {
     smallest = 0;

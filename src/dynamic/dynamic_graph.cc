@@ -12,25 +12,16 @@ bool SortedContains(std::span<const NodeId> nodes, NodeId x) {
   return std::binary_search(nodes.begin(), nodes.end(), x);
 }
 
-bool SortedContains(const std::vector<NodeId>& nodes, NodeId x) {
-  return std::binary_search(nodes.begin(), nodes.end(), x);
+/// Inserts x into a sorted vector (no-op if present).
+void SortedInsert(std::vector<NodeId>* v, NodeId x) {
+  auto it = std::lower_bound(v->begin(), v->end(), x);
+  if (it == v->end() || *it != x) v->insert(it, x);
 }
 
-/// Inserts x into a sorted vector (no-op if present); returns true if
-/// inserted.
-bool SortedInsert(std::vector<NodeId>* v, NodeId x) {
+/// Erases x from a sorted vector (no-op if absent).
+void SortedErase(std::vector<NodeId>* v, NodeId x) {
   auto it = std::lower_bound(v->begin(), v->end(), x);
-  if (it != v->end() && *it == x) return false;
-  v->insert(it, x);
-  return true;
-}
-
-/// Erases x from a sorted vector; returns true if it was present.
-bool SortedErase(std::vector<NodeId>* v, NodeId x) {
-  auto it = std::lower_bound(v->begin(), v->end(), x);
-  if (it == v->end() || *it != x) return false;
-  v->erase(it);
-  return true;
+  if (it != v->end() && *it == x) v->erase(it);
 }
 
 }  // namespace
@@ -57,45 +48,21 @@ std::span<const NodeId> DynamicGraph::BaseNeighbors(int view, NodeId n) const {
 std::span<const NodeId> DynamicGraph::ViewNeighbors(int view, NodeId n) const {
   auto it = delta_[view].find(n);
   if (it == delta_[view].end()) return BaseNeighbors(view, n);
-  const DeltaAdj& d = it->second;
-  if (!d.merged_valid) {
-    auto bases = BaseNeighbors(view, n);
-    d.merged.clear();
-    d.merged.reserve(bases.size() + d.added.size());
-    // base minus removed, then union with added (all three inputs sorted).
-    std::set_difference(bases.begin(), bases.end(), d.removed.begin(),
-                        d.removed.end(), std::back_inserter(d.merged));
-    if (!d.added.empty()) {
-      std::size_t mid = d.merged.size();
-      d.merged.insert(d.merged.end(), d.added.begin(), d.added.end());
-      std::inplace_merge(d.merged.begin(), d.merged.begin() + mid,
-                         d.merged.end());
-    }
-    d.merged_valid = true;
-  }
-  return d.merged;
+  return it->second;
 }
 
 bool DynamicGraph::ViewContains(int view, NodeId u, NodeId v) const {
   if (u >= num_nodes_ || v >= num_nodes_) return false;
-  auto it = delta_[view].find(u);
-  if (it != delta_[view].end()) {
-    if (SortedContains(it->second.added, v)) return true;
-    if (SortedContains(it->second.removed, v)) return false;
+  return SortedContains(ViewNeighbors(view, u), v);
+}
+
+std::vector<NodeId>& DynamicGraph::DirtyNeighbors(int view, NodeId n) {
+  auto [it, inserted] = delta_[view].try_emplace(n);
+  if (inserted) {
+    auto base = BaseNeighbors(view, n);
+    it->second.assign(base.begin(), base.end());
   }
-  return SortedContains(BaseNeighbors(view, u), v);
-}
-
-void DynamicGraph::DeltaAddNeighbor(int view, NodeId n, NodeId x) {
-  DeltaAdj& d = delta_[view][n];
-  if (!SortedErase(&d.removed, x)) SortedInsert(&d.added, x);
-  d.merged_valid = false;
-}
-
-void DynamicGraph::DeltaRemoveNeighbor(int view, NodeId n, NodeId x) {
-  DeltaAdj& d = delta_[view][n];
-  if (!SortedErase(&d.added, x)) SortedInsert(&d.removed, x);
-  d.merged_valid = false;
+  return it->second;
 }
 
 Status DynamicGraph::CheckEndpoints(NodeId u, NodeId v) const {
@@ -126,14 +93,14 @@ Result<bool> DynamicGraph::AddEdge(NodeId u, NodeId v) {
     // The undirected view gains u~v only when the reverse arc is absent
     // (the base combined view is deduplicated the same way).
     if (!HasEdge(v, u)) {
-      DeltaAddNeighbor(kUndView, u, v);
-      DeltaAddNeighbor(kUndView, v, u);
+      SortedInsert(&DirtyNeighbors(kUndView, u), v);
+      SortedInsert(&DirtyNeighbors(kUndView, v), u);
     }
-    DeltaAddNeighbor(kOutView, u, v);
-    DeltaAddNeighbor(kInView, v, u);
+    SortedInsert(&DirtyNeighbors(kOutView, u), v);
+    SortedInsert(&DirtyNeighbors(kInView, v), u);
   } else {
-    DeltaAddNeighbor(kOutView, u, v);
-    DeltaAddNeighbor(kOutView, v, u);
+    SortedInsert(&DirtyNeighbors(kOutView, u), v);
+    SortedInsert(&DirtyNeighbors(kOutView, v), u);
   }
   ++num_edges_;
   ++version_;
@@ -147,15 +114,15 @@ Result<bool> DynamicGraph::RemoveEdge(NodeId u, NodeId v) {
   }
   if (!HasEdge(u, v)) return false;  // missing: reported no-op
   if (directed()) {
-    DeltaRemoveNeighbor(kOutView, u, v);
-    DeltaRemoveNeighbor(kInView, v, u);
+    SortedErase(&DirtyNeighbors(kOutView, u), v);
+    SortedErase(&DirtyNeighbors(kInView, v), u);
     if (!HasEdge(v, u)) {
-      DeltaRemoveNeighbor(kUndView, u, v);
-      DeltaRemoveNeighbor(kUndView, v, u);
+      SortedErase(&DirtyNeighbors(kUndView, u), v);
+      SortedErase(&DirtyNeighbors(kUndView, v), u);
     }
   } else {
-    DeltaRemoveNeighbor(kOutView, u, v);
-    DeltaRemoveNeighbor(kOutView, v, u);
+    SortedErase(&DirtyNeighbors(kOutView, u), v);
+    SortedErase(&DirtyNeighbors(kOutView, v), u);
   }
   --num_edges_;
   ++version_;
@@ -243,64 +210,6 @@ std::optional<AttributeValue> DynamicGraph::GetNodeAttribute(
     return AttributeValue(static_cast<std::int64_t>(n));
   }
   return base_.node_attributes().Get(n, name);
-}
-
-// --- DynamicSubgraphExtractor ------------------------------------------
-
-void DynamicSubgraphExtractor::EnsureCapacity() {
-  if (local_of_.size() < graph_.NumNodes()) {
-    local_of_.resize(graph_.NumNodes(), kInvalidNode);
-    epoch_of_.resize(graph_.NumNodes(), 0);
-  }
-}
-
-EgoSubgraph DynamicSubgraphExtractor::Extract(std::span<const NodeId> nodes,
-                                              bool copy_attributes) {
-  EnsureCapacity();
-  ++epoch_;
-  EgoSubgraph out;
-  out.graph = Graph(graph_.directed());
-  out.to_global.reserve(nodes.size());
-  for (NodeId g : nodes) {
-    if (epoch_of_[g] == epoch_) continue;  // duplicate
-    epoch_of_[g] = epoch_;
-    local_of_[g] = static_cast<NodeId>(out.to_global.size());
-    out.to_global.push_back(g);
-    out.graph.AddNode(graph_.label(g));
-  }
-  for (NodeId g : out.to_global) {
-    NodeId lu = local_of_[g];
-    for (NodeId h : graph_.OutNeighbors(g)) {
-      if (h >= epoch_of_.size() || epoch_of_[h] != epoch_) continue;
-      if (!graph_.directed() && h < g) continue;
-      out.graph.AddEdge(lu, local_of_[h]);
-    }
-  }
-  if (copy_attributes) {
-    for (NodeId g : out.to_global) {
-      out.graph.node_attributes().CopyFrom(graph_.node_attributes(), g,
-                                           local_of_[g]);
-    }
-  }
-  CheckOk(out.graph.Finalize(), "extracted subgraph");
-  return out;
-}
-
-EgoSubgraph DynamicSubgraphExtractor::ExtractKHop(NodeId n, std::uint32_t k,
-                                                  bool copy_attributes) {
-  const auto& nodes = bfs1_.Run(graph_, n, k);
-  return Extract(nodes, copy_attributes);
-}
-
-EgoSubgraph DynamicSubgraphExtractor::ExtractAroundPair(
-    NodeId u, NodeId v, std::uint32_t radius, bool copy_attributes) {
-  const auto& nodes1 = bfs1_.Run(graph_, u, radius);
-  scratch_nodes_.assign(nodes1.begin(), nodes1.end());
-  const auto& nodes2 = bfs2_.Run(graph_, v, radius);
-  for (NodeId n : nodes2) {
-    if (!bfs1_.Reached(n)) scratch_nodes_.push_back(n);
-  }
-  return Extract(scratch_nodes_, copy_attributes);
 }
 
 }  // namespace egocensus

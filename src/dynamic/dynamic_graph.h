@@ -7,9 +7,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "graph/bfs.h"
 #include "graph/graph.h"
-#include "graph/subgraph.h"
 #include "graph/types.h"
 #include "util/status.h"
 
@@ -38,19 +36,20 @@ struct GraphUpdate {
   }
 };
 
-/// Mutable overlay over a finalized CSR Graph (the dynamic-graph substrate
-/// of the EAGr-style continuous workload). The base stays immutable; edge
-/// and node changes accumulate in per-node hash-indexed delta lists
-/// (added/removed neighbors per adjacency view) and are periodically
-/// compacted into a fresh CSR base.
+/// Updatable overlay over a finalized CSR Graph (the dynamic-graph substrate
+/// of the EAGr-style continuous workload). The base stays read-only; a node
+/// an update touches gets its own sorted adjacency per view, copied from
+/// the base on first touch and edited in place, and the overlay is
+/// periodically compacted into a fresh CSR base.
 ///
 /// The overlay mirrors the topology accessors the matchers, BFS, and
 /// subgraph extraction already use (NumNodes/Neighbors/OutNeighbors/
 /// InNeighbors/Degree/HasEdge/label), returning spans either directly into
-/// the base CSR (clean nodes) or into a lazily merged per-node cache (dirty
-/// nodes). BfsWorkspace::Run and DynamicSubgraphExtractor therefore operate
-/// on base+delta unmodified, and pattern matching runs unchanged inside
-/// materialized ego subgraphs of the current topology.
+/// the base CSR (clean nodes) or into the node's own adjacency (dirty
+/// nodes). BfsWorkspace::Run and SubgraphExtractor therefore operate on
+/// base+delta unmodified, and pattern matching runs unchanged inside
+/// materialized ego subgraphs of the current topology. Const accessors
+/// write nothing, so concurrent readers are safe between mutations.
 ///
 /// Semantics: the graph is kept *simple* — inserting an existing edge or
 /// deleting a missing one is a reported no-op (AddEdge/RemoveEdge return
@@ -172,18 +171,12 @@ class DynamicGraph {
   static constexpr int kInView = 1;
   static constexpr int kUndView = 2;
 
-  struct DeltaAdj {
-    std::vector<NodeId> added;    // sorted; not in the base adjacency
-    std::vector<NodeId> removed;  // sorted; subset of the base adjacency
-    mutable std::vector<NodeId> merged;
-    mutable bool merged_valid = false;
-  };
-
   std::span<const NodeId> BaseNeighbors(int view, NodeId n) const;
   std::span<const NodeId> ViewNeighbors(int view, NodeId n) const;
   bool ViewContains(int view, NodeId u, NodeId v) const;
-  void DeltaAddNeighbor(int view, NodeId n, NodeId x);
-  void DeltaRemoveNeighbor(int view, NodeId n, NodeId x);
+  /// n's own sorted adjacency in `view`, copied from the base on first
+  /// touch.
+  std::vector<NodeId>& DirtyNeighbors(int view, NodeId n);
   [[nodiscard]] Status CheckEndpoints(NodeId u, NodeId v) const;
 
   Graph base_;  // finalized
@@ -195,44 +188,10 @@ class DynamicGraph {
 
   std::vector<Label> ext_labels_;  // nodes beyond the base
   std::vector<char> removed_;
-  // One delta map per adjacency view; undirected graphs use only kOutView
-  // (as Graph, where out == in == undirected).
-  std::unordered_map<NodeId, DeltaAdj> delta_[3];
-};
-
-/// Induced-subgraph materialization over the DynamicGraph overlay: the
-/// dynamic counterpart of SubgraphExtractor. The extracted EgoSubgraph is an
-/// ordinary finalized Graph, so the CN/GQL matchers run inside it
-/// unmodified. Edge attributes are not copied (unsupported by the dynamic
-/// layer); node labels always are, node attributes on request.
-class DynamicSubgraphExtractor {
- public:
-  explicit DynamicSubgraphExtractor(const DynamicGraph& graph)
-      : graph_(graph) {}
-
-  /// Induced subgraph on `nodes` (duplicates ignored).
-  EgoSubgraph Extract(std::span<const NodeId> nodes,
-                      bool copy_attributes = false);
-
-  /// Induced subgraph on the k-hop neighborhood S(n, k).
-  EgoSubgraph ExtractKHop(NodeId n, std::uint32_t k,
-                          bool copy_attributes = false);
-
-  /// Induced subgraph on B(u, radius) ∪ B(v, radius) — the locality region
-  /// of incremental maintenance around an updated edge.
-  EgoSubgraph ExtractAroundPair(NodeId u, NodeId v, std::uint32_t radius,
-                                bool copy_attributes = false);
-
- private:
-  void EnsureCapacity();
-
-  const DynamicGraph& graph_;
-  BfsWorkspace bfs1_;
-  BfsWorkspace bfs2_;
-  std::vector<NodeId> local_of_;
-  std::vector<std::uint32_t> epoch_of_;
-  std::uint32_t epoch_ = 0;
-  std::vector<NodeId> scratch_nodes_;
+  // One map per adjacency view from a dirty node to its current sorted
+  // adjacency; undirected graphs use only kOutView (as Graph, where out ==
+  // in == undirected).
+  std::unordered_map<NodeId, std::vector<NodeId>> delta_[3];
 };
 
 }  // namespace egocensus

@@ -1,12 +1,18 @@
 #include "dynamic/incremental_census.h"
 
 #include <algorithm>
+#include <memory>
 #include <utility>
 #include <variant>
 
 #include "census/census.h"
+#include "census/engines.h"
+#include "census/pmi.h"
+#include "census/pt_common.h"
 #include "exec/failpoints.h"
-#include "match/cn_matcher.h"
+#include "graph/bfs.h"
+#include "graph/subgraph.h"
+#include "match/matcher.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/timer.h"
@@ -73,9 +79,24 @@ void MaintenanceStats::Accumulate(const MaintenanceStats& other) {
   seconds += other.seconds;
 }
 
-bool IncrementalCensus::Ball::Contains(NodeId n) const {
-  return std::binary_search(nodes.begin(), nodes.end(), n);
-}
+/// One batch's scratch, reused across its updates: the extractor over the
+/// overlay and the region it extracted last, a BFS workspace, the anchor
+/// balls of one match, the selected matcher (region ids are local, so no
+/// profile index, as in ND-BAS), and the work counters of the census
+/// kernels it runs, which maintenance does not report.
+struct IncrementalCensus::Scratch {
+  Scratch(const DynamicGraph& graph, int num_anchors, bool use_gql_matcher)
+      : extractor(graph),
+        balls(num_anchors),
+        matcher(internal::SelectMatcher(use_gql_matcher, nullptr)) {}
+
+  SubgraphExtractor<DynamicGraph> extractor;
+  EgoSubgraph sub;
+  BfsWorkspace bfs;
+  internal::AnchorBalls balls;
+  std::unique_ptr<Matcher> matcher;
+  CensusStats census_stats;
+};
 
 Result<IncrementalCensus> IncrementalCensus::Create(DynamicGraph* graph,
                                                     Pattern pattern,
@@ -103,9 +124,34 @@ Result<IncrementalCensus> IncrementalCensus::Create(
 
 Status IncrementalCensus::InitCounts(std::vector<NodeId> focal,
                                      bool all_nodes) {
-  if (!pattern_.prepared()) {
-    return Status::InvalidArgument(
-        "IncrementalCensus: pattern must be prepared");
+  const NodeId num_nodes = graph_->NumNodes();
+  all_nodes_focal_ = all_nodes;
+  if (all_nodes) {
+    // egolint: no-checkpoint(O(N) focal-list build during Init)
+    for (NodeId n = 0; n < num_nodes; ++n) {
+      if (!graph_->NodeRemoved(n)) focal.push_back(n);
+    }
+  }
+
+  // The initial census runs on an equivalent static snapshot (the base CSR
+  // directly when the overlay is clean), and its input check is the
+  // maintainer's: the pattern, the subpattern's anchors and the focal set.
+  Graph snapshot;
+  const Graph* g = &graph_->base();
+  if (graph_->DeltaSize() != 0 || num_nodes != graph_->base().NumNodes()) {
+    snapshot = graph_->Materialize();
+    g = &snapshot;
+  }
+  auto anchors =
+      CheckCensusInputs(*g, pattern_, options_.subpattern, focal, &focal_);
+  if (!anchors.ok()) return anchors.status();
+  anchor_nodes_ = std::move(anchors).value();
+  // egolint: no-checkpoint(O(N) removed-node sweep during Init)
+  for (NodeId n = 0; n < num_nodes; ++n) {
+    if (focal_[n] && graph_->NodeRemoved(n)) {
+      return Status::InvalidArgument("IncrementalCensus: focal node " +
+                                     std::to_string(n) + " is removed");
+    }
   }
   for (const PatternPredicate& p : pattern_.Predicates()) {
     if (std::holds_alternative<EdgeAttrRef>(p.lhs) ||
@@ -114,19 +160,6 @@ Status IncrementalCensus::InitCounts(std::vector<NodeId> focal,
           "IncrementalCensus: edge-attribute predicates are not supported "
           "by the dynamic layer");
     }
-  }
-
-  // Anchor nodes: the whole pattern (COUNTP) or the named subpattern.
-  if (options_.subpattern.empty()) {
-    anchor_nodes_.resize(pattern_.NumNodes());
-    for (int v = 0; v < pattern_.NumNodes(); ++v) anchor_nodes_[v] = v;
-  } else {
-    const std::vector<int>* sub = pattern_.FindSubpattern(options_.subpattern);
-    if (sub == nullptr) {
-      return Status::NotFound("IncrementalCensus: no subpattern named '" +
-                              options_.subpattern + "'");
-    }
-    anchor_nodes_ = *sub;
   }
   whole_pattern_ =
       static_cast<int>(anchor_nodes_.size()) == pattern_.NumNodes();
@@ -140,47 +173,10 @@ Status IncrementalCensus::InitCounts(std::vector<NodeId> focal,
         "IncrementalCensus: pattern positive skeleton must be connected");
   }
 
-  const NodeId num_nodes = graph_->NumNodes();
-  if (all_nodes) {
-    all_nodes_focal_ = true;
-    focal_.assign(num_nodes, 1);
-  } else {
-    all_nodes_focal_ = false;
-    focal_.assign(num_nodes, 0);
-    // egolint: no-checkpoint(O(|focal|) flag marking during Init)
-    for (NodeId n : focal) {
-      if (n >= num_nodes) {
-        return Status::OutOfRange("IncrementalCensus: focal node " +
-                                  std::to_string(n) + " out of range");
-      }
-      focal_[n] = 1;
-    }
-  }
-  // egolint: no-checkpoint(O(N) removed-node sweep during Init)
-  for (NodeId n = 0; n < num_nodes; ++n) {
-    if (graph_->NodeRemoved(n)) focal_[n] = 0;
-  }
-
-  // Initial census on an equivalent static snapshot (the base CSR directly
-  // when the overlay is clean).
-  std::vector<NodeId> focal_list;
-  // egolint: no-checkpoint(O(N) focal-list build during Init)
-  for (NodeId n = 0; n < num_nodes; ++n) {
-    if (focal_[n]) focal_list.push_back(n);
-  }
-  if (focal_list.empty()) {
+  if (focal.empty()) {
     counts_.assign(num_nodes, 0);
   } else {
-    Graph snapshot;
-    const Graph* g = nullptr;
-    if (graph_->DeltaSize() == 0 &&
-        graph_->NumNodes() == graph_->base().NumNodes()) {
-      g = &graph_->base();
-    } else {
-      snapshot = graph_->Materialize();
-      g = &snapshot;
-    }
-    auto result = RunCensus(*g, pattern_, focal_list, options_);
+    auto result = RunCensus(*g, pattern_, focal, options_);
     if (!result.ok()) return result.status();
     // Maintenance needs every count exact, so a stopped initial census
     // fails creation instead of seeding it with lower bounds.
@@ -191,131 +187,80 @@ Status IncrementalCensus::InitCounts(std::vector<NodeId> focal,
   return Status::Ok();
 }
 
-IncrementalCensus::Ball IncrementalCensus::MakeBall(NodeId source,
-                                                    std::uint32_t depth,
-                                                    BfsWorkspace* bfs) const {
-  Ball ball;
-  const std::vector<NodeId>& visited = bfs->Run(*graph_, source, depth);
-  ball.nodes.assign(visited.begin(), visited.end());
-  std::sort(ball.nodes.begin(), ball.nodes.end());
-  return ball;
-}
-
-std::vector<IncrementalCensus::DeltaMatch>
-IncrementalCensus::EnumerateEdgeMatches(NodeId u, NodeId v, bool edge_present,
-                                        DynamicSubgraphExtractor* extractor,
-                                        MaintenanceStats* stats) const {
-  std::vector<DeltaMatch> out;
+MatchSet IncrementalCensus::EnumerateEdgeMatches(
+    NodeId u, NodeId v, bool edge_present, Scratch* scratch,
+    MaintenanceStats* stats) const {
+  MatchSet out(pattern_.NumNodes());
   if (edge_present && pattern_.PositiveEdges().empty()) return out;
   if (!edge_present && pattern_.NegativeEdges().empty()) return out;
 
   // Every match depending on (u, v) maps some pattern edge onto {u, v}, so
   // all its images lie within diam(P) of an endpoint: matching inside the
   // induced region B(u, diam) ∪ B(v, diam) finds exactly those matches.
-  EgoSubgraph sub = extractor->ExtractAroundPair(
+  const EgoSubgraph region = scratch->extractor.ExtractUnion(
       u, v, diameter_, pattern_.HasGeneralPredicates());
-  stats->region_nodes += sub.graph.NumNodes();
-  EGO_HIST_RECORD("dynamic/region_nodes", sub.graph.NumNodes());
+  stats->region_nodes += region.graph.NumNodes();
+  EGO_HIST_RECORD("dynamic/region_nodes", region.graph.NumNodes());
+  const NodeId lu = scratch->extractor.LocalOf(u);
+  const NodeId lv = scratch->extractor.LocalOf(v);
 
-  NodeId lu = kInvalidNode;
-  NodeId lv = kInvalidNode;
-  for (std::size_t i = 0; i < sub.to_global.size(); ++i) {
-    if (sub.to_global[i] == u) lu = static_cast<NodeId>(i);
-    if (sub.to_global[i] == v) lv = static_cast<NodeId>(i);
-  }
-
-  CnMatcher matcher;
-  MatchSet matches = matcher.FindMatches(sub.graph, pattern_);
+  const MatchSet matches =
+      scratch->matcher->FindMatches(region.graph, pattern_);
+  std::vector<NodeId> images(pattern_.NumNodes());
   for (std::size_t i = 0; i < matches.size(); ++i) {
-    std::span<const NodeId> images = matches.Match(i);
-    bool depends = edge_present
-                       ? MatchUsesEdge(sub.graph, pattern_, images, lu, lv)
-                       : MatchForbidsEdge(sub.graph, pattern_, images, lu, lv);
+    std::span<const NodeId> local = matches.Match(i);
+    bool depends =
+        edge_present ? MatchUsesEdge(region.graph, pattern_, local, lu, lv)
+                     : MatchForbidsEdge(region.graph, pattern_, local, lu, lv);
     if (!depends) continue;
-    DeltaMatch dm;
-    dm.anchors.reserve(anchor_nodes_.size());
-    for (int a : anchor_nodes_) {
-      dm.anchors.push_back(sub.to_global[images[a]]);
+    for (std::size_t j = 0; j < local.size(); ++j) {
+      images[j] = region.to_global[local[j]];
     }
-    std::sort(dm.anchors.begin(), dm.anchors.end());
-    dm.anchors.erase(std::unique(dm.anchors.begin(), dm.anchors.end()),
-                     dm.anchors.end());
-    out.push_back(std::move(dm));
+    out.Add(images);
     ++stats->delta_matches;
   }
   return out;
 }
 
-std::uint64_t IncrementalCensus::LocalRecount(
-    NodeId n, DynamicSubgraphExtractor* extractor, BfsWorkspace* bfs) const {
+std::uint64_t IncrementalCensus::LocalRecount(NodeId n,
+                                              Scratch* scratch) const {
   if (n >= graph_->NumNodes() || graph_->NodeRemoved(n)) return 0;
   const bool need_attrs = pattern_.HasGeneralPredicates();
-  CnMatcher matcher;
+  EgoSubgraph& sub = scratch->sub;
   if (whole_pattern_) {
     // COUNTP: every anchor image must lie in S(n, k), i.e. the whole match
     // does — extract S(n, k) and count matches inside (ND-BAS locally).
-    EgoSubgraph sub = extractor->ExtractKHop(n, options_.k, need_attrs);
-    return matcher.FindMatches(sub.graph, pattern_).size();
+    scratch->extractor.ExtractKHopInto(n, options_.k, need_attrs, &sub);
+    return scratch->matcher->FindMatches(sub.graph, pattern_).size();
   }
   // COUNTSP: the match may extend up to diam(P) beyond the anchors, so
   // matching inside S(n, k + diam) finds every match whose anchor images
-  // are within k of n; distances <= k are exact inside the ball.
-  EgoSubgraph sub =
-      extractor->ExtractKHop(n, options_.k + diameter_, need_attrs);
-  NodeId ln = kInvalidNode;
-  for (std::size_t i = 0; i < sub.to_global.size(); ++i) {
-    if (sub.to_global[i] == n) {
-      ln = static_cast<NodeId>(i);
-      break;
-    }
-  }
-  MatchSet matches = matcher.FindMatches(sub.graph, pattern_);
-  bfs->Run(sub.graph, ln, options_.k);
-  std::uint64_t count = 0;
-  for (std::size_t i = 0; i < matches.size(); ++i) {
-    bool inside = true;
-    for (int a : anchor_nodes_) {
-      if (!bfs->Reached(matches.Image(i, a))) {
-        inside = false;
-        break;
-      }
-    }
-    if (inside) ++count;
-  }
-  return count;
+  // are within k of n; distances <= k are exact inside the ball, whose
+  // local id 0 is n. Then ND-BAS's anchor-coverage scan counts them.
+  scratch->extractor.ExtractKHopInto(n, options_.k + diameter_, need_attrs,
+                                     &sub);
+  const MatchSet matches = scratch->matcher->FindMatches(sub.graph, pattern_);
+  BfsWorkspace& bfs = scratch->bfs;
+  bfs.Run(sub.graph, 0, options_.k);
+  return MatchAnchors(&matches, anchor_nodes_)
+      .CountInside([&bfs](NodeId a) { return bfs.Reached(a); },
+                   &scratch->census_stats.containment_checks);
 }
 
 void IncrementalCensus::ApplyMatchDeltas(
-    const std::vector<DeltaMatch>& matches, int sign,
-    const std::unordered_map<NodeId, char>& skip,
-    std::unordered_map<NodeId, std::int64_t>* acc, BfsWorkspace* bfs,
-    MaintenanceStats* stats) const {
-  if (matches.empty()) return;
+    const MatchSet& matches, int sign,
+    const std::unordered_map<NodeId, char>& skip, DeltaMap* acc,
+    Scratch* scratch, MaintenanceStats* stats) const {
   // The focal nodes gaining/losing a match M are exactly those whose
-  // S(n, k) contains all anchor images: the intersection of the anchors'
-  // k-balls (reverse BFS; the undirected view is symmetric).
-  std::unordered_map<NodeId, Ball> balls;
-  for (const DeltaMatch& m : matches) {
-    const Ball* smallest = nullptr;
-    for (NodeId a : m.anchors) {
-      auto [it, inserted] = balls.try_emplace(a);
-      if (inserted) it->second = MakeBall(a, options_.k, bfs);
-      if (smallest == nullptr ||
-          it->second.nodes.size() < smallest->nodes.size()) {
-        smallest = &it->second;
-      }
-    }
-    for (NodeId n : smallest->nodes) {
+  // S(n, k) contains all anchor images: PT-BAS's intersection of the
+  // anchors' k-balls (reverse BFS; the undirected view is symmetric).
+  const MatchAnchors anchors(&matches, anchor_nodes_);
+  internal::AnchorBalls& balls = scratch->balls;
+  CensusStats& census_stats = scratch->census_stats;
+  for (std::size_t m = 0; m < anchors.NumMatches(); ++m) {
+    for (NodeId n : balls.Run(*graph_, anchors, m, options_.k, &census_stats)) {
       if (!IsFocal(n) || skip.contains(n)) continue;
-      bool eligible = true;
-      for (NodeId a : m.anchors) {
-        const Ball& ball = balls.at(a);
-        if (&ball != smallest && !ball.Contains(n)) {
-          eligible = false;
-          break;
-        }
-      }
-      if (!eligible) continue;
+      if (!balls.ReachedByAll(n, &census_stats.containment_checks)) continue;
       (*acc)[n] += sign;
       ++stats->adjusted_nodes;
     }
@@ -323,21 +268,19 @@ void IncrementalCensus::ApplyMatchDeltas(
 }
 
 Result<bool> IncrementalCensus::ProcessEdgeUpdate(
-    NodeId u, NodeId v, bool insert, DynamicSubgraphExtractor* extractor,
-    BfsWorkspace* bfs, std::unordered_map<NodeId, std::int64_t>* acc,
+    NodeId u, NodeId v, bool insert, Scratch* scratch, DeltaMap* acc,
     MaintenanceStats* stats) {
   if (u >= graph_->NumNodes() || v >= graph_->NumNodes()) {
     return Status::OutOfRange("edge endpoint out of range");
   }
   if (insert == graph_->HasEdge(u, v)) return false;  // reported no-op
 
-  std::vector<DeltaMatch> dying;
-  std::vector<DeltaMatch> born;
+  MatchSet dying;
+  MatchSet born;
   if (insert) {
     // Matches relying on the *absence* of (u, v) via a negated pattern
     // edge die; they must be enumerated before the insert.
-    dying = EnumerateEdgeMatches(u, v, /*edge_present=*/false, extractor,
-                                 stats);
+    dying = EnumerateEdgeMatches(u, v, /*edge_present=*/false, scratch, stats);
     auto applied = graph_->AddEdge(u, v);
     if (!applied.ok()) return applied.status();
   }
@@ -349,39 +292,37 @@ Result<bool> IncrementalCensus::ProcessEdgeUpdate(
   std::unordered_map<NodeId, char> recount;
   if (options_.k > 0) {
     for (NodeId endpoint : {u, v}) {
-      for (NodeId n : bfs->Run(*graph_, endpoint, options_.k - 1)) {
+      for (NodeId n : scratch->bfs.Run(*graph_, endpoint, options_.k - 1)) {
         if (IsFocal(n)) recount.emplace(n, 1);
       }
     }
   }
 
   if (insert) {
-    born = EnumerateEdgeMatches(u, v, /*edge_present=*/true, extractor,
-                                stats);
+    born = EnumerateEdgeMatches(u, v, /*edge_present=*/true, scratch, stats);
   } else {
-    dying = EnumerateEdgeMatches(u, v, /*edge_present=*/true, extractor,
-                                 stats);
+    dying = EnumerateEdgeMatches(u, v, /*edge_present=*/true, scratch, stats);
   }
 
   // Anchor balls are taken in whatever topology is current; on the
   // complement of A2 the k-ball membership is identical in both
   // topologies, so the order of operations below does not matter there.
   if (insert) {
-    ApplyMatchDeltas(born, +1, recount, acc, bfs, stats);
-    ApplyMatchDeltas(dying, -1, recount, acc, bfs, stats);
+    ApplyMatchDeltas(born, +1, recount, acc, scratch, stats);
+    ApplyMatchDeltas(dying, -1, recount, acc, scratch, stats);
   } else {
-    ApplyMatchDeltas(dying, -1, recount, acc, bfs, stats);
+    ApplyMatchDeltas(dying, -1, recount, acc, scratch, stats);
     auto applied = graph_->RemoveEdge(u, v);
     if (!applied.ok()) return applied.status();
     if (!pattern_.NegativeEdges().empty()) {
-      born = EnumerateEdgeMatches(u, v, /*edge_present=*/false, extractor,
+      born = EnumerateEdgeMatches(u, v, /*edge_present=*/false, scratch,
                                   stats);
-      ApplyMatchDeltas(born, +1, recount, acc, bfs, stats);
+      ApplyMatchDeltas(born, +1, recount, acc, scratch, stats);
     }
   }
 
   for (const auto& [n, unused] : recount) {
-    std::uint64_t fresh = LocalRecount(n, extractor, bfs);
+    std::uint64_t fresh = LocalRecount(n, scratch);
     ++stats->recounted_nodes;
     // The recount is authoritative for n (its match deltas were skipped).
     (*acc)[n] = static_cast<std::int64_t>(fresh) -
@@ -400,10 +341,10 @@ Result<MaintenanceStats> IncrementalCensus::ApplyBatch(
   Timer timer;
   EGO_SPAN("dynamic/apply_batch", updates.size());
   MaintenanceStats stats;
-  DynamicSubgraphExtractor extractor(*graph_);
-  BfsWorkspace bfs;
-  std::unordered_map<NodeId, std::int64_t> acc;
-  std::unordered_map<NodeId, std::int64_t> batch_acc;
+  Scratch scratch(*graph_, static_cast<int>(anchor_nodes_.size()),
+                  options_.use_gql_matcher);
+  DeltaMap acc;
+  DeltaMap batch_acc;
 
   // Folds the per-step deltas into the maintained counts; later steps of
   // the same batch then compare against up-to-date counts.
@@ -417,27 +358,15 @@ Result<MaintenanceStats> IncrementalCensus::ApplyBatch(
     acc.clear();
   };
 
-  for (const GraphUpdate& update : updates) {
-    // One checkpoint per update: a governor stop aborts the batch between
-    // updates, so the applied prefix stays exact (same contract as an
-    // invalid-update abort). Listeners see nothing for an aborted batch.
-    EGO_FAILPOINT("dynamic/update");
-    if (options_.governor != nullptr &&
-        options_.governor->Checkpoint() != StopReason::kNone) {
-      return options_.governor->ToStatus(
-          "IncrementalCensus::ApplyBatch (applied prefix updates stay "
-          "applied)");
-    }
-    // Per-update latency: sampled only when observability is on so the
-    // default path never touches the clock per update.
-    const std::uint64_t update_begin_us =
-        obs::Enabled() ? Timer::NowMicros() : 0;
+  // Maintains the counts for one update. An error leaves the graph as the
+  // last flush left it, so the caller drops the update's unflushed deltas.
+  auto apply_update = [&](const GraphUpdate& update) -> Status {
     switch (update.kind) {
       case GraphUpdate::Kind::kAddEdge:
       case GraphUpdate::Kind::kRemoveEdge: {
         bool insert = update.kind == GraphUpdate::Kind::kAddEdge;
-        auto applied = ProcessEdgeUpdate(update.u, update.v, insert,
-                                         &extractor, &bfs, &acc, &stats);
+        auto applied = ProcessEdgeUpdate(update.u, update.v, insert, &scratch,
+                                         &acc, &stats);
         if (!applied.ok()) return applied.status();
         if (applied.value()) {
           ++stats.updates_applied;
@@ -445,7 +374,7 @@ Result<MaintenanceStats> IncrementalCensus::ApplyBatch(
           ++stats.noop_updates;
         }
         flush();
-        break;
+        return Status::Ok();
       }
       case GraphUpdate::Kind::kAddNode: {
         auto id = graph_->AddNode(update.label);
@@ -455,7 +384,7 @@ Result<MaintenanceStats> IncrementalCensus::ApplyBatch(
         if (focal_.back()) {
           // An isolated node only matches single-node patterns; the local
           // recount handles that exactly.
-          std::uint64_t fresh = LocalRecount(id.value(), &extractor, &bfs);
+          std::uint64_t fresh = LocalRecount(id.value(), &scratch);
           ++stats.recounted_nodes;
           if (fresh != 0) {
             acc[id.value()] = static_cast<std::int64_t>(fresh);
@@ -463,7 +392,7 @@ Result<MaintenanceStats> IncrementalCensus::ApplyBatch(
         }
         ++stats.updates_applied;
         flush();
-        break;
+        return Status::Ok();
       }
       case GraphUpdate::Kind::kRemoveNode: {
         NodeId n = update.u;
@@ -472,7 +401,7 @@ Result<MaintenanceStats> IncrementalCensus::ApplyBatch(
         }
         if (graph_->NodeRemoved(n)) {
           ++stats.noop_updates;
-          break;
+          return Status::Ok();
         }
         // Detach every incident edge through the maintained path, then
         // tombstone: the node ends isolated with an exact count, which
@@ -480,8 +409,8 @@ Result<MaintenanceStats> IncrementalCensus::ApplyBatch(
         std::vector<NodeId> targets(graph_->OutNeighbors(n).begin(),
                                     graph_->OutNeighbors(n).end());
         for (NodeId x : targets) {
-          auto applied = ProcessEdgeUpdate(n, x, /*insert=*/false,
-                                           &extractor, &bfs, &acc, &stats);
+          auto applied = ProcessEdgeUpdate(n, x, /*insert=*/false, &scratch,
+                                           &acc, &stats);
           if (!applied.ok()) return applied.status();
           flush();
         }
@@ -490,7 +419,7 @@ Result<MaintenanceStats> IncrementalCensus::ApplyBatch(
                                       graph_->InNeighbors(n).end());
           for (NodeId x : sources) {
             auto applied = ProcessEdgeUpdate(x, n, /*insert=*/false,
-                                             &extractor, &bfs, &acc, &stats);
+                                             &scratch, &acc, &stats);
             if (!applied.ok()) return applied.status();
             flush();
           }
@@ -505,8 +434,33 @@ Result<MaintenanceStats> IncrementalCensus::ApplyBatch(
         }
         ++stats.updates_applied;
         flush();
-        break;
+        return Status::Ok();
       }
+    }
+    return Status::Internal("unknown update kind");
+  };
+
+  Status status = Status::Ok();
+  for (const GraphUpdate& update : updates) {
+    // One checkpoint per update: a governor stop aborts the batch between
+    // updates, so the applied prefix stays exact (same contract as an
+    // invalid-update abort) and ends the batch below.
+    EGO_FAILPOINT("dynamic/update");
+    if (options_.governor != nullptr &&
+        options_.governor->Checkpoint() != StopReason::kNone) {
+      status = options_.governor->ToStatus(
+          "IncrementalCensus::ApplyBatch (applied prefix updates stay "
+          "applied)");
+      break;
+    }
+    // Per-update latency: sampled only when observability is on so the
+    // default path never touches the clock per update.
+    const std::uint64_t update_begin_us =
+        obs::Enabled() ? Timer::NowMicros() : 0;
+    status = apply_update(update);
+    if (!status.ok()) {
+      acc.clear();
+      break;
     }
     if (obs::Enabled()) {
       EGO_HIST_RECORD("dynamic/update_micros",
@@ -514,6 +468,7 @@ Result<MaintenanceStats> IncrementalCensus::ApplyBatch(
     }
   }
 
+  // A completed batch and an aborted one's applied prefix end alike.
   std::vector<CountDelta> deltas;
   for (const auto& [n, d] : batch_acc) {
     if (d != 0) deltas.push_back({n, d, counts_[n]});
@@ -540,6 +495,7 @@ Result<MaintenanceStats> IncrementalCensus::ApplyBatch(
   if (deltas_out != nullptr) *deltas_out = std::move(deltas);
 
   graph_->MaybeCompact();
+  if (!status.ok()) return status;
   return stats;
 }
 

@@ -9,6 +9,7 @@
 
 #include "census/census.h"
 #include "dynamic/dynamic_graph.h"
+#include "match/match_set.h"
 #include "pattern/pattern.h"
 #include "util/status.h"
 
@@ -62,6 +63,10 @@ struct MaintenanceStats {
 /// Counts of every other node are provably unchanged, so single-edge
 /// updates cost a handful of bounded-radius BFS runs plus matching in a
 /// small region — orders of magnitude below a full recompute.
+///
+/// Steps 2 and 3 are the static census's own kernels: PT-BAS's anchor balls
+/// (internal::AnchorBalls) and ND-BAS's per-ball count, over the one
+/// SubgraphExtractor, with the matcher the options select (CN or GQL).
 class IncrementalCensus {
  public:
   /// Change-listener: receives the aggregated count deltas of every
@@ -76,16 +81,15 @@ class IncrementalCensus {
   ///
   /// The governor (null = ungoverned): a stop in the initial census fails
   /// Create with the governor's status; ApplyBatch checkpoints once per
-  /// update and stops between updates, returning the governor's status.
-  /// Already-applied prefix updates stay applied (the documented
-  /// batch-abort semantics) and the maintained counts remain exact for the
-  /// applied prefix.
+  /// update and stops between updates, returning the governor's status
+  /// after ending the batch on its applied prefix (see ApplyBatch).
   [[nodiscard]] static Result<IncrementalCensus> Create(DynamicGraph* graph,
                                           Pattern pattern,
                                           CensusOptions options);
 
-  /// As above, restricted to an explicit focal set (removed and
-  /// out-of-range ids are rejected). Nodes added later are not focal.
+  /// As above, restricted to an explicit focal set: an out-of-range id is
+  /// OUT_OF_RANGE, a repeated or removed one INVALID_ARGUMENT (the input
+  /// check of RunCensus, plus tombstones). Nodes added later are not focal.
   [[nodiscard]] static Result<IncrementalCensus> Create(DynamicGraph* graph,
                                           Pattern pattern,
                                           CensusOptions options,
@@ -110,9 +114,12 @@ class IncrementalCensus {
 
   /// Applies `updates` in order, maintaining all focal counts exactly.
   /// Count deltas are aggregated across the batch, delivered to listeners,
-  /// and optionally returned via `deltas_out`. Invalid updates abort the
-  /// batch with an error (already-applied prefix updates stay applied).
-  /// A completed batch ends with DynamicGraph::MaybeCompact.
+  /// and optionally returned via `deltas_out`. The batch ends with
+  /// DynamicGraph::MaybeCompact. An invalid update or a governor stop
+  /// aborts the batch with an error, but the updates applied before it
+  /// stay applied and leave through the same exit as a completed batch:
+  /// their deltas reach the listeners and `deltas_out`, lifetime_stats()
+  /// counts them, and later batches are accepted.
   [[nodiscard]] Result<MaintenanceStats> ApplyBatch(
       std::span<const GraphUpdate> updates,
       std::vector<CountDelta>* deltas_out = nullptr);
@@ -123,46 +130,35 @@ class IncrementalCensus {
       : graph_(graph), pattern_(std::move(pattern)),
         options_(std::move(options)) {}
 
-  /// Global-id anchor images of one match that depends on the updated edge.
-  struct DeltaMatch {
-    std::vector<NodeId> anchors;  // sorted, deduplicated
-  };
-
-  /// Sorted node list of a k-ball B(source, depth).
-  struct Ball {
-    std::vector<NodeId> nodes;
-    bool Contains(NodeId n) const;
-  };
+  /// One batch's scratch (defined with the kernels it holds).
+  struct Scratch;
+  using DeltaMap = std::unordered_map<NodeId, std::int64_t>;
 
   [[nodiscard]] Status InitCounts(std::vector<NodeId> focal, bool all_nodes);
-  Ball MakeBall(NodeId source, std::uint32_t depth, BfsWorkspace* bfs) const;
 
   /// Enumerates the matches in the current topology whose validity depends
-  /// on edge (u, v): with `edge_present`, matches using the edge through a
-  /// positive pattern edge; otherwise matches requiring its absence through
-  /// a negated pattern edge.
-  std::vector<DeltaMatch> EnumerateEdgeMatches(
-      NodeId u, NodeId v, bool edge_present,
-      DynamicSubgraphExtractor* extractor, MaintenanceStats* stats) const;
+  /// on edge (u, v), as global images: with `edge_present`, matches using
+  /// the edge through a positive pattern edge; otherwise matches requiring
+  /// its absence through a negated pattern edge.
+  MatchSet EnumerateEdgeMatches(NodeId u, NodeId v, bool edge_present,
+                                Scratch* scratch,
+                                MaintenanceStats* stats) const;
 
-  /// From-scratch count of focal node n in the current topology, matching
-  /// only inside S(n, k) (whole pattern) or S(n, k + diam) (subpattern).
-  std::uint64_t LocalRecount(NodeId n, DynamicSubgraphExtractor* extractor,
-                             BfsWorkspace* bfs) const;
+  /// From-scratch count of focal node n in the current topology: ND-BAS's
+  /// count of S(n, k) (whole pattern) or of S(n, k + diam) (subpattern).
+  std::uint64_t LocalRecount(NodeId n, Scratch* scratch) const;
 
   /// Adds the ±1 contributions of `matches` to `acc` for every eligible
   /// focal node (anchor-ball intersection), skipping nodes in `skip`.
-  void ApplyMatchDeltas(const std::vector<DeltaMatch>& matches, int sign,
+  void ApplyMatchDeltas(const MatchSet& matches, int sign,
                         const std::unordered_map<NodeId, char>& skip,
-                        std::unordered_map<NodeId, std::int64_t>* acc,
-                        BfsWorkspace* bfs, MaintenanceStats* stats) const;
+                        DeltaMap* acc, Scratch* scratch,
+                        MaintenanceStats* stats) const;
 
   /// Maintains counts for one edge insert/delete. Returns whether the graph
   /// changed (false = no-op duplicate/missing edge).
   [[nodiscard]] Result<bool> ProcessEdgeUpdate(NodeId u, NodeId v, bool insert,
-                                 DynamicSubgraphExtractor* extractor,
-                                 BfsWorkspace* bfs,
-                                 std::unordered_map<NodeId, std::int64_t>* acc,
+                                 Scratch* scratch, DeltaMap* acc,
                                  MaintenanceStats* stats);
 
   DynamicGraph* graph_ = nullptr;

@@ -22,7 +22,7 @@ namespace egocensus {
 /// up to date under an update stream. It takes the static engine's options
 /// and plan step: the initial census runs with PlanCensus's options (engine,
 /// matcher, fast path, threads, degradation), and the maintainer keeps the
-/// plan's k, subpattern and governor.
+/// plan's k, subpattern, matcher and governor.
 ///
 /// Supported queries: single-table SELECT with exactly one COUNTP/COUNTSP
 /// aggregate over SUBGRAPH(ID, k). The WHERE clause fixes the focal node
@@ -36,8 +36,9 @@ class MaintainSession {
   /// usable by name (inline PATTERN blocks shadow them). `graph` must
   /// outlive the session. A governor in `options.census` governs the
   /// initial census (a stop fails Create with its status) and checkpoints
-  /// once per update (a stop aborts the batch between updates and keeps the
-  /// applied prefix).
+  /// once per update (a stop aborts the batch between updates; the applied
+  /// prefix stays, its deltas reach the listeners, and the session accepts
+  /// the next batch, as after an invalid update).
   [[nodiscard]] static Result<MaintainSession> Create(
       DynamicGraph* graph, std::string_view query_text,
       const QueryEngine::Options& options = {},

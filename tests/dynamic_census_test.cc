@@ -18,6 +18,7 @@
 #include "graph/generators.h"
 #include "lang/engine.h"
 #include "lang/maintain.h"
+#include "obs/metrics.h"
 #include "pattern/pattern_parser.h"
 #include "tests/test_util.h"
 #include "util/rng.h"
@@ -73,6 +74,31 @@ struct StreamConfig {
   int batch_size = 6;
   bool node_ops = false;  // also generate add-node / remove-node updates
   std::uint64_t seed = 1;
+  bool use_gql_matcher = false;
+};
+
+/// Samples recorded in histogram `name` since the last registry reset (0
+/// when observability is compiled out).
+std::uint64_t HistogramSamples(const char* name) {
+#if EGO_OBS_ENABLED
+  obs::MetricsSnapshot snap = obs::Registry::Global().Snapshot();
+  auto it = snap.histograms.find(name);
+  return it == snap.histograms.end() ? 0 : it->second.count;
+#else
+  return 0;
+#endif
+}
+
+/// Observability on for one scope, and off again with a clean registry.
+struct ScopedObs {
+  ScopedObs() { SetEnabled(true); }
+  ~ScopedObs() { SetEnabled(false); }
+  static void SetEnabled(bool on) {
+#if EGO_OBS_ENABLED
+    obs::SetEnabled(on);
+    obs::Registry::Global().Reset();
+#endif
+  }
 };
 
 /// Drives a random update stream against an IncrementalCensus, checking
@@ -85,8 +111,18 @@ void RunRandomStream(Graph base, const Pattern& pattern,
   CensusOptions opts;
   opts.k = config.k;
   opts.subpattern = config.subpattern;
+  opts.use_gql_matcher = config.use_gql_matcher;
   auto census = IncrementalCensus::Create(&dg, pattern, opts);
   ASSERT_TRUE(census.ok()) << census.status().ToString();
+  // The selected matcher reaches maintenance: every batch records the
+  // chosen matcher's candidate histogram and never the other's.
+  ScopedObs observed;
+  const char* used = config.use_gql_matcher ? "match/gql/candidate_set_size"
+                                            : "match/cn/candidate_set_size";
+  const char* unused = config.use_gql_matcher
+                           ? "match/cn/candidate_set_size"
+                           : "match/gql/candidate_set_size";
+  std::uint64_t used_samples = 0;
 
   // Shadow state for generating valid updates; the listener-reported
   // deltas must reconstruct the maintained counts exactly.
@@ -148,9 +184,12 @@ void RunRandomStream(Graph base, const Pattern& pattern,
         updates.push_back(GraphUpdate::RemoveEdge(u, v));
       }
     }
+    ScopedObs::SetEnabled(true);
     auto stats = census->ApplyBatch(updates);
     ASSERT_TRUE(stats.ok()) << stats.status().ToString();
     EXPECT_EQ(stats->updates_applied + stats->noop_updates, updates.size());
+    used_samples += HistogramSamples(used);
+    EXPECT_EQ(HistogramSamples(unused), 0u) << "batch " << batch;
     ExpectCountsMatchReference(dg, *census, pattern, config.k,
                                config.subpattern,
                                "batch " + std::to_string(batch));
@@ -161,6 +200,10 @@ void RunRandomStream(Graph base, const Pattern& pattern,
       ASSERT_EQ(dg.DeltaSize(), 0u);
     }
   }
+
+#if EGO_OBS_ENABLED
+  EXPECT_GT(used_samples, 0u) << used;
+#endif
 
   // The accumulated listener deltas reproduce the final counts.
   for (NodeId n = 0; n < dg.NumNodes(); ++n) {
@@ -229,11 +272,15 @@ TEST(DynamicCensusTest, DirectedNegatedCoordinatorSubpattern) {
   config.subpattern = "ends";
   config.num_batches = 6;
   config.seed = 15;
-  RunRandomStream(
-      GenerateErdosRenyi(50, 200, 2, 31, /*directed=*/true),
-      MustParse("PATTERN coord {?A->?B; ?A->?C; ?B!-?C; "
-                "SUBPATTERN ends {?B; ?C;}}"),
-      config);
+  for (bool use_gql : {false, true}) {
+    SCOPED_TRACE(use_gql ? "gql" : "cn");
+    config.use_gql_matcher = use_gql;
+    RunRandomStream(
+        GenerateErdosRenyi(50, 200, 2, 31, /*directed=*/true),
+        MustParse("PATTERN coord {?A->?B; ?A->?C; ?B!-?C; "
+                  "SUBPATTERN ends {?B; ?C;}}"),
+        config);
+  }
 }
 
 TEST(DynamicCensusTest, NegatedEdgeUndirectedK2) {
@@ -251,8 +298,12 @@ TEST(DynamicCensusTest, NodeAddRemoveStream) {
   config.node_ops = true;
   config.num_batches = 8;
   config.seed = 17;
-  RunRandomStream(SmallPa(40, 1, 10),
-                  MustParse("PATTERN t {?A-?B; ?B-?C; ?C-?A;}"), config);
+  for (bool use_gql : {false, true}) {
+    SCOPED_TRACE(use_gql ? "gql" : "cn");
+    config.use_gql_matcher = use_gql;
+    RunRandomStream(SmallPa(40, 1, 10),
+                    MustParse("PATTERN t {?A-?B; ?B-?C; ?C-?A;}"), config);
+  }
 }
 
 TEST(DynamicCensusTest, DirectedTriadK1) {
@@ -300,6 +351,59 @@ TEST(DynamicCensusTest, ExplicitNoopsAndStats) {
   for (const CountDelta& d : deltas) {
     EXPECT_EQ(d.delta, -1);
     EXPECT_EQ(d.new_count, 0u);
+  }
+}
+
+TEST(DynamicCensusTest, AbortedBatchEndsOnItsAppliedPrefix) {
+  // An invalid update aborts its batch after the valid one before it
+  // applied: that prefix still reaches the listeners, and the session
+  // accepts the next batch.
+  DynamicGraph dg(testing::MakeGraph(5, {{0, 1}, {1, 2}}));
+  const Pattern triangle = MustParse("PATTERN t {?A-?B; ?B-?C; ?C-?A;}");
+  CensusOptions opts;
+  opts.k = 1;
+  auto census = IncrementalCensus::Create(&dg, triangle, opts);
+  ASSERT_TRUE(census.ok()) << census.status().ToString();
+  std::vector<std::uint64_t> replayed = census->counts();
+  census->AddListener([&replayed](const std::vector<CountDelta>& deltas) {
+    for (const CountDelta& d : deltas) {
+      replayed[d.node] = static_cast<std::uint64_t>(
+          static_cast<std::int64_t>(replayed[d.node]) + d.delta);
+    }
+  });
+
+  const std::vector<GraphUpdate> aborted = {GraphUpdate::AddEdge(0, 2),
+                                            GraphUpdate::AddEdge(3, 3)};
+  auto stats = census->ApplyBatch(aborted);
+  ASSERT_FALSE(stats.ok());
+  EXPECT_EQ(stats.status().code(), StatusCode::kInvalidArgument);
+  ExpectCountsMatchReference(dg, *census, triangle, 1, "", "aborted batch");
+  EXPECT_EQ(census->counts()[0], 1u);
+  EXPECT_EQ(replayed, census->counts());
+  EXPECT_EQ(census->lifetime_stats().updates_applied, 1u);
+
+  const std::vector<GraphUpdate> next = {GraphUpdate::AddEdge(3, 4)};
+  stats = census->ApplyBatch(next);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  ExpectCountsMatchReference(dg, *census, triangle, 1, "", "next batch");
+  EXPECT_EQ(replayed, census->counts());
+}
+
+TEST(DynamicCensusTest, ExplicitFocalSetIsChecked) {
+  DynamicGraph dg(testing::MakeGraph(5, {{0, 1}, {1, 2}, {2, 0}, {3, 4}}));
+  ASSERT_TRUE(dg.RemoveNode(4).ok());
+  const Pattern triangle = MustParse("PATTERN t {?A-?B; ?B-?C; ?C-?A;}");
+  const struct {
+    std::vector<NodeId> focal;
+    StatusCode code;
+  } cases[] = {{{0, 1, 2}, StatusCode::kOk},
+               {{0, 5}, StatusCode::kOutOfRange},
+               {{1, 2, 1}, StatusCode::kInvalidArgument},
+               {{0, 4}, StatusCode::kInvalidArgument}};
+  for (const auto& c : cases) {
+    auto census =
+        IncrementalCensus::Create(&dg, triangle, CensusOptions(), c.focal);
+    EXPECT_EQ(census.status().code(), c.code) << census.status().ToString();
   }
 }
 

@@ -201,12 +201,14 @@ TEST(DynamicGraphTest, DynamicExtractorMatchesStaticExtractor) {
     }
   }
 
+  // The two instantiations of the one extractor: over the overlay and over
+  // its materialized CSR snapshot.
   Graph snap = dg.Materialize();
-  DynamicSubgraphExtractor dynamic_extractor(dg);
+  SubgraphExtractor dynamic_extractor(dg);
   SubgraphExtractor static_extractor(snap);
   for (NodeId n = 0; n < dg.NumNodes(); n += 7) {
     for (std::uint32_t k : {1u, 2u}) {
-      EgoSubgraph a = dynamic_extractor.ExtractKHop(n, k);
+      EgoSubgraph a = dynamic_extractor.ExtractKHop(n, k, false);
       EgoSubgraph b = static_extractor.ExtractKHop(n, k, false);
       ASSERT_EQ(a.to_global.size(), b.to_global.size()) << n << " k=" << k;
       // Same node set (order may differ only if BFS tie-breaking differed;

@@ -260,6 +260,41 @@ TEST(EgolintCheckpointTest, SameNamedFunctionOutsideCheckedDirsDrivesNothing) {
   EXPECT_EQ(findings[0].line, 2);
 }
 
+// A per-match scan in a census header template, in the shape of
+// MatchAnchors::CountInside (census/pmi.h).
+constexpr const char* kScanHeader =
+    "template <typename Inside>\n"
+    "int CountInside(const Inside& inside) {\n"
+    "  int count = 0;\n"
+    "  for (int m = 0; m < num_matches; ++m) {\n"
+    "    if (inside(matches[m])) ++count;\n"
+    "  }\n"
+    "  return count;\n"
+    "}\n";
+
+TEST(EgolintCheckpointTest, UnpolledLoopInACensusHeaderIsFlagged) {
+  std::vector<Finding> findings =
+      Lint({{"src/census/fake_scan.h", kScanHeader}});
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].check, "checkpoint-coverage");
+  EXPECT_EQ(findings[0].file, "src/census/fake_scan.h");
+  EXPECT_EQ(findings[0].line, 4);
+}
+
+TEST(EgolintCheckpointTest, HeaderLoopThatADriverKernelCallsIsCovered) {
+  std::vector<Finding> findings = Lint({
+      {"src/census/fake_driver.h", kDriverHeader},
+      {"src/census/fake_scan.h", kScanHeader},
+      {"src/census/fake_engine.cc",
+       "void Run() {\n"
+       "  ForEachItem([&](int n) {\n"
+       "    CountInside(n);\n"
+       "  });\n"
+       "}\n"},
+  });
+  EXPECT_EQ(findings.size(), 0u);
+}
+
 TEST(EgolintCheckpointTest, SuppressionWithReasonSilences) {
   std::vector<Finding> findings = Lint({
       {"src/census/fake_engine.cc",

@@ -139,6 +139,43 @@ TEST_F(GovernorCensusTest, TinyMemoryBudgetStopsWithResourceExhausted) {
   EXPECT_GT(gov.memory_charged_bytes(), 64u);
 }
 
+TEST_F(GovernorCensusTest, PairwisePtResultIsChargedToTheBudget) {
+  // Tens of thousands of covered pairs outgrow a 256 KiB budget although
+  // the engines' per-unit scratch fits it: the PairCounts result is
+  // charged too. Without a limit the pairs are the ungoverned ones.
+  GeneratorOptions gen;
+  gen.num_nodes = 400;
+  gen.edges_per_node = 3;
+  gen.seed = 5;
+  Graph g = GeneratePreferentialAttachment(gen);
+  Pattern edge = MakeSingleEdge();
+  using Engine = Result<PairCounts> (*)(const Graph&, const Pattern&,
+                                        const PairwiseCensusOptions&);
+  for (Engine engine : {&RunPairwisePtBas, &RunPairwisePtOpt}) {
+    for (auto neighborhood :
+         {PairNeighborhood::kIntersection, PairNeighborhood::kUnion}) {
+      PairwiseCensusOptions opts;
+      opts.k = 2;
+      opts.neighborhood = neighborhood;
+      auto ungoverned = engine(g, edge, opts);
+      ASSERT_TRUE(ungoverned.ok()) << ungoverned.status().ToString();
+
+      Governor unlimited;
+      opts.governor = &unlimited;
+      auto unlimited_pairs = engine(g, edge, opts);
+      ASSERT_TRUE(unlimited_pairs.ok());
+      EXPECT_EQ(*unlimited_pairs, *ungoverned);
+
+      Governor budget;
+      budget.SetMemoryLimitBytes(256 << 10);
+      opts.governor = &budget;
+      auto limited = engine(g, edge, opts);
+      ASSERT_FALSE(limited.ok());
+      EXPECT_EQ(limited.status().code(), StatusCode::kResourceExhausted);
+    }
+  }
+}
+
 TEST_F(GovernorCensusTest, DegradeToApproxCoversInterruptedFocals) {
   Graph g = SweepGraph();
   Pattern tri = MakeTriangle(false);

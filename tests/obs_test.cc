@@ -8,6 +8,8 @@
 
 #include "census/census.h"
 #include "census/pairwise.h"
+#include "dynamic/dynamic_graph.h"
+#include "dynamic/incremental_census.h"
 #include "graph/generators.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -284,8 +286,8 @@ TEST_F(ObsRuntimeTest, CensusPopulatesMetricsForBothMatchers) {
   EXPECT_TRUE(saw_count);
 
   // Whole-pattern ND-BAS, single node and pairwise, matches inside each
-  // extracted region instead of the whole graph; the choice reaches that
-  // matcher too.
+  // extracted region instead of the whole graph, and so does a maintained
+  // census's batch; the choice reaches that matcher too.
   std::vector<std::pair<NodeId, NodeId>> pairs;
   for (NodeId n = 0; n + 1 < graph.NumNodes(); n += 2) {
     pairs.emplace_back(n, n + 1);
@@ -306,13 +308,29 @@ TEST_F(ObsRuntimeTest, CensusPopulatesMetricsForBothMatchers) {
          EXPECT_TRUE(r.ok());
          return r.ok() ? r->counts : std::vector<std::uint64_t>{};
        }},
-      {"pairwise nd-bas", [&](bool use_gql) {
+      {"pairwise nd-bas",
+       [&](bool use_gql) {
          PairwiseCensusOptions pairwise;
          pairwise.k = 1;
          pairwise.use_gql_matcher = use_gql;
          auto r = RunPairwiseNdBas(graph, pattern, pairs, pairwise);
          EXPECT_TRUE(r.ok());
          return r.ok() ? *r : std::vector<std::uint64_t>{};
+       }},
+      {"maintained batch", [&](bool use_gql) {
+         DynamicGraph dynamic(graph);
+         CensusOptions maintained = options;
+         maintained.use_gql_matcher = use_gql;
+         auto census = IncrementalCensus::Create(&dynamic, pattern, maintained);
+         EXPECT_TRUE(census.ok());
+         if (!census.ok()) return std::vector<std::uint64_t>{};
+         // Only the batch's matching is observed, not the initial census.
+         Registry::Global().Reset();
+         const std::vector<GraphUpdate> updates = {
+             GraphUpdate::AddEdge(150, 199), GraphUpdate::AddEdge(0, 199),
+             GraphUpdate::RemoveEdge(0, 1), GraphUpdate::AddNode()};
+         EXPECT_TRUE(census->ApplyBatch(updates).ok());
+         return census->counts();
        }}};
   for (const auto& [name, run] : region_matchers) {
     SCOPED_TRACE(name);
