@@ -5,22 +5,6 @@
 #include "census/fastpath/kernels.h"
 
 namespace egocensus::internal {
-namespace {
-
-/// The closed-form kernels assume simple adjacency (Graph::AddEdge does
-/// not deduplicate parallel inserts). Finalized rows are sorted, so one
-/// linear scan over the CSR detects duplicates.
-bool HasParallelEdges(const Graph& graph) {
-  for (NodeId n = 0; n < graph.NumNodes(); ++n) {
-    std::span<const NodeId> row = graph.Neighbors(n);
-    for (std::size_t i = 1; i < row.size(); ++i) {
-      if (row[i] == row[i - 1]) return true;
-    }
-  }
-  return false;
-}
-
-}  // namespace
 
 FastPathDecision DecideFastPath(const Graph& graph, const Pattern& pattern,
                                 const CensusOptions& options) {
@@ -44,7 +28,9 @@ FastPathDecision DecideFastPath(const Graph& graph, const Pattern& pattern,
     decision.reject_reason = "directed graph";
     return decision;
   }
-  if (HasParallelEdges(graph)) {
+  // The closed-form kernels assume simple adjacency (Graph::AddEdge does
+  // not deduplicate parallel inserts).
+  if (graph.has_parallel_edges()) {
     decision.reject_reason = "graph has parallel edges";
     return decision;
   }

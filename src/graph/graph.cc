@@ -95,6 +95,12 @@ Status Graph::Finalize(bool release_build_buffers) {
     return Status::InvalidArgument("Finalize: graph is already finalized");
   }
   BuildCsr(num_nodes_, &build_out_, /*dedup=*/false, &out_);
+  has_parallel_edges_ = false;
+  for (NodeId n = 0; n < num_nodes_ && !has_parallel_edges_; ++n) {
+    std::span<const NodeId> row = out_.NeighborsOf(n);
+    has_parallel_edges_ =
+        std::adjacent_find(row.begin(), row.end()) != row.end();
+  }
   if (directed_) {
     BuildCsr(num_nodes_, &build_in_, /*dedup=*/false, &in_);
     // Combined undirected view: merge of in and out, deduplicated.
@@ -119,6 +125,7 @@ Status Graph::Finalize(bool release_build_buffers) {
 void Graph::Reset(bool directed) {
   directed_ = directed;
   finalized_ = false;
+  has_parallel_edges_ = false;
   num_nodes_ = 0;
   max_label_ = 0;
   labels_.clear();

@@ -87,6 +87,11 @@ class Graph {
   /// Number of distinct labels in use (max label + 1).
   std::uint32_t NumLabels() const { return max_label_ + 1; }
 
+  /// True when some node's sorted out-row repeats a neighbor, i.e. AddEdge
+  /// inserted a parallel edge. Recorded once by Finalize(); Reset() clears
+  /// it.
+  bool has_parallel_edges() const { return has_parallel_edges_; }
+
   Label label(NodeId n) const { return labels_[n]; }
 
   /// Endpoints of edge e: (source, target) for directed, (u, v) as inserted
@@ -152,6 +157,7 @@ class Graph {
 
   bool directed_;
   bool finalized_ = false;
+  bool has_parallel_edges_ = false;
   std::uint32_t num_nodes_ = 0;
   Label max_label_ = 0;
 

@@ -51,23 +51,6 @@ AggregateExec QueryRun::Total() const {
   return total;
 }
 
-CensusOptions PlanCensus(const AnalyzedQuery::CountItem& item,
-                         const QueryEngine::Options& options) {
-  CensusOptions census = options.census;
-  census.k = item.spec->neighborhood.k;
-  census.subpattern = item.spec->count_subpattern ? item.spec->subpattern : "";
-  if (options.auto_algorithm) {
-    const Pattern& pattern = *item.pattern;
-    bool selective = !pattern.Predicates().empty();
-    for (int v = 0; v < pattern.NumNodes(); ++v) {
-      selective = selective || pattern.LabelConstraint(v).has_value();
-    }
-    census.algorithm =
-        selective ? CensusAlgorithm::kPtOpt : CensusAlgorithm::kNdPvot;
-  }
-  return census;
-}
-
 Result<QueryRun> QueryEngine::RunQuery(std::string_view query_text,
                                        const Options& options) {
   auto query = ParseQuery(query_text);
@@ -94,6 +77,7 @@ GraphIndexes GraphIndexes::Build(const Graph& graph) {
   indexes.profiles = ProfileIndex::Build(graph);
   indexes.centers = CenterDistanceIndex::Build(
       graph, PickHighestDegreeCenters(graph, 24));
+  indexes.labels = LabelTotals::Build(graph);
   return indexes;
 }
 
@@ -112,6 +96,12 @@ const CenterDistanceIndex& QueryEngine::CachedCenters() {
         graph_, PickHighestDegreeCenters(graph_, 24));
   }
   return *centers_cache_;
+}
+
+const LabelTotals& QueryEngine::CachedLabels() {
+  if (shared_indexes_ != nullptr) return shared_indexes_->labels;
+  if (!labels_cache_.has_value()) labels_cache_ = LabelTotals::Build(graph_);
+  return *labels_cache_;
 }
 
 Result<QueryRun> QueryEngine::RunParsed(const Query& query,
@@ -145,21 +135,14 @@ Result<QueryRun> QueryEngine::RunSingle(const AnalyzedQuery& analyzed,
   std::vector<std::vector<std::uint64_t>> count_columns;
   std::vector<std::vector<FocalState>> state_columns;
   for (const auto& item : analyzed.counts) {
-    CensusOptions census = PlanCensus(item, options);
-    // An aggregate bound for the combinatorial fast path never touches the
-    // PT center index, so don't pay its first-query build for one. The
-    // pattern/option checks here mirror DecideFastPath; the graph-level
-    // parallel-edge check is deliberately omitted (a multigraph falls back
-    // to the generic engine, which then builds its own index inline).
-    const bool fastpath_likely = census.fast_path != FastPathMode::kOff &&
-                                 item.shape.eligible() &&
-                                 census.subpattern.empty() &&
-                                 !census.use_gql_matcher && !graph_.directed();
-    // Share the engine's per-graph indexes across queries.
+    CensusPlan plan = PlanCensus(item, options, graph_, focal, CachedLabels());
+    // Share the engine's per-graph indexes across queries; only the
+    // engines that seed from centers pay the center index's first build.
+    CensusOptions census = plan.census;
     if (census.profile_index == nullptr) {
       census.profile_index = &CachedProfiles();
     }
-    if (census.center_index == nullptr && !fastpath_likely &&
+    if (census.center_index == nullptr && !plan.fast_path &&
         (census.algorithm == CensusAlgorithm::kPtOpt ||
          census.algorithm == CensusAlgorithm::kPtRnd)) {
       census.center_index = &CachedCenters();
@@ -167,6 +150,7 @@ Result<QueryRun> QueryEngine::RunSingle(const AnalyzedQuery& analyzed,
     auto result = RunCensus(graph_, *item.pattern, focal, census);
     if (!result.ok()) return result.status();
     AggregateExec& exec = run.aggregates.emplace_back();
+    exec.plan = std::move(plan);
     exec.stats = result->stats;
     exec.status = result->exec_status;
     for (NodeId n : focal) {
@@ -226,7 +210,8 @@ Result<QueryRun> QueryEngine::RunPairwise(const AnalyzedQuery& analyzed,
 
   std::vector<PairCounts> pair_columns;
   for (const auto& item : analyzed.counts) {
-    const CensusOptions census = PlanCensus(item, options);
+    const CensusOptions census =
+        PlanCensus(item, options, graph_, {}, CachedLabels()).census;
     PairwiseCensusOptions pairwise;
     static_cast<CensusCommon&>(pairwise) = census;
     static_cast<PtOptions&>(pairwise) = census;

@@ -2,6 +2,7 @@
 #define EGOCENSUS_LANG_ENGINE_H_
 
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -18,8 +19,9 @@
 namespace egocensus {
 
 /// The expensive per-graph indexes a QueryEngine consults: the node profile
-/// index (matcher candidate filtering) and the 24-degree-center distance
-/// index (PT-OPT seeding/clustering). Building them costs O(V + C*(V+E));
+/// index (matcher candidate filtering), the 24-degree-center distance index
+/// (PT-OPT seeding/clustering) and the per-label totals the census plan
+/// prices match steps with. Building them costs O(V + C*(V+E));
 /// a long-running service builds them once per resident graph and hands a
 /// const pointer to every per-request engine, so concurrent requests share
 /// the indexes without sharing any mutable engine state (the daemon's
@@ -27,6 +29,7 @@ namespace egocensus {
 struct GraphIndexes {
   ProfileIndex profiles;
   CenterDistanceIndex centers;
+  LabelTotals labels;
 
   static GraphIndexes Build(const Graph& graph);
 };
@@ -38,11 +41,40 @@ std::vector<std::string> ColumnNames(const Query& query);
 /// Sorts `table` by the query's ORDER BY ordinals, then applies its LIMIT.
 void ApplyOrderByLimit(const Query& query, ResultTable* table);
 
-/// What one census aggregate of a query did: its census's stats, its exec
-/// status and the per-focal completion tally. A governed query that hits
-/// its deadline or budget still produces a table; this is where callers
-/// learn it is partial and how partial.
+/// One engine the census plan priced, in the units of the census counters:
+/// the matches its match step materializes (num_matches), the ball nodes
+/// its counting phase visits (nodes_expanded), and `cost`, the weighted
+/// work (about nanoseconds on the calibration host) the plan compares.
+struct EngineEstimate {
+  CensusAlgorithm algorithm = CensusAlgorithm::kNdBas;
+  double matches = 0;
+  double expanded = 0;
+  double cost = 0;
+};
+
+/// What PlanCensus decided for one aggregate: the options its census runs
+/// with, whether the fast path answers it, a one-line reason, and, when the
+/// cost rule chose the engine, the balls it sampled and the estimates it
+/// compared (cheapest first).
+struct CensusPlan {
+  CensusOptions census;
+  bool fast_path = false;
+  std::string reason;
+  std::uint32_t sampled_balls = 0;
+  double mean_ball = 0;  // mean |S(n, k)| over the sampled balls
+  std::vector<EngineEstimate> estimates;
+
+  /// "fastpath" or the engine's lower-case name ("nd-bas", ...), as in the
+  /// census/<engine>/ counters.
+  std::string EngineName() const;
+};
+
+/// What one census aggregate of a query did: its plan, its census's stats,
+/// its exec status and the per-focal completion tally. A governed query
+/// that hits its deadline or budget still produces a table; this is where
+/// callers learn it is partial and how partial.
 struct AggregateExec {
+  CensusPlan plan;
   CensusStats stats;
   Status status;  // OK, or kDeadlineExceeded/kResourceExhausted/kCancelled
   std::uint64_t complete = 0;  // focal nodes with exact counts
@@ -127,27 +159,43 @@ class QueryEngine {
                                              const Options& options);
 
   /// Lazily built per-graph indexes, shared across queries on this engine:
-  /// the node profile index (matcher candidate filtering) and a
-  /// 24-degree-center distance index (PT-OPT seeding/clustering).
+  /// the node profile index (matcher candidate filtering), a
+  /// 24-degree-center distance index (PT-OPT seeding/clustering) and the
+  /// per-label totals (the census plan).
   const ProfileIndex& CachedProfiles();
   const CenterDistanceIndex& CachedCenters();
+  const LabelTotals& CachedLabels();
 
   const Graph& graph_;
   const GraphIndexes* shared_indexes_ = nullptr;
   std::vector<Pattern> registered_;
   std::optional<ProfileIndex> profiles_cache_;
   std::optional<CenterDistanceIndex> centers_cache_;
+  std::optional<LabelTotals> labels_cache_;
 };
 
-/// The plan step: the options of the census that evaluates aggregate
-/// `item` under the query-wide `options`, for single-node, pairwise and
-/// maintained censuses alike. It sets the aggregate's radius k and COUNTSP
-/// subpattern and, unless the request pinned an engine, the engine: PT-OPT
-/// for a selective pattern (label constraints or predicates, where
-/// pattern-driven wins in Fig. 4(d)), ND-PVOT otherwise (the non-selective
-/// case of Fig. 4(c)).
-CensusOptions PlanCensus(const AnalyzedQuery::CountItem& item,
-                         const QueryEngine::Options& options);
+/// The plan step for single-node, pairwise and maintained censuses alike:
+/// the census that evaluates aggregate `item` over `focal` in `graph` under
+/// the query-wide `options`. It sets the aggregate's radius k and COUNTSP
+/// subpattern, then picks what runs it:
+///  - the fast path, for every census it can answer (an eligible <= 4-node
+///    shape under fast_path auto or force), before any sampling. Where
+///    another engine is faster on a whole graph (the unlabeled triangle at
+///    k = 2), that engine's global match costs more peak memory;
+///  - the request's engine, when it pinned `algorithm`;
+///  - otherwise the cheapest of ND-BAS, ND-PVOT and PT-BAS by a cost rule
+///    (Fig. 4(e): node-driven work grows with |focal| and the ball volume,
+///    pattern-driven work is the match step plus a count over the matches).
+///    It prices each from |focal|, the resolved thread count, the k-balls
+///    of at most 16 evenly spaced focal nodes, `labels` (the graph's
+///    per-label totals) and the pattern, and passes fast_path off so
+///    RunCensus runs the engine it chose.
+/// PT-OPT, PT-RND and ND-DIFF run only when pinned. Pairwise censuses take
+/// only the plan's CensusCommon and PtOptions slices.
+CensusPlan PlanCensus(const AnalyzedQuery::CountItem& item,
+                      const QueryEngine::Options& options, const Graph& graph,
+                      std::span<const NodeId> focal,
+                      const LabelTotals& labels);
 
 }  // namespace egocensus
 

@@ -45,29 +45,40 @@ Result<MaintainSession> MaintainSession::Create(
     }
   }
 
-  auto census = IncrementalCensus::Create(
-      graph, *item.pattern, PlanCensus(item, options), std::move(focal));
+  // Plan over a static graph that holds every focal id, nodes the overlay
+  // added included: a dirty overlay is compacted first (the graph it
+  // describes is unchanged), so the plan and the initial census read the
+  // same base CSR.
+  if (graph->DeltaSize() != 0 ||
+      graph->NumNodes() != graph->base().NumNodes()) {
+    graph->Compact();
+  }
+  const Graph& base = graph->base();
+  CensusPlan plan =
+      PlanCensus(item, options, base, focal, LabelTotals::Build(base));
+  auto census = IncrementalCensus::Create(graph, *item.pattern,
+                                          std::move(plan.census),
+                                          std::move(focal));
   if (!census.ok()) return census.status();
   // `item` points into *query; move the query only after its last use.
   return MaintainSession(graph, std::move(census).value(),
                          std::move(query).value());
 }
 
-Result<ResultTable> MaintainSession::ApplyBatch(
+MaintainBatch MaintainSession::ApplyBatch(
     std::span<const GraphUpdate> updates) {
   std::vector<CountDelta> deltas;
-  auto stats = census_.ApplyBatch(updates, &deltas);
-  if (!stats.ok()) return stats.status();
-
-  ResultTable table({"ID", "OLD", "NEW", "DELTA"});
+  MaintainBatch batch{ResultTable({"ID", "OLD", "NEW", "DELTA"}),
+                      census_.ApplyBatch(updates, &deltas).status()};
   for (const CountDelta& delta : deltas) {
-    table.AddRow({AttributeValue(static_cast<std::int64_t>(delta.node)),
-                  AttributeValue(static_cast<std::int64_t>(delta.new_count) -
-                                 delta.delta),
-                  AttributeValue(static_cast<std::int64_t>(delta.new_count)),
-                  AttributeValue(delta.delta)});
+    batch.deltas.AddRow(
+        {AttributeValue(static_cast<std::int64_t>(delta.node)),
+         AttributeValue(static_cast<std::int64_t>(delta.new_count) -
+                        delta.delta),
+         AttributeValue(static_cast<std::int64_t>(delta.new_count)),
+         AttributeValue(delta.delta)});
   }
-  return table;
+  return batch;
 }
 
 ResultTable MaintainSession::CountsTable() const {

@@ -16,13 +16,27 @@
 
 namespace egocensus {
 
+/// What one MaintainSession batch did: the count changes of the updates it
+/// applied, as a table with columns ID | OLD | NEW | DELTA (one row per
+/// focal node whose count changed, ascending by id), and the batch's
+/// status. A batch that stopped early (an invalid update or a governor
+/// stop) keeps its applied prefix, so `deltas` holds that prefix's changes
+/// next to the error.
+struct MaintainBatch {
+  ResultTable deltas;
+  Status status;
+
+  bool ok() const { return status.ok(); }
+};
+
 /// MAINTAIN execution mode of the query planner: instead of evaluating a
 /// census query once against a static graph, a MaintainSession compiles it
 /// into an IncrementalCensus over a DynamicGraph and keeps the result
 /// up to date under an update stream. It takes the static engine's options
-/// and plan step: the initial census runs with PlanCensus's options (engine,
-/// matcher, fast path, threads, degradation), and the maintainer keeps the
-/// plan's k, subpattern, matcher and governor.
+/// and plan step: the initial census runs the CensusPlan that PlanCensus
+/// makes over the session's focal set (engine, matcher, fast path, threads,
+/// degradation), and the maintainer keeps the plan's k, subpattern, matcher
+/// and governor.
 ///
 /// Supported queries: single-table SELECT with exactly one COUNTP/COUNTSP
 /// aggregate over SUBGRAPH(ID, k). The WHERE clause fixes the focal node
@@ -44,10 +58,9 @@ class MaintainSession {
       const QueryEngine::Options& options = {},
       std::span<const Pattern> registered = {});
 
-  /// Applies the updates and returns the count changes as a table with
-  /// columns ID | OLD | NEW | DELTA (one row per focal node whose count
-  /// changed, ascending by id).
-  [[nodiscard]] Result<ResultTable> ApplyBatch(std::span<const GraphUpdate> updates);
+  /// Applies the updates and returns their count changes with the batch's
+  /// status (see MaintainBatch).
+  [[nodiscard]] MaintainBatch ApplyBatch(std::span<const GraphUpdate> updates);
 
   /// Current maintained result, one row per focal node in the shape
   /// `ecensus query` prints: columns in SELECT order, rows ascending by id

@@ -55,6 +55,7 @@ struct RequestContext {
   std::uint64_t rows = 0;
   std::uint64_t fastpath_routed = 0;
   std::uint64_t fastpath_generic = 0;
+  std::string engines;  // each aggregate's planned engine, comma-joined
 
   std::vector<PhaseSpan> spans;
 

@@ -707,6 +707,8 @@ Message CensusServer::HandleQuery(const Message& request,
     std::uint64_t phase_offset_us = ctx.QueueMicros();
     for (std::size_t i = 0; i < run->aggregates.size(); ++i) {
       const CensusStats& stats = run->aggregates[i].stats;
+      if (i > 0) ctx.engines += ",";
+      ctx.engines += run->aggregates[i].plan.EngineName();
       const std::string prefix = "agg" + std::to_string(i) + "/";
       const std::pair<const char*, double> phases[] = {
           {"match", stats.match_seconds},
@@ -1000,7 +1002,8 @@ void CensusServer::FinishRequest(const RequestContext& ctx,
             .Int("pattern_nodes", ctx.pattern_nodes)
             .Int("k", ctx.k)
             .Int("fastpath_routed", ctx.fastpath_routed)
-            .Int("fastpath_generic", ctx.fastpath_generic);
+            .Int("fastpath_generic", ctx.fastpath_generic)
+            .Str("engine", ctx.engines);
       }
       if (!ctx.obs_delta.empty()) {
         std::string deltas = "{";

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <sstream>
+
 #include "census/census.h"
 #include "census/pairwise.h"
 #include "graph/bfs.h"
@@ -200,6 +203,66 @@ TEST(CensusPropertyTest, EngineForcedAlgorithmsAllAgree) {
           << CensusAlgorithmName(algorithm);
     }
   }
+}
+
+TEST(CensusPropertyTest, PlannedEngineAgreesWithEveryPinnedEngine) {
+  // The plan's engine answers what every pinned engine answers, at 1 and 4
+  // threads, with focal fractions on both sides of the node-driven /
+  // pattern-driven crossover; the sweep must see both sides chosen.
+  const std::vector<Graph> graphs = [] {
+    std::vector<Graph> out;
+    GeneratorOptions gen;
+    gen.num_nodes = 200;
+    gen.edges_per_node = 3;
+    gen.num_labels = 3;
+    gen.seed = 101;
+    out.push_back(GeneratePreferentialAttachment(gen));
+    out.push_back(GenerateErdosRenyi(150, 450, 3, 102));
+    return out;
+  }();
+  const char* patterns[] = {"?A-?B; ?B-?C; ?C-?A; [?A.LABEL=1];",
+                            "?A-?B; [?A.LABEL=0]; [?B.LABEL=1];",
+                            "?A-?B; ?B-?C; ?C-?A;"};
+  std::set<CensusAlgorithm> planned;
+  for (const Graph& g : graphs) {
+    QueryEngine engine(g);
+    for (const char* body : patterns) {
+      for (std::uint32_t k : {1u, 2u}) {
+        for (double fraction : {0.02, 0.2, 1.0}) {
+          const std::string query =
+              std::string("PATTERN p {") + body +
+              "} SELECT ID, COUNTP(p, SUBGRAPH(ID, " + std::to_string(k) +
+              ")) FROM nodes WHERE RND() < " + std::to_string(fraction);
+          for (std::uint32_t threads : {1u, 4u}) {
+            SCOPED_TRACE(query + " threads=" + std::to_string(threads));
+            QueryEngine::Options options;
+            options.census.num_threads = threads;
+            options.census.fast_path = FastPathMode::kOff;
+            auto run = engine.RunQuery(query, options);
+            ASSERT_TRUE(run.ok()) << run.status().ToString();
+            planned.insert(run->aggregates[0].plan.census.algorithm);
+            for (auto algorithm :
+                 {CensusAlgorithm::kNdBas, CensusAlgorithm::kNdPvot,
+                  CensusAlgorithm::kNdDiff, CensusAlgorithm::kPtBas,
+                  CensusAlgorithm::kPtOpt, CensusAlgorithm::kPtRnd}) {
+              QueryEngine::Options pinned = options;
+              pinned.auto_algorithm = false;
+              pinned.census.algorithm = algorithm;
+              auto table = engine.Execute(query, pinned);
+              ASSERT_TRUE(table.ok()) << table.status().ToString();
+              std::ostringstream want, got;
+              table->WriteCsv(want);
+              run->table.WriteCsv(got);
+              ASSERT_EQ(got.str(), want.str()) << CensusAlgorithmName(algorithm);
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(planned.count(CensusAlgorithm::kNdBas));
+  EXPECT_TRUE(planned.count(CensusAlgorithm::kNdPvot) ||
+              planned.count(CensusAlgorithm::kPtBas));
 }
 
 // ---- Pairwise sweeps ----

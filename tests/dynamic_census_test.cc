@@ -468,9 +468,9 @@ TEST(DynamicCensusTest, MaintainSessionEndToEnd) {
                             ? GraphUpdate::AddEdge(u, v)
                             : GraphUpdate::RemoveEdge(u, v));
     }
-    auto table = session->ApplyBatch(updates);
-    ASSERT_TRUE(table.ok()) << table.status().ToString();
-    ASSERT_EQ(table->NumColumns(), 4u);
+    MaintainBatch batch = session->ApplyBatch(updates);
+    ASSERT_TRUE(batch.ok()) << batch.status.ToString();
+    ASSERT_EQ(batch.deltas.NumColumns(), 4u);
 
     ASSERT_TRUE(ranked->ApplyBatch(updates).ok()) << "round " << round;
     Graph ranked_snapshot = ranked_dg.Materialize();
@@ -542,6 +542,76 @@ TEST(DynamicCensusTest, MaintainSessionHonorsTheQueryOptions) {
   ASSERT_FALSE(maintained.ok());
   EXPECT_EQ(maintained.status().code(), StatusCode::kInvalidArgument)
       << maintained.status().ToString();
+}
+
+TEST(DynamicCensusTest, MaintainSessionReturnsAnAbortedBatchsPrefix) {
+  // `ecensus update --batch-size 4` over these updates on the CLI's
+  // 200-node PA graph: the self-loop stops the batch after two updates
+  // applied, and their count changes reach the caller next to the error.
+  GeneratorOptions gen;
+  gen.num_nodes = 200;
+  gen.num_labels = 3;
+  gen.seed = 7;
+  DynamicGraph dg(GeneratePreferentialAttachment(gen));
+  // At k = 2 the two applied edges change eight counts.
+  const std::string query =
+      "PATTERN t {?A-?B; ?B-?C; ?C-?A;}\n"
+      "SELECT ID, COUNTP(t, SUBGRAPH(ID, 2)) FROM nodes";
+  auto session = MaintainSession::Create(&dg, query);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  std::vector<CountDelta> heard;
+  session->AddListener([&heard](const std::vector<CountDelta>& deltas) {
+    heard.insert(heard.end(), deltas.begin(), deltas.end());
+  });
+
+  const std::vector<GraphUpdate> batch = {
+      GraphUpdate::AddEdge(150, 199), GraphUpdate::AddEdge(160, 190),
+      GraphUpdate::AddEdge(3, 3), GraphUpdate::AddEdge(170, 180)};
+  const MaintainBatch result = session->ApplyBatch(batch);
+  EXPECT_EQ(result.status.code(), StatusCode::kInvalidArgument)
+      << result.status.ToString();
+  EXPECT_EQ(session->census().lifetime_stats().updates_applied, 2u);
+  EXPECT_EQ(result.deltas.NumRows(), 8u);
+  ASSERT_EQ(result.deltas.NumRows(), heard.size());
+  for (std::size_t r = 0; r < heard.size(); ++r) {
+    const CountDelta& d = heard[r];
+    EXPECT_EQ(std::get<std::int64_t>(result.deltas.At(r, 0)),
+              static_cast<std::int64_t>(d.node));
+    EXPECT_EQ(std::get<std::int64_t>(result.deltas.At(r, 1)),
+              static_cast<std::int64_t>(d.new_count) - d.delta);
+    EXPECT_EQ(std::get<std::int64_t>(result.deltas.At(r, 2)),
+              static_cast<std::int64_t>(d.new_count));
+    EXPECT_EQ(std::get<std::int64_t>(result.deltas.At(r, 3)), d.delta);
+  }
+  Graph snapshot = dg.Materialize();
+  auto expected = QueryEngine(snapshot).Execute(query);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  std::ostringstream maintained, reference;
+  session->CountsTable().WriteCsv(maintained);
+  expected->WriteCsv(reference);
+  EXPECT_EQ(maintained.str(), reference.str());
+}
+
+TEST(DynamicCensusTest, MaintainSessionPlansOverNodesTheOverlayAdded) {
+  // The plan samples the focal balls over a graph that holds every focal
+  // id, the overlay's added nodes included.
+  DynamicGraph dg(SmallPa(60, 2, 41));
+  auto added = dg.AddNode(1);
+  ASSERT_TRUE(added.ok());
+  for (NodeId n : {0u, 1u, 2u, 3u}) ASSERT_TRUE(dg.AddEdge(*added, n).ok());
+  const std::string query =
+      "PATTERN t {?A-?B; ?B-?C; ?C-?A; [?A.LABEL=1];}\n"
+      "SELECT ID, COUNTP(t, SUBGRAPH(ID, 1)) FROM nodes WHERE ID >= 50";
+  auto session = MaintainSession::Create(&dg, query);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  EXPECT_TRUE(session->census().IsFocal(*added));
+  Graph snapshot = dg.Materialize();
+  auto expected = QueryEngine(snapshot).Execute(query);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  std::ostringstream maintained, reference;
+  session->CountsTable().WriteCsv(maintained);
+  expected->WriteCsv(reference);
+  EXPECT_EQ(maintained.str(), reference.str());
 }
 
 TEST(DynamicCensusTest, MaintainSessionCreateStopsWithItsGovernor) {

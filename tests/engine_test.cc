@@ -214,6 +214,12 @@ TEST(EngineTest, RunReportsEachAggregatesStats) {
   ASSERT_TRUE(routed.ok());
   ASSERT_EQ(routed->aggregates.size(), 1u);
   EXPECT_EQ(routed->aggregates[0].stats.fastpath_routed, 1u);
+  // Each aggregate carries the plan that chose its engine.
+  EXPECT_EQ(routed->aggregates[0].plan.EngineName(), "fastpath");
+  EXPECT_EQ(run->aggregates[0].plan.EngineName(),
+            ToLower(CensusAlgorithmName(
+                run->aggregates[0].plan.census.algorithm)));
+  EXPECT_EQ(run->aggregates[0].plan.estimates.size(), 3u);
 }
 
 TEST(EngineTest, InterruptedRunReportsEachAggregatesStop) {
@@ -222,7 +228,8 @@ TEST(EngineTest, InterruptedRunReportsEachAggregatesStop) {
   gen.num_labels = 2;
   gen.seed = 5;
   Graph g = GeneratePreferentialAttachment(gen);
-  // The triangle goes to the fast path, the labeled edge to PT-OPT.
+  // The triangle goes to the fast path, the labeled edge to the engine the
+  // plan's cost rule picks.
   const char* query =
       "PATTERN t {?A-?B; ?B-?C; ?C-?A;}\n"
       "PATTERN l {?A-?B; [?A.LABEL=0];}\n"

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "dynamic/dynamic_graph.h"
 #include "tests/test_util.h"
 
 namespace egocensus {
@@ -137,6 +138,26 @@ TEST(GraphTest, CopyIsIndependent) {
   Graph copy = g;
   EXPECT_EQ(copy.NumEdges(), 1u);
   EXPECT_TRUE(copy.HasEdge(0, 1));
+}
+
+TEST(GraphTest, FinalizeRecordsParallelEdges) {
+  Graph simple = MakeGraph(3, {{0, 1}, {1, 2}, {2, 0}});
+  EXPECT_FALSE(simple.has_parallel_edges());
+
+  Graph multi = MakeGraph(3, {{0, 1}, {1, 2}, {1, 0}});
+  EXPECT_TRUE(multi.has_parallel_edges());
+  Graph copy = multi;
+  EXPECT_TRUE(copy.has_parallel_edges());
+  EXPECT_TRUE(DynamicGraph(multi).Materialize().has_parallel_edges());
+  EXPECT_FALSE(DynamicGraph(simple).Materialize().has_parallel_edges());
+
+  // Reset clears the flag; the next Finalize records the new topology.
+  multi.Reset(/*directed=*/false);
+  EXPECT_FALSE(multi.has_parallel_edges());
+  multi.AddNodes(2);
+  multi.AddEdge(0, 1);
+  ASSERT_TRUE(multi.Finalize().ok());
+  EXPECT_FALSE(multi.has_parallel_edges());
 }
 
 TEST(GraphTest, DoubleFinalizeIsStatusError) {

@@ -225,6 +225,7 @@ TEST(NetObservabilityTest, PropagatedIdAppearsInExactlyOneLogLine) {
   EXPECT_NE(the_line.find("\"rows\":"), std::string::npos);
   EXPECT_NE(the_line.find("\"pattern_nodes\":3"), std::string::npos);
   EXPECT_NE(the_line.find("\"k\":1"), std::string::npos);
+  EXPECT_NE(the_line.find("\"engine\":\"fastpath\""), std::string::npos);
   EXPECT_EQ(the_line.front(), '{');
   EXPECT_EQ(the_line.back(), '}');
 }

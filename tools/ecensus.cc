@@ -165,9 +165,11 @@ int Usage() {
       "--degrade-approx re-covers interrupted focal nodes with sampled\n"
       "estimates (optional RATE in (0,1], default 0.1).\n"
       "--fast-path controls the combinatorial <= 4-node kernels\n"
-      "(docs/FAST_PATH.md): auto routes eligible censuses, force errors when\n"
-      "ineligible, off always runs the generic engine. Default: auto, or off\n"
-      "when --algorithm/--matcher picked an engine explicitly.\n";
+      "(docs/FAST_PATH.md): auto lets the census plan decide (it keeps every\n"
+      "eligible census on the fast path and prices the generic engines for\n"
+      "the rest), force errors when ineligible, off always runs a generic\n"
+      "engine (the plan's, or --algorithm's). Default: auto, or off when\n"
+      "--algorithm/--matcher picked an engine explicitly.\n";
   return 2;
 }
 
@@ -240,6 +242,29 @@ void PrintExecSummary(const std::vector<AggregateExec>& aggregates,
        << " (focal complete=" << e.complete << " approx=" << e.approx
        << " pending=" << e.pending << ")\n";
   }
+}
+
+/// Each aggregate's census plan: the engine, the reason, and the estimates
+/// the cost rule compared (the `ecensus stats` view).
+void PrintPlans(const std::vector<AggregateExec>& aggregates,
+                std::ostream& os) {
+  for (std::size_t i = 0; i < aggregates.size(); ++i) {
+    const CensusPlan& plan = aggregates[i].plan;
+    os << "aggregate " << i << ": engine=" << plan.EngineName() << " ("
+       << plan.reason << ")\n";
+    if (plan.estimates.empty()) continue;
+    os << "  sampled " << plan.sampled_balls << " balls, mean "
+       << plan.mean_ball << " nodes\n";
+    TablePrinter table({"estimate", "cost_ms", "matches", "expanded"});
+    for (const EngineEstimate& e : plan.estimates) {
+      table.AddRow({ToLower(CensusAlgorithmName(e.algorithm)),
+                    TablePrinter::FormatDouble(e.cost * 1e-6, 3),
+                    TablePrinter::FormatDouble(e.matches, 0),
+                    TablePrinter::FormatDouble(e.expanded, 0)});
+    }
+    table.PrintText(os);
+  }
+  os << "\n";
 }
 
 /// Per-aggregate census phase stats, one CSV row per aggregate (timings,
@@ -446,6 +471,7 @@ int RunQuery(const Args& args, bool stats_mode) {
   if (stats_mode) {
     // Result rows are elided: the subcommand's product is the metric view.
     std::cout << "query returned " << run->table.NumRows() << " rows\n\n";
+    PrintPlans(run->aggregates, std::cout);
     // egolint: allow-obs(Registry is declared unconditionally and stubbed under EGO_OBS_ENABLED=0 — stats mode degrades to an empty table)
     PrintMetricsTables(obs::Registry::Global().Snapshot(), std::cout);
   } else {
@@ -455,9 +481,9 @@ int RunQuery(const Args& args, bool stats_mode) {
     } else {
       for (std::size_t i = 0; i < run->aggregates.size(); ++i) {
         const CensusStats& s = run->aggregates[i].stats;
-        std::cout << "aggregate " << i << ": "
-                  << (s.fastpath_routed != 0 ? "engine=fastpath " : "")
-                  << "threads=" << s.threads_used
+        std::cout << "aggregate " << i
+                  << ": engine=" << run->aggregates[i].plan.EngineName()
+                  << " threads=" << s.threads_used
                   << " matches=" << s.num_matches
                   << " match=" << s.match_seconds
                   << "s index=" << s.index_seconds
@@ -498,20 +524,24 @@ int RunUpdate(Args& args) {
                                          CliRunOptions(*spec, &governor));
   if (!session.ok()) return Fail(session.status());
 
+  // A batch that stops early keeps its applied prefix: print that prefix's
+  // changes and the maintained counts, then exit with the batch's error, as
+  // a governed query prints its partial table.
   bool csv = spec->format == ResultFormat::kCsv;
   std::span<const GraphUpdate> remaining(*updates);
   std::size_t batch_index = 0;
-  while (!remaining.empty()) {
+  Status stop;  // the first batch's error; batches after it do not run
+  while (!remaining.empty() && stop.ok()) {
     std::size_t n = std::min(batch_size, remaining.size());
-    auto deltas = session->ApplyBatch(remaining.first(n));
-    if (!deltas.ok()) return Fail(deltas.status());
+    MaintainBatch batch = session->ApplyBatch(remaining.first(n));
+    stop = batch.status;
     remaining = remaining.subspan(n);
     if (!csv) {
+      const ResultTable& deltas = batch.deltas;
       std::cout << "batch " << batch_index << " (" << n << " updates, "
-                << deltas->NumRows() << " changed counts):\n";
-      if (deltas->NumRows() > 0) {
-        std::cout << deltas->ToString(deltas->NumRows());
-      }
+                << deltas.NumRows() << " changed counts"
+                << (batch.ok() ? "" : ", stopped early") << "):\n";
+      if (deltas.NumRows() > 0) std::cout << deltas.ToString(deltas.NumRows());
     }
     ++batch_index;
   }
@@ -534,6 +564,10 @@ int RunUpdate(Args& args) {
                        total.seconds
                 << " updates/sec (" << total.seconds << "s total)\n";
     }
+  }
+  if (!stop.ok()) {
+    WriteObsExports(obs_export);
+    return Fail(stop);
   }
   return WriteObsExports(obs_export);
 }
