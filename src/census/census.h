@@ -153,7 +153,10 @@ enum class FocalState : std::uint8_t {
 const char* FocalStateName(FocalState state);
 
 struct CensusStats {
-  std::uint64_t num_matches = 0;     // |M| found by the matcher
+  /// |M| found by the matcher: the global match set, or, for
+  /// whole-pattern ND-BAS (single node or pairwise), the matches summed
+  /// over the regions it extracted, which equals the sum of its counts.
+  std::uint64_t num_matches = 0;
   double match_seconds = 0;          // pattern-match time
   double index_seconds = 0;          // PMI / center-index build time
   double census_seconds = 0;         // neighborhood counting time

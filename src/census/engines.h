@@ -260,8 +260,8 @@ struct RegionScratch {
 
 /// Whole-pattern ND-BAS's per-unit count, shared with pairwise ND-BAS:
 /// records the region just extracted into w.scratch.sub as a ball, charges
-/// its footprint and matches the pattern inside it. nullopt when the charge
-/// or the matcher stopped.
+/// its footprint, matches the pattern inside it and adds the region's
+/// matches to num_matches. nullopt when the charge or the matcher stopped.
 inline std::optional<std::uint64_t> CountInRegion(const Pattern& pattern,
                                                   Governor* governor,
                                                   Worker<RegionScratch>& w) {
@@ -277,6 +277,7 @@ inline std::optional<std::uint64_t> CountInRegion(const Pattern& pattern,
   const MatchSet matches =
       w.scratch.matcher->FindMatches(region, pattern, match_options);
   if (w.scratch.matcher->interrupted()) return std::nullopt;
+  w.stats.num_matches += matches.size();
   return matches.size();
 }
 

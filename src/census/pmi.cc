@@ -26,6 +26,7 @@ namespace egocensus {
     anchors = *members;
   }
   if (is_focal != nullptr) is_focal->assign(graph.NumNodes(), 0);
+  // egolint: no-checkpoint(O(|focal|) range checks and flag stores)
   for (NodeId n : ids) {
     if (n >= graph.NumNodes()) {
       return Status::OutOfRange("focal node out of range");

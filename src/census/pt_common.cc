@@ -73,6 +73,7 @@ PtSetup BuildPtSetup(const Graph& graph, const Pattern& pattern,
     case ClusteringMode::kNone:
       break;
     case ClusteringMode::kRandom:
+      // egolint: no-checkpoint(one RNG draw per match; the count polls)
       for (std::size_t m = 0; m < num_matches; ++m) {
         assignment[m] =
             static_cast<std::uint32_t>(rng.NextBounded(num_clusters));
@@ -93,6 +94,12 @@ PtSetup BuildPtSetup(const Graph& graph, const Pattern& pattern,
       const std::size_t dim = feature_centers * static_cast<std::size_t>(t);
       std::vector<float> features(num_matches * dim);
       for (std::size_t m = 0; m < num_matches; ++m) {
+        // Stopped while building the features: the callers see the stop
+        // and count nothing.
+        if (governor != nullptr && m % 64 == 0 &&
+            governor->Checkpoint() != StopReason::kNone) {
+          return setup;
+        }
         float* f = features.data() + m * dim;
         for (std::size_t c = 0; c < feature_centers; ++c) {
           for (int j = 0; j < t; ++j) {
@@ -110,11 +117,13 @@ PtSetup BuildPtSetup(const Graph& graph, const Pattern& pattern,
 
   if (!clustered) {
     setup.clusters.resize(num_matches);
+    // egolint: no-checkpoint(one store per match; the count polls)
     for (std::uint32_t m = 0; m < num_matches; ++m) {
       setup.clusters[m].push_back(m);
     }
   } else {
     setup.clusters.resize(num_clusters);
+    // egolint: no-checkpoint(one store per match; the count polls)
     for (std::uint32_t m = 0; m < num_matches; ++m) {
       setup.clusters[assignment[m]].push_back(m);
     }

@@ -118,17 +118,8 @@ Result<QueryRun> QueryEngine::RunSingle(const AnalyzedQuery& analyzed,
                                         const Options& options) {
   const Query& query = *analyzed.query;
 
-  // Focal node selection.
-  Rng rng(options.rnd_seed);
-  RowBinding binding;
-  binding.aliases = &query.from_aliases;
-  std::vector<NodeId> focal;
-  for (NodeId n = 0; n < graph_.NumNodes(); ++n) {
-    binding.n1 = n;
-    if (EvalWhere(graph_, query.where.get(), binding, &rng)) {
-      focal.push_back(n);
-    }
-  }
+  const std::vector<NodeId> focal =
+      SelectFocal(graph_, query, options.rnd_seed);
 
   // Run each census aggregate.
   QueryRun run;

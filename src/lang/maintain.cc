@@ -6,7 +6,6 @@
 #include "lang/engine.h"
 #include "lang/query_parser.h"
 #include "lang/where_eval.h"
-#include "util/rng.h"
 
 namespace egocensus {
 
@@ -32,18 +31,8 @@ Result<MaintainSession> MaintainSession::Create(
   const AnalyzedQuery::CountItem& item = analyzed->counts.front();
 
   // Fix the focal set now, against the current dynamic topology and
-  // attributes (mirrors the static engine's focal scan).
-  Rng rng(options.rnd_seed);
-  RowBinding binding;
-  binding.aliases = &query->from_aliases;
-  std::vector<NodeId> focal;
-  for (NodeId n = 0; n < graph->NumNodes(); ++n) {
-    if (graph->NodeRemoved(n)) continue;
-    binding.n1 = n;
-    if (EvalWhere(*graph, query->where.get(), binding, &rng)) {
-      focal.push_back(n);
-    }
-  }
+  // attributes, by the static engine's focal step.
+  std::vector<NodeId> focal = SelectFocal(*graph, *query, options.rnd_seed);
 
   // Plan over a static graph that holds every focal id, nodes the overlay
   // added included: a dirty overlay is compacted first (the graph it

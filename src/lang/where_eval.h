@@ -1,13 +1,17 @@
 #ifndef EGOCENSUS_LANG_WHERE_EVAL_H_
 #define EGOCENSUS_LANG_WHERE_EVAL_H_
 
+#include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/attributes.h"
 #include "graph/types.h"
 #include "lang/ast.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "util/rng.h"
 
 namespace egocensus {
@@ -84,6 +88,50 @@ bool EvalWhere(const GraphT& graph, const WhereExpr* expr,
     }
   }
   return false;
+}
+
+/// Node ids as sorted, disjoint half-open intervals [first, second).
+using IdRanges = std::vector<std::pair<NodeId, NodeId>>;
+
+/// The ids in [0, num_nodes) a single-table WHERE clause can admit: no id
+/// outside the returned intervals satisfies `where`. `ID` (bare or as
+/// `<from_alias>.ID`) compared with a numeric constant, in either operand
+/// order, narrows to the ids the comparison admits; AND intersects and OR
+/// unites. NOT and every other term admit every id, and so does a clause
+/// that draws RND() anywhere, so that its draws keep scan order.
+IdRanges FocalCandidates(const WhereExpr* where, const std::string& from_alias,
+                         NodeId num_nodes);
+
+/// The focal step of a single-table query: the live nodes of `graph` that
+/// satisfy its WHERE clause, in ascending id order, with RND() seeded by
+/// `rnd_seed`. EvalWhere runs on the FocalCandidates ids only, in
+/// ascending order, so the list equals a scan of every node by
+/// construction. `GraphT` is Graph or DynamicGraph, whose removed nodes
+/// are skipped.
+template <typename GraphT>
+std::vector<NodeId> SelectFocal(const GraphT& graph, const Query& query,
+                                std::uint64_t rnd_seed) {
+  EGO_SPAN("lang/focal");
+  Rng rng(rnd_seed);
+  RowBinding binding;
+  binding.aliases = &query.from_aliases;
+  std::vector<NodeId> focal;
+  std::uint64_t evaluated = 0;
+  for (auto [begin, end] : FocalCandidates(
+           query.where.get(), query.from_aliases[0], graph.NumNodes())) {
+    for (NodeId n = begin; n < end; ++n) {
+      if constexpr (requires { graph.NodeRemoved(n); }) {
+        if (graph.NodeRemoved(n)) continue;
+      }
+      binding.n1 = n;
+      ++evaluated;
+      if (EvalWhere(graph, query.where.get(), binding, &rng)) {
+        focal.push_back(n);
+      }
+    }
+  }
+  EGO_COUNTER_ADD("lang/focal/evaluated", evaluated);
+  return focal;
 }
 
 }  // namespace egocensus

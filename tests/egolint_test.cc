@@ -295,6 +295,30 @@ TEST(EgolintCheckpointTest, HeaderLoopThatADriverKernelCallsIsCovered) {
   EXPECT_EQ(findings.size(), 0u);
 }
 
+TEST(EgolintCheckpointTest, HeaderLoopWithAnUndrivenSecondCallerIsFlagged) {
+  // The driver kernel's call is driven, but Recount calls the same scan
+  // outside any polling loop: the scan runs unpolled there, so it is
+  // checked like a function no driver reaches.
+  std::vector<Finding> findings = Lint({
+      {"src/census/fake_driver.h", kDriverHeader},
+      {"src/census/fake_scan.h", kScanHeader},
+      {"src/census/fake_engine.cc",
+       "void Run() {\n"
+       "  ForEachItem([&](int n) {\n"
+       "    CountInside(n);\n"
+       "  });\n"
+       "}\n"},
+      {"src/dynamic/fake_recount.cc",
+       "int Recount() {\n"
+       "  return CountInside(0);\n"
+       "}\n"},
+  });
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].check, "checkpoint-coverage");
+  EXPECT_EQ(findings[0].file, "src/census/fake_scan.h");
+  EXPECT_EQ(findings[0].line, 4);
+}
+
 TEST(EgolintCheckpointTest, SuppressionWithReasonSilences) {
   std::vector<Finding> findings = Lint({
       {"src/census/fake_engine.cc",

@@ -63,8 +63,10 @@ constexpr CensusAlgorithm kAllAlgorithms[] = {
     CensusAlgorithm::kNdDiff, CensusAlgorithm::kPtBas,
     CensusAlgorithm::kPtOpt, CensusAlgorithm::kPtRnd};
 
-/// Runs the census with 1, 2 and 8 threads for every algorithm and expects
-/// counts and num_matches to be identical across thread counts.
+/// Runs the census with 1, 2, 4 and 8 threads for every algorithm and
+/// expects counts and num_matches to be identical across thread counts.
+/// Whole-pattern ND-BAS matches inside each focal node's ball, so its
+/// num_matches must also equal the sum of the count column.
 void ExpectDeterministic(const Graph& graph, const Pattern& pattern,
                          std::span<const NodeId> focal, CensusOptions opts) {
   for (auto algorithm : kAllAlgorithms) {
@@ -73,7 +75,13 @@ void ExpectDeterministic(const Graph& graph, const Pattern& pattern,
     auto serial = RunCensus(graph, pattern, focal, opts);
     ASSERT_TRUE(serial.ok()) << serial.status().ToString();
     EXPECT_EQ(serial->stats.threads_used, 1u);
-    for (std::uint32_t threads : {2u, 8u}) {
+    if (algorithm == CensusAlgorithm::kNdBas && opts.subpattern.empty() &&
+        serial->stats.fastpath_routed == 0) {
+      std::uint64_t column = 0;
+      for (NodeId n : focal) column += serial->counts[n];
+      EXPECT_EQ(serial->stats.num_matches, column);
+    }
+    for (std::uint32_t threads : {2u, 4u, 8u}) {
       opts.num_threads = threads;
       auto parallel = RunCensus(graph, pattern, focal, opts);
       ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
@@ -111,6 +119,26 @@ TEST(ParallelCensusTest, FocalSubsetOnPaGraph) {
   CensusOptions opts;
   opts.k = 1;
   ExpectDeterministic(graph, MakeTriangle(false), focal, opts);
+}
+
+TEST(ParallelCensusTest, LabeledTriangleDrillDownOnPaGraph) {
+  // The drill-down the census plan sends to ND-BAS: 50 consecutive ids,
+  // k = 1, a labeled triangle.
+  GeneratorOptions gen;
+  gen.num_nodes = 5000;
+  gen.edges_per_node = 5;
+  gen.num_labels = 3;
+  gen.seed = 35;
+  Graph graph = GeneratePreferentialAttachment(gen);
+  std::vector<NodeId> focal(50);
+  std::iota(focal.begin(), focal.end(), NodeId{1000});
+  CensusOptions opts;
+  opts.k = 1;
+  ExpectDeterministic(graph, MakeTriangle(true), focal, opts);
+  opts.algorithm = CensusAlgorithm::kNdBas;
+  auto result = RunCensus(graph, MakeTriangle(true), focal, opts);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_GT(result->stats.num_matches, 0u);
 }
 
 TEST(ParallelCensusTest, NegatedEdgePatternOnPaGraph) {

@@ -10,18 +10,21 @@
 // One structural exemption: loops inside a *driven* function. The engines
 // split work as `driver loop { Checkpoint(); kernel(item); }`, so the
 // per-item loops inside the kernel are bounded by the driver's per-item
-// poll. Driven-ness seeds from calls made lexically inside a loop that
-// polls, and from kernels handed to a *driver* — a function whose body
+// poll. A call site is driven when it sits lexically inside a loop that
+// polls, inside a kernel handed to a *driver* — a function whose body
 // calls Checkpoint() inside a loop (the census drivers in
-// census/engines.h): a lambda written inline in a call to a driver is
-// driven, and so is a function or named lambda passed to one by name. It
-// propagates through calls in driven bodies of checked files only, so a
-// same-named function elsewhere (a `Run` in src/lang) does not carry it
-// into the census code it calls. It deliberately does NOT seed from
-// ParallelFor arguments — ParallelFor polls once per chunk, and the
-// explicit in-loop Checkpoint inside the chunk callback is what tightens
-// that to per-item, which is exactly what this check defends. Removing
-// that poll unroots the whole driven chain.
+// census/engines.h) — or inside the body of a driven function in a
+// checked file; a function or named lambda passed to a driver by name is
+// a driven site too. A function is driven when it has a driven site and
+// every call site of its name in the checked files, other than its own
+// recursive calls, is driven: a second caller that polls nothing leaves
+// the function's loops checked. Driven-ness propagates through checked
+// files only, so a same-named function elsewhere (a `Run` in src/lang)
+// does not carry it into the census code it calls. It deliberately does
+// NOT seed from ParallelFor arguments — ParallelFor polls once per chunk,
+// and the explicit in-loop Checkpoint inside the chunk callback is what
+// tightens that to per-item, which is exactly what this check defends.
+// Removing that poll unroots the whole driven chain.
 
 #include <algorithm>
 #include <cctype>
@@ -152,11 +155,11 @@ void CheckCheckpointCoverage(const std::vector<FileModel>& models,
   // Directly-polling functions, collected across every scanned file so an
   // engine loop calling a matcher entry point defined elsewhere is covered.
   std::set<std::string> polling;
-  std::vector<std::pair<const FileModel*, std::vector<FunctionDef>>> defs;
-  defs.reserve(models.size());
+  std::vector<std::pair<const FileModel*, ScopeInfo>> scopes;
+  scopes.reserve(models.size());
   for (const FileModel& model : models) {
-    defs.emplace_back(&model, ExtractFunctions(model));
-    for (const FunctionDef& def : defs.back().second) {
+    scopes.emplace_back(&model, AnalyzeScopes(model));
+    for (const FunctionDef& def : scopes.back().second.defs) {
       if (RangePolls(model.tokens, def.body_begin, def.body_end, {})) {
         polling.insert(def.name);
       }
@@ -194,7 +197,8 @@ void CheckCheckpointCoverage(const std::vector<FileModel>& models,
   // Drivers: functions whose body calls Checkpoint() inside a loop, i.e.
   // poll once per item (ParallelFor polls per chunk and is not one).
   std::set<std::string> drivers;
-  for (const auto& [model, file_defs] : defs) {
+  for (const auto& [model, info] : scopes) {
+    const std::vector<FunctionDef>& file_defs = info.defs;
     const std::vector<Token>& toks = model->tokens;
     for (const Loop& loop : extract_loops(toks)) {
       bool checkpoints = false;
@@ -210,56 +214,102 @@ void CheckCheckpointCoverage(const std::vector<FileModel>& models,
     }
   }
 
-  // Driven functions: seed with every call made lexically inside a polling
-  // loop and with the kernels handed to a driver (lambda bodies written
-  // inline in the call, per file; names passed as arguments), then close
-  // over calls made inside driven bodies in the checked files (name-level,
-  // cross-file — PT-OPT's driven kernel calling Expand covers the loops in
-  // pt_expander.cc).
-  std::set<std::string> driven;
-  std::map<const FileModel*, std::vector<std::pair<int, int>>> driven_lambdas;
-  auto add_calls = [&driven](const std::vector<Token>& toks, int begin,
-                             int end) {
-    bool added = false;
-    for (int i = begin; i + 1 < end; ++i) {
-      if (toks[i].kind == TokenKind::kIdent && TokIs(toks[i + 1], "(") &&
-          driven.insert(std::string(toks[i].text)).second) {
-        added = true;
-      }
-    }
-    return added;
+  // Call sites: every `name(` in a function body, and every name handed to
+  // a driver as a whole argument. A site is seeded (driven whatever else
+  // is) inside a polling loop or a kernel lambda written inline in a
+  // driver call, or when it hands the name to a driver; a site in a
+  // checked file is also driven inside the body of a driven function.
+  struct CallSite {
+    int name = 0;
+    bool checked = false;
+    bool seeded = false;
+    std::vector<int> enclosing;  // functions whose bodies hold the site
   };
-  for (const auto& [model, file_defs] : defs) {
+  std::map<std::string, int> ids;
+  auto id_of = [&ids](std::string_view name) {
+    return ids.emplace(std::string(name), static_cast<int>(ids.size()))
+        .first->second;
+  };
+  std::vector<CallSite> sites;
+  std::map<const FileModel*, std::vector<std::pair<int, int>>> driven_lambdas;
+  for (const auto& [model, info] : scopes) {
     const std::vector<Token>& toks = model->tokens;
+    const bool checked = InCheckedDir(model->source->path);
+    std::vector<std::pair<int, int>> seeded_ranges;
     for (const Loop& loop : extract_loops(toks)) {
       if (RangePolls(toks, loop.range_begin, loop.range_end, polling)) {
-        add_calls(toks, loop.range_begin, loop.range_end);
+        seeded_ranges.emplace_back(loop.range_begin, loop.range_end);
       }
     }
+    std::vector<std::pair<int, int>>& lambdas = driven_lambdas[model];
     for (int i = 0; i + 1 < static_cast<int>(toks.size()); ++i) {
       if (toks[i].kind == TokenKind::kIdent && TokIs(toks[i + 1], "(") &&
           drivers.count(std::string(toks[i].text)) != 0) {
-        CollectCallArguments(toks, i + 1, &driven_lambdas[model], &driven);
+        std::set<std::string> passed;
+        CollectCallArguments(toks, i + 1, &lambdas, &passed);
+        for (const std::string& name : passed) {
+          sites.push_back(CallSite{id_of(name), checked, true, {}});
+        }
       }
     }
-    for (const auto& [begin, end] : driven_lambdas[model]) {
-      add_calls(toks, begin, end);
-    }
-  }
-  for (bool changed = true; changed;) {
-    changed = false;
-    for (const auto& [model, file_defs] : defs) {
-      if (!InCheckedDir(model->source->path)) continue;
-      const std::vector<Token>& toks = model->tokens;
-      for (const FunctionDef& def : file_defs) {
-        if (driven.count(def.name) == 0) continue;
-        if (add_calls(toks, def.body_begin, def.body_end)) changed = true;
+    seeded_ranges.insert(seeded_ranges.end(), lambdas.begin(), lambdas.end());
+    for (int i = 0; i + 1 < static_cast<int>(toks.size()); ++i) {
+      if (toks[i].kind != TokenKind::kIdent || !TokIs(toks[i + 1], "(") ||
+          info.scope[i] != Scope::kBody) {
+        continue;
       }
+      CallSite site{id_of(toks[i].text), checked, false, {}};
+      for (const auto& [begin, end] : seeded_ranges) {
+        if (begin <= i && i < end) site.seeded = true;
+      }
+      if (checked) {
+        for (const FunctionDef& def : info.defs) {
+          if (def.body_begin <= i && i < def.body_end) {
+            site.enclosing.push_back(id_of(def.name));
+          }
+        }
+      }
+      sites.push_back(std::move(site));
     }
   }
 
-  for (const auto& [model_ptr, file_defs] : defs) {
+  // The least set of driven functions: grow it until every function with
+  // a driven site and no undriven checked site (its own recursive calls
+  // aside) is in it. Sites only become driven as the set grows, so the
+  // loop ends.
+  std::vector<char> is_driven(ids.size(), 0);
+  for (bool changed = true; changed;) {
+    changed = false;
+    std::vector<char> reached(ids.size(), 0);
+    std::vector<char> blocked(ids.size(), 0);
+    for (const CallSite& site : sites) {
+      bool driven_site = site.seeded;
+      bool recursive = false;
+      for (int fn : site.enclosing) {
+        if (is_driven[fn]) driven_site = true;
+        if (fn == site.name) recursive = true;
+      }
+      if (driven_site) {
+        reached[site.name] = 1;
+      } else if (site.checked && !recursive) {
+        blocked[site.name] = 1;
+      }
+    }
+    for (std::size_t fn = 0; fn < ids.size(); ++fn) {
+      if (!is_driven[fn] && reached[fn] && !blocked[fn]) {
+        is_driven[fn] = 1;
+        changed = true;
+      }
+    }
+  }
+  std::set<std::string> driven;
+  for (const auto& [name, id] : ids) {
+    if (is_driven[id]) driven.insert(name);
+  }
+
+  for (const auto& [model_ptr, info] : scopes) {
     const FileModel& model = *model_ptr;
+    const std::vector<FunctionDef>& file_defs = info.defs;
     if (!InCheckedDir(model.source->path)) continue;
     const std::vector<Token>& toks = model.tokens;
     std::vector<Loop> loops = extract_loops(toks);
