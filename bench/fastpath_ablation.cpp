@@ -1,11 +1,11 @@
 // Fast-path ablation (docs/FAST_PATH.md): for every connected <= 4-node
-// shape, the same k=1 census through the combinatorial kernels, the
-// generic engine with the CN matcher, and the generic engine with the GQL
-// matcher. Emits a JSON document (stdout) with per-shape wall-clock,
-// speedup-vs-CN / speedup-vs-GQL, and a bit_identical flag comparing the
-// fast-path counts against the CN reference — CI runs this on a tiny graph
-// and asserts bit_identical for every shape; at default scale the triangle
-// and wedge rows demonstrate the >= 5x the fast path exists for.
+// shape, the same whole-graph census at radius --k (default 1) through the
+// combinatorial kernels, the generic engine (ND-PVOT) with the CN matcher,
+// and the generic engine with the GQL matcher. Emits a JSON document
+// (stdout) with per-shape wall-clock, speedup-vs-CN / speedup-vs-GQL, and a
+// bit_identical flag comparing the fast-path counts against the CN
+// reference — CI runs this on a tiny graph at k=1 and k=2 and asserts
+// bit_identical for every shape.
 //
 //   fastpath_ablation [--nodes N] [--edges-per-node M] [--k K] [--reps R]
 

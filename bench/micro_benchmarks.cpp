@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the building blocks behind the
 // paper's optimizations: the O(1) array bucket queue vs a binary heap
 // (Section IV-B3), k-hop BFS, profile index construction, subgraph
-// extraction, CN vs GQL matching, and the simultaneous expander.
+// extraction, CN vs GQL matching, the simultaneous expander, and the
+// fast path's census kernels.
 
 #include <benchmark/benchmark.h>
 
@@ -201,6 +202,40 @@ void BM_ParallelCensus(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ParallelCensus)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+
+// The fast path's kernels (docs/FAST_PATH.md) through RunCensus, on a
+// 10K-node unlabeled PA graph at 1 thread. Args: shape (0 = wedge, reading
+// ball degrees; 1 = triangle, reading the region's triangles listed once
+// per census; 2 = 4-cycle, on the local CSR), k, and the focal set (0 =
+// every node, 1 = the 50-id window [5000, 5050)).
+void BM_FastPathCensus(benchmark::State& state) {
+  static const Graph* graph = [] {
+    GeneratorOptions gen;
+    gen.num_nodes = 10000;
+    gen.edges_per_node = 5;
+    gen.seed = 23;
+    return new Graph(GeneratePreferentialAttachment(gen));
+  }();
+  const Pattern patterns[] = {MakePath(3, false), MakeTriangle(false),
+                              MakeSquare(false)};
+  const Pattern& pattern = patterns[state.range(0)];
+  std::vector<NodeId> focal = AllNodes(*graph);
+  if (state.range(2) != 0) {
+    focal.assign(focal.begin() + 5000, focal.begin() + 5050);
+  }
+  CensusOptions options;
+  options.fast_path = FastPathMode::kForce;
+  options.k = static_cast<std::uint32_t>(state.range(1));
+  for (auto _ : state) {
+    auto result = RunCensus(*graph, pattern, focal, options);
+    benchmark::DoNotOptimize(result->counts.data());
+  }
+  state.counters["focal"] = static_cast<double>(focal.size());
+}
+BENCHMARK(BM_FastPathCensus)
+    ->ArgNames({"shape", "k", "window"})
+    ->ArgsProduct({{0, 1, 2}, {1, 2}, {0, 1}})
+    ->Unit(benchmark::kMicrosecond);
 
 // Observability overhead on the densest instrumentation path (ND-BAS k=2
 // runs the matcher once per focal node). Arg(0) = runtime-disabled

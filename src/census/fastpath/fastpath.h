@@ -27,11 +27,14 @@ struct FastPathDecision {
 FastPathDecision DecideFastPath(const Graph& graph, const Pattern& pattern,
                                 const CensusOptions& options);
 
-/// Combinatorial census engine: per focal node, builds the induced
-/// ego-network and evaluates the shape's closed-form count. It runs on the
-/// per-unit driver like the node-driven engines, so it shares their
-/// parallelization, governance, and partial-result contract.
-/// stats.num_matches stays 0: no matcher runs.
+/// Combinatorial census engine: per focal node, one BFS of S(n, k), then
+/// the shape's closed-form count from what it reads of the ball (its size,
+/// its members' ball degrees, the region's triangles listed once per
+/// census, or a local CSR for the 4-node shapes). It runs on the per-unit
+/// driver like the node-driven engines, so it shares their
+/// parallelization, governance, and partial-result contract; a stop while
+/// listing the triangles leaves every focal node pending.
+/// stats.num_matches and containment_checks stay 0: no matcher runs.
 void RunFastPath(const CensusContext& ctx, const PatternShape& shape,
                  CensusResult* result);
 

@@ -51,19 +51,25 @@ void IntersectAbove(std::span<const std::uint32_t> a,
 
 }  // namespace
 
-CountLevel LevelForShape(const PatternShape& shape) {
+BallReads ReadsOf(const PatternShape& shape) {
+  BallReads reads;
   switch (shape.id) {
     case ShapeId::kSingleton:
-      return CountLevel::kNodes;
+      break;
     case ShapeId::kEdge:
-      return CountLevel::kDegrees;
+      reads.degrees = true;
+      break;
     case ShapeId::kWedge:
-      return shape.induced ? CountLevel::kTriangles : CountLevel::kDegrees;
+      reads.degrees = true;
+      reads.triangles = shape.induced;  // wedge_i = wedge - 3 * triangle
+      break;
     case ShapeId::kTriangle:
-      return CountLevel::kTriangles;
+      reads.triangles = true;
+      break;
     default:
-      return CountLevel::kFour;
+      reads.local_csr = true;
   }
+  return reads;
 }
 
 std::uint64_t ShapeCount(const MotifCounts& c, const PatternShape& shape) {
@@ -133,6 +139,105 @@ std::uint64_t ShapeCount(const MotifCounts& c, const PatternShape& shape) {
   return 0;
 }
 
+void CountBallDegrees(const Graph& graph, const BfsWorkspace& ball,
+                      std::uint32_t k, MotifCounts* counts) {
+  std::uint64_t degree_sum = 0;
+  for (NodeId v : ball.visited()) {
+    // The BFS expanded every member nearer than k, so it reached all of
+    // their neighbors.
+    std::uint64_t d = graph.Degree(v);
+    if (ball.DistanceTo(v) == k) {
+      d = 0;
+      for (NodeId u : graph.Neighbors(v)) d += ball.Reached(u) ? 1 : 0;
+    }
+    degree_sum += d;
+    counts->wedge += Choose2(d);
+  }
+  counts->edges = degree_sum / 2;
+}
+
+bool RegionTriangles::List(const Graph& graph, std::span<const NodeId> focal,
+                           std::uint32_t k, Governor* governor) {
+  constexpr std::uint32_t kOutside = BfsWorkspace::kUnreached;
+  BfsWorkspace region_bfs;
+  const std::vector<NodeId>& region = region_bfs.Run(graph, focal, k);
+  const auto size = static_cast<std::uint32_t>(region.size());
+  // Positions in U, and each position's rank key (global degree, then id).
+  slot_.assign(graph.NumNodes(), kOutside);
+  std::vector<std::uint32_t> degree(size);
+  for (std::uint32_t p = 0; p < size; ++p) {
+    slot_[region[p]] = p;
+    degree[p] = graph.Degree(region[p]);
+  }
+  auto ranks_above = [&](std::uint32_t q, std::uint32_t p) {
+    return degree[q] != degree[p] ? degree[q] > degree[p]
+                                  : region[q] > region[p];
+  };
+
+  // Forward rows: each edge of G[U] once, at its lower-ranked end, as the
+  // position of the other end.
+  std::vector<std::uint32_t> fwd_begin = {0};
+  fwd_begin.reserve(size + 1);
+  std::vector<std::uint32_t> fwd;
+  std::vector<std::uint32_t> mark;
+  filed_begin_.assign(1, 0);
+  filed_begin_.reserve(size + 1);
+  filed_.clear();
+
+  // Every 64 positions, and once more before counting: a checkpoint, and a
+  // charge of the listing's footprint so far.
+  ScratchCharge charge;
+  auto bytes = [](const auto& vec) { return vec.capacity() * sizeof(vec[0]); };
+  auto proceed = [&] {
+    return governor == nullptr ||
+           (governor->Checkpoint() == StopReason::kNone &&
+            charge.Update(governor,
+                          region_bfs.ScratchBytes() + bytes(slot_) +
+                              bytes(degree) + bytes(fwd_begin) + bytes(fwd) +
+                              bytes(mark) + bytes(filed_begin_) +
+                              bytes(filed_)));
+  };
+  for (std::uint32_t p = 0; p < size; ++p) {
+    if (p % 64 == 0 && !proceed()) return false;
+    for (NodeId w : graph.Neighbors(region[p])) {
+      const std::uint32_t q = slot_[w];
+      if (q != kOutside && ranks_above(q, p)) fwd.push_back(q);
+    }
+    fwd_begin.push_back(static_cast<std::uint32_t>(fwd.size()));
+  }
+  auto row = [&](std::uint32_t p) {
+    return std::span<const std::uint32_t>(fwd.data() + fwd_begin[p],
+                                          fwd_begin[p + 1] - fwd_begin[p]);
+  };
+
+  // For each u, mark its forward row; a marked end of a forward row of a
+  // marked vertex closes a triangle whose lowest-ranked vertex is u. The
+  // mark value p + 1 is unique to u, so the marks are never cleared.
+  mark.assign(size, 0);
+  for (std::uint32_t p = 0; p < size; ++p) {
+    if (p % 64 == 0 && !proceed()) return false;
+    for (std::uint32_t q : row(p)) mark[q] = p + 1;
+    for (std::uint32_t q : row(p)) {
+      for (std::uint32_t r : row(q)) {
+        if (mark[r] == p + 1) filed_.emplace_back(region[q], region[r]);
+      }
+    }
+    filed_begin_.push_back(static_cast<std::uint32_t>(filed_.size()));
+  }
+  return proceed();
+}
+
+std::uint64_t RegionTriangles::CountInside(const BfsWorkspace& ball) const {
+  std::uint64_t count = 0;
+  for (NodeId u : ball.visited()) {
+    const std::uint32_t p = slot_[u];
+    for (std::uint32_t t = filed_begin_[p]; t < filed_begin_[p + 1]; ++t) {
+      count += ball.Reached(filed_[t].first) && ball.Reached(filed_[t].second);
+    }
+  }
+  return count;
+}
+
 void EgoKernel::Build(NodeId focal, std::uint32_t k) {
   const std::vector<NodeId>& visited = bfs_.Run(*graph_, focal, k);
   nodes_.assign(visited.begin(), visited.end());
@@ -164,11 +269,10 @@ void EgoKernel::Build(NodeId focal, std::uint32_t k) {
   }
 }
 
-MotifCounts EgoKernel::Count(CountLevel level) {
+MotifCounts EgoKernel::Count() {
   MotifCounts c;
   const std::uint32_t n = NumLocalNodes();
   c.nodes = n;
-  if (level == CountLevel::kNodes) return c;
 
   auto deg = [this](std::uint32_t v) { return offsets_[v + 1] - offsets_[v]; };
   auto row = [this, &deg](std::uint32_t v) {
@@ -180,10 +284,9 @@ MotifCounts EgoKernel::Count(CountLevel level) {
     const std::uint64_t d = deg(v);
     degree_sum += d;
     c.wedge += Choose2(d);
-    if (level == CountLevel::kFour) c.claw += Choose3(d);
+    c.claw += Choose3(d);
   }
   c.edges = degree_sum / 2;
-  if (level == CountLevel::kDegrees) return c;
 
   // Per-edge triangle counts tri_e = |N(u) cap N(v)|; each triangle is
   // seen by its three edges, so sum_e tri_e = 3T and sum_{e at v} = 2 t_v.
@@ -197,14 +300,11 @@ MotifCounts EgoKernel::Count(CountLevel level) {
       tri_sum += tri;
       tri_of_node_[u] += tri;
       tri_of_node_[v] += tri;
-      if (level == CountLevel::kFour) {
-        c.diamond += Choose2(tri);
-        mid_pairs += static_cast<std::uint64_t>(deg(u) - 1) * (deg(v) - 1);
-      }
+      c.diamond += Choose2(tri);
+      mid_pairs += static_cast<std::uint64_t>(deg(u) - 1) * (deg(v) - 1);
     }
   }
   c.triangle = tri_sum / 3;
-  if (level == CountLevel::kTriangles) return c;
 
   // Paw = triangle + pendant edge, rooted at the triangle vertex carrying
   // the tail; P4 counted at its middle edge (subtract the closed 2-paths).
@@ -262,7 +362,7 @@ std::uint64_t EgoKernel::ScratchBytes() const {
   return bytes(nodes_) + bytes(local_of_) + bytes(stamp_) + bytes(offsets_) +
          bytes(adj_) + bytes(tri_of_node_) + bytes(paths_to_) +
          bytes(touched_) + bytes(mark_) + bytes(common_) +
-         graph_->NumNodes() * sizeof(std::uint32_t);  // BFS dist array
+         bfs_.ScratchBytes();
 }
 
 }  // namespace egocensus::internal::fastpath

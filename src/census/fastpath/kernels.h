@@ -3,39 +3,38 @@
 
 // Per-ego-network motif counting kernels (docs/FAST_PATH.md).
 //
-// For one focal node the kernel materializes the induced subgraph of
-// S(n, k) as a local sorted CSR (reusing its buffers across focal nodes,
-// like SubgraphExtractor) and counts every connected <= 4-node shape with
-// closed-form formulas over degrees, per-edge triangle counts, and one
-// per-edge DFS for 4-cliques — no backtracking matcher. Matching a pattern
-// whose anchor images must lie inside S(n, k) is equivalent to matching in
-// the induced subgraph G[S(n, k)], so the local counts are bit-identical
-// to the generic engines' per-focal counts (the property tests assert
-// this at 1/2/8 threads).
+// Each shape's count reads only what it needs of a ball S(n, k): its size,
+// its members' degrees inside it, the triangles it holds, or (for the
+// 4-node shapes) an induced local CSR. Matching a pattern whose anchor
+// images must lie inside S(n, k) is equivalent to matching in the induced
+// subgraph G[S(n, k)], so the counts are bit-identical to the generic
+// engines' per-focal counts (the property tests assert this at 1/2/8
+// threads).
 
 #include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
+#include "exec/governor.h"
 #include "graph/bfs.h"
 #include "graph/graph.h"
 #include "pattern/shape.h"
 
 namespace egocensus::internal::fastpath {
 
-/// How much of the cascade a shape needs: degrees only, per-edge triangle
-/// counts, or the full 4-node suite.
-enum class CountLevel : std::uint8_t {
-  kNodes = 0,     // singleton
-  kDegrees = 1,   // edge, non-induced wedge
-  kTriangles = 2, // triangle, induced wedge
-  kFour = 3,      // every 4-node shape
+/// What a shape's count reads of each ball, besides its size.
+struct BallReads {
+  bool degrees = false;    // edge, wedge, induced wedge
+  bool triangles = false;  // triangle, induced wedge
+  bool local_csr = false;  // every 4-node shape (EgoKernel)
 };
 
-CountLevel LevelForShape(const PatternShape& shape);
+BallReads ReadsOf(const PatternShape& shape);
 
 /// Subgraph-copy counts (not necessarily induced) of each connected
-/// <= 4-node shape inside one ego-network's induced subgraph. Fields past
-/// the requested CountLevel stay zero.
+/// <= 4-node shape inside one ego-network's induced subgraph. Fields a
+/// shape does not read stay zero.
 struct MotifCounts {
   std::uint64_t nodes = 0;     // |S(n, k)|
   std::uint64_t edges = 0;     // m
@@ -54,8 +53,43 @@ struct MotifCounts {
 /// pattern negates its complement.
 std::uint64_t ShapeCount(const MotifCounts& counts, const PatternShape& shape);
 
-/// Reusable per-worker kernel: Build() one ego-network, then Count() it.
-/// Not thread-safe; parallel engines keep one kernel per worker.
+/// Sets counts->edges and counts->wedge from the degrees inside the ball
+/// `ball` last ran to radius k: a member's ball degree is the number of its
+/// neighbors the BFS reached, which is its whole degree unless it lies on
+/// the outer layer.
+void CountBallDegrees(const Graph& graph, const BfsWorkspace& ball,
+                      std::uint32_t k, MotifCounts* counts);
+
+/// The triangles of G[U], where U = ∪ S(n, k) over one census's focal
+/// nodes, listed once per census. Forward rows keep each region edge at its
+/// lower-ranked end (rank = (global degree, id)), and marks close the
+/// triangles, as Pangolin's mark_neighbors does. Each triangle is filed
+/// under its lowest-ranked vertex as the pair of its other two.
+class RegionTriangles {
+ public:
+  /// Finds U with one multi-source BFS truncated at k, then lists its
+  /// triangles, polling the governor and charging its bytes as it goes.
+  /// False when the governor stopped it: nothing may be counted then.
+  bool List(const Graph& graph, std::span<const NodeId> focal,
+            std::uint32_t k, Governor* governor);
+
+  /// Triangles of G[S(n, k)], for the ball S(n, k) ⊆ U that `ball` last
+  /// ran: the filed triangles of its members whose two other vertices it
+  /// reached. A triangle inside the ball has its lowest-ranked vertex
+  /// there, so each is counted exactly once.
+  std::uint64_t CountInside(const BfsWorkspace& ball) const;
+
+ private:
+  std::vector<std::uint32_t> slot_;  // node -> position in U (U's nodes only)
+  // The triangles filed under the node at position p of U:
+  // filed_[filed_begin_[p], filed_begin_[p + 1]).
+  std::vector<std::uint32_t> filed_begin_;
+  std::vector<std::pair<NodeId, NodeId>> filed_;
+};
+
+/// Reusable per-worker kernel for the 4-node shapes, whose counts need
+/// adjacency inside the ball: Build() one ego-network as a local CSR, then
+/// Count() it. Not thread-safe; parallel engines keep one kernel per worker.
 class EgoKernel {
  public:
   explicit EgoKernel(const Graph& graph) : graph_(&graph) {}
@@ -65,8 +99,8 @@ class EgoKernel {
   /// sorted without a per-row sort).
   void Build(NodeId focal, std::uint32_t k);
 
-  /// Counts motifs of the built ego-network up to `level`.
-  MotifCounts Count(CountLevel level);
+  /// Counts every connected <= 4-node shape of the built ego-network.
+  MotifCounts Count();
 
   std::uint32_t NumLocalNodes() const {
     return static_cast<std::uint32_t>(nodes_.size());

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "graph/graph.h"
@@ -33,6 +34,17 @@ class BfsWorkspace {
   template <typename GraphT>
   const std::vector<NodeId>& Run(const GraphT& graph, NodeId source,
                                  std::uint32_t max_depth) {
+    return Run(graph, std::span<const NodeId>(&source, 1), max_depth);
+  }
+
+  /// Multi-source form: visits every node within `max_depth` of some
+  /// source, i.e. the union of the sources' balls (a census's focal
+  /// region). The sources come first, in their order, at distance 0; a
+  /// repeated source is visited once.
+  template <typename GraphT>
+  const std::vector<NodeId>& Run(const GraphT& graph,
+                                 std::span<const NodeId> sources,
+                                 std::uint32_t max_depth) {
     if (dist_.size() < graph.NumNodes()) {
       dist_.resize(graph.NumNodes(), kUnreached);
     }
@@ -40,8 +52,12 @@ class BfsWorkspace {
     for (NodeId n : visited_) dist_[n] = kUnreached;
     visited_.clear();
 
-    dist_[source] = 0;
-    visited_.push_back(source);
+    for (NodeId source : sources) {
+      if (dist_[source] == kUnreached) {
+        dist_[source] = 0;
+        visited_.push_back(source);
+      }
+    }
     // visited_ doubles as the BFS queue (it is already in frontier order).
     std::size_t head = 0;
     while (head < visited_.size()) {
@@ -67,6 +83,11 @@ class BfsWorkspace {
 
   /// Visited nodes from the last run, in BFS order.
   const std::vector<NodeId>& visited() const { return visited_; }
+
+  /// Footprint of the reused buffers, for ScratchCharge.
+  std::uint64_t ScratchBytes() const {
+    return (dist_.capacity() + visited_.capacity()) * sizeof(std::uint32_t);
+  }
 
  private:
   std::vector<std::uint32_t> dist_;

@@ -179,9 +179,10 @@ class QueryEngine {
 /// the query-wide `options`. It sets the aggregate's radius k and COUNTSP
 /// subpattern, then picks what runs it:
 ///  - the fast path, for every census it can answer (an eligible <= 4-node
-///    shape under fast_path auto or force), before any sampling. Where
-///    another engine is faster on a whole graph (the unlabeled triangle at
-///    k = 2), that engine's global match costs more peak memory;
+///    shape under fast_path auto or force), before any sampling. It runs
+///    no match step, and on the ledger's templates, the whole-graph
+///    triangle at k = 2 among them, no pinned engine is faster
+///    (docs/FAST_PATH.md, "Routing");
 ///  - the request's engine, when it pinned `algorithm`;
 ///  - otherwise the cheapest of ND-BAS, ND-PVOT and PT-BAS by a cost rule
 ///    (Fig. 4(e): node-driven work grows with |focal| and the ball volume,

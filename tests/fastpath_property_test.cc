@@ -1,19 +1,22 @@
 // Fast-path kernels vs the generic engines (docs/FAST_PATH.md): for every
 // connected <= 4-node shape — induced and non-induced — the combinatorial
 // counts must be bit-identical to ND-BAS on randomized ER and power-law
-// graphs, at k=1 and k=2, at 1/2/8 threads, and under governor interrupts
-// (the kComplete prefix of a cancelled run stays bit-identical). Also the
-// routing contract itself: what kForce rejects, and what kAuto falls back
-// from.
+// graphs, at k=1 and k=2 over every node and at k=0-3 over partial focal
+// sets (whose triangles are listed over their region only), at 1/2/8
+// threads, and under governor interrupts (the kComplete prefix of a
+// cancelled run stays bit-identical). Also the routing contract itself:
+// what kForce rejects, and what kAuto falls back from.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "census/census.h"
 #include "exec/failpoints.h"
 #include "exec/governor.h"
+#include "graph/bfs.h"
 #include "graph/generators.h"
 #include "pattern/catalog.h"
 #include "pattern/pattern_parser.h"
@@ -132,6 +135,136 @@ TEST(FastPathPropertyTest, BitIdenticalToGenericAcrossShapesAndThreads) {
   }
 }
 
+/// A hub-heavy PA graph (two edges per new node) with a triangle appended
+/// as its own 3-node component.
+Graph HubGraphWithTriangleComponent() {
+  GeneratorOptions pa;
+  pa.num_nodes = 160;
+  pa.edges_per_node = 2;
+  pa.seed = 1305;
+  const Graph base = GeneratePreferentialAttachment(pa);
+  const NodeId n = base.NumNodes();
+  std::vector<std::pair<NodeId, NodeId>> edges = {
+      {n, n + 1}, {n + 1, n + 2}, {n + 2, n}};
+  for (NodeId u = 0; u < n; ++u) {
+    for (NodeId v : base.Neighbors(u)) {
+      if (u < v) edges.emplace_back(u, v);
+    }
+  }
+  return MakeGraph(n + 3, edges);
+}
+
+/// Focal sets that cover only part of the graph, so that a triangle region
+/// missing part of some ball would show: a 50-id window, a scattered 5%
+/// sample, a single node, nodes whose k-balls are pairwise disjoint, and
+/// the first node of the 3-node component (the graph's last three ids).
+std::vector<std::pair<std::string, std::vector<NodeId>>> PartialFocalSets(
+    const Graph& g, std::uint32_t k) {
+  std::vector<std::pair<std::string, std::vector<NodeId>>> sets;
+  std::vector<NodeId> window;
+  for (NodeId n = 40; n < 90; ++n) window.push_back(n);
+  sets.emplace_back("window", window);
+  std::vector<NodeId> sample;
+  for (NodeId n = 3; n < g.NumNodes(); n += 20) sample.push_back(n);
+  sets.emplace_back("sample", sample);
+  sets.emplace_back("single", std::vector<NodeId>{7});
+  std::vector<NodeId> disjoint;
+  std::vector<char> covered(g.NumNodes(), 0);
+  BfsWorkspace bfs;
+  for (NodeId n = g.NumNodes(); n-- > 0;) {  // leaves first: small balls
+    const std::vector<NodeId>& ball = bfs.Run(g, n, k);
+    bool free = true;
+    for (NodeId m : ball) free = free && covered[m] == 0;
+    if (!free) continue;
+    for (NodeId m : ball) covered[m] = 1;
+    disjoint.push_back(n);
+  }
+  std::sort(disjoint.begin(), disjoint.end());
+  sets.emplace_back("disjoint", disjoint);
+  sets.emplace_back("component", std::vector<NodeId>{g.NumNodes() - 3});
+  return sets;
+}
+
+TEST(FastPathPropertyTest, PartialFocalSetsMatchNdBas) {
+  const Graph g = HubGraphWithTriangleComponent();
+  BfsWorkspace bfs;
+  for (std::uint32_t k : {0u, 1u, 2u, 3u}) {
+    for (const auto& [name, focal] : PartialFocalSets(g, k)) {
+      std::uint64_t ball_sum = 0;
+      for (NodeId n : focal) ball_sum += bfs.Run(g, n, k).size();
+      for (const ShapeCase& c : AllShapes()) {
+        SCOPED_TRACE(std::string(c.label) + " k=" + std::to_string(k) +
+                     " focal=" + name);
+        Pattern p = Parse(c.text);
+        CensusOptions generic;
+        generic.fast_path = FastPathMode::kOff;
+        generic.algorithm = CensusAlgorithm::kNdBas;
+        generic.k = k;
+        auto reference = RunCensus(g, p, focal, generic);
+        ASSERT_TRUE(reference.ok());
+        for (std::uint32_t threads : {1u, 2u, 8u}) {
+          CensusOptions opts;
+          opts.fast_path = FastPathMode::kForce;
+          opts.k = k;
+          opts.num_threads = threads;
+          auto r = RunCensus(g, p, focal, opts);
+          ASSERT_TRUE(r.ok());
+          ASSERT_EQ(r->counts, reference->counts) << "threads=" << threads;
+          EXPECT_EQ(r->focal_state, reference->focal_state);
+          EXPECT_EQ(r->stats.nodes_expanded, ball_sum);
+          EXPECT_EQ(r->stats.containment_checks, 0u);
+          EXPECT_EQ(r->stats.num_matches, 0u);
+        }
+      }
+    }
+  }
+}
+
+/// The triangle listing charges its footprint before any count: under a
+/// budget that the counting alone fits (a BFS-only edge census completes
+/// under it), the triangle census stops in the listing with every focal
+/// node pending.
+TEST(FastPathPropertyTest, TriangleListingOverBudgetLeavesEveryFocalPending) {
+  GeneratorOptions pa;
+  pa.num_nodes = 400;
+  pa.edges_per_node = 3;
+  pa.seed = 1306;
+  const Graph g = GeneratePreferentialAttachment(pa);
+  const auto focal = AllNodes(g);
+  CensusOptions opts;
+  opts.fast_path = FastPathMode::kForce;
+  opts.k = 2;
+  std::uint64_t counting_bytes = 0;
+  {
+    Governor unlimited;
+    opts.governor = &unlimited;
+    auto edges = RunCensus(g, MakeSingleEdge(), focal, opts);
+    ASSERT_TRUE(edges.ok());
+    ASSERT_TRUE(edges->complete());
+    counting_bytes = unlimited.memory_charged_bytes();
+  }
+  ASSERT_GT(counting_bytes, 0u);
+  {
+    Governor budget;
+    budget.SetMemoryLimitBytes(counting_bytes);
+    opts.governor = &budget;
+    auto edges = RunCensus(g, MakeSingleEdge(), focal, opts);
+    ASSERT_TRUE(edges.ok());
+    EXPECT_TRUE(edges->exec_status.ok());
+  }
+  Governor budget;
+  budget.SetMemoryLimitBytes(counting_bytes);
+  opts.governor = &budget;
+  auto r = RunCensus(g, MakeTriangle(false), focal, opts);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->exec_status.code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(r->stats.nodes_expanded, 0u);  // no ball was counted
+  for (NodeId n = 0; n < g.NumNodes(); ++n) {
+    EXPECT_EQ(r->focal_state[n], FocalState::kPending);
+    EXPECT_EQ(r->counts[n], 0u);
+  }
+}
+
 TEST(FastPathPropertyTest, ExpiredDeadlineLeavesEveryFocalPending) {
   Graph g = GenerateErdosRenyi(80, 320, 1, 1303);
   Pattern tri = MakeTriangle(false);
@@ -158,47 +291,53 @@ TEST(FastPathPropertyTest, ExpiredDeadlineLeavesEveryFocalPending) {
 /// to the uninterrupted run, pending ones untouched.
 TEST(FastPathPropertyTest, CancelAtEveryCheckpointSweep) {
   Graph g = GenerateErdosRenyi(80, 320, 1, 1304);
-  Pattern diamond =
-      Parse("PATTERN p {?A-?B; ?B-?C; ?C-?A; ?B-?D; ?C-?D;}");
   auto focal = AllNodes(g);
-  for (std::uint32_t threads : {1u, 8u}) {
-    CensusOptions opts;
-    opts.fast_path = FastPathMode::kForce;
-    opts.k = 2;
-    opts.num_threads = threads;
-    auto baseline = RunCensus(g, diamond, focal, opts);
-    ASSERT_TRUE(baseline.ok());
-    ASSERT_TRUE(baseline->complete());
+  // One shape per kernel: the local CSR, the region's triangles, and ball
+  // degrees with the triangles (the induced wedge).
+  for (const char* text :
+       {"PATTERN p {?A-?B; ?B-?C; ?C-?A; ?B-?D; ?C-?D;}",
+        "PATTERN p {?A-?B; ?B-?C; ?C-?A;}",
+        "PATTERN p {?A-?B; ?B-?C; ?A!-?C;}"}) {
+    Pattern pattern = Parse(text);
+    for (std::uint32_t threads : {1u, 8u}) {
+      CensusOptions opts;
+      opts.fast_path = FastPathMode::kForce;
+      opts.k = 2;
+      opts.num_threads = threads;
+      auto baseline = RunCensus(g, pattern, focal, opts);
+      ASSERT_TRUE(baseline.ok());
+      ASSERT_TRUE(baseline->complete());
 
-    failpoints::Arm("census/focal", 0, nullptr);
-    {
-      Governor gov;
-      CensusOptions governed = opts;
-      governed.governor = &gov;
-      ASSERT_TRUE(RunCensus(g, diamond, focal, governed).ok());
-    }
-    const std::uint64_t hits = failpoints::Hits("census/focal");
-    failpoints::DisarmAll();
-    ASSERT_GT(hits, 0u);
-
-    const std::uint64_t stride = std::max<std::uint64_t>(1, hits / 16);
-    for (std::uint64_t i = 1; i <= hits; i += stride) {
-      SCOPED_TRACE("threads=" + std::to_string(threads) + " cancel@" +
-                   std::to_string(i) + "/" + std::to_string(hits));
-      Governor gov;
-      failpoints::Arm("census/focal", i, [&gov] { gov.RequestCancel(); });
-      CensusOptions governed = opts;
-      governed.governor = &gov;
-      auto r = RunCensus(g, diamond, focal, governed);
+      failpoints::Arm("census/focal", 0, nullptr);
+      {
+        Governor gov;
+        CensusOptions governed = opts;
+        governed.governor = &gov;
+        ASSERT_TRUE(RunCensus(g, pattern, focal, governed).ok());
+      }
+      const std::uint64_t hits = failpoints::Hits("census/focal");
       failpoints::DisarmAll();
-      ASSERT_TRUE(r.ok());
-      EXPECT_EQ(r->exec_status.code(), StatusCode::kCancelled);
-      for (NodeId n = 0; n < g.NumNodes(); ++n) {
-        if (r->focal_state[n] == FocalState::kComplete) {
-          EXPECT_EQ(r->counts[n], baseline->counts[n]) << n;
-        } else {
-          EXPECT_EQ(r->focal_state[n], FocalState::kPending) << n;
-          EXPECT_EQ(r->counts[n], 0u) << n;
+      ASSERT_GT(hits, 0u);
+
+      const std::uint64_t stride = std::max<std::uint64_t>(1, hits / 16);
+      for (std::uint64_t i = 1; i <= hits; i += stride) {
+        SCOPED_TRACE("threads=" + std::to_string(threads) + " cancel@" +
+                     std::to_string(i) + "/" + std::to_string(hits));
+        Governor gov;
+        failpoints::Arm("census/focal", i, [&gov] { gov.RequestCancel(); });
+        CensusOptions governed = opts;
+        governed.governor = &gov;
+        auto r = RunCensus(g, pattern, focal, governed);
+        failpoints::DisarmAll();
+        ASSERT_TRUE(r.ok());
+        EXPECT_EQ(r->exec_status.code(), StatusCode::kCancelled);
+        for (NodeId n = 0; n < g.NumNodes(); ++n) {
+          if (r->focal_state[n] == FocalState::kComplete) {
+            EXPECT_EQ(r->counts[n], baseline->counts[n]) << n;
+          } else {
+            EXPECT_EQ(r->focal_state[n], FocalState::kPending) << n;
+            EXPECT_EQ(r->counts[n], 0u) << n;
+          }
         }
       }
     }
