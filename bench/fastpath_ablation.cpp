@@ -8,6 +8,9 @@
 // bit_identical for every shape.
 //
 //   fastpath_ablation [--nodes N] [--edges-per-node M] [--k K] [--reps R]
+//
+// The defaults (3,000 nodes scaled by ECENSUS_SCALE, 1 rep) are the scale
+// of EXPERIMENTS.md's ablation table; the GQL column dominates the run.
 
 #include <cstring>
 #include <iostream>
@@ -24,10 +27,10 @@ int main(int argc, char** argv) {
   using namespace egocensus::bench;
   InitObsFromEnv();
 
-  std::uint32_t nodes = Scaled(6000);
+  std::uint32_t nodes = Scaled(3000);
   std::uint32_t edges_per_node = 5;
   std::uint32_t k = 1;
-  int reps = 3;
+  int reps = 1;
   for (int i = 1; i + 1 < argc; i += 2) {
     if (std::strcmp(argv[i], "--nodes") == 0) {
       nodes = static_cast<std::uint32_t>(std::atoi(argv[i + 1]));

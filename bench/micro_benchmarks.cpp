@@ -238,9 +238,9 @@ BENCHMARK(BM_FastPathCensus)
     ->Unit(benchmark::kMicrosecond);
 
 // Observability overhead on the densest instrumentation path (ND-BAS k=2
-// runs the matcher once per focal node). Arg(0) = runtime-disabled
-// (the acceptance bar: within noise of a build without instrumentation),
-// Arg(1) = enabled (the price of actually recording).
+// runs the matcher once per focal node). Arg(0) = runtime-disabled, the
+// default of every run (docs/OBSERVABILITY.md, "Overhead"), Arg(1) =
+// enabled (the price of actually recording).
 void BM_ObsOverheadNdBas(benchmark::State& state) {
   const Graph& graph = BenchGraph();
   Pattern pattern = MakeTriangle(true);
@@ -340,7 +340,7 @@ void BM_GovernorOverhead(benchmark::State& state) {
 BENCHMARK(BM_GovernorOverhead)->Arg(0)->Arg(1)->Arg(2)
     ->Unit(benchmark::kMillisecond);
 
-// Full-repo egolint scan (lex + all six checks over every src/ and tools/
+// Full-repo egolint scan (lex + all five checks over every src/ and tools/
 // file, matching what CI's lint job and the egolint_repo ctest run). CI
 // treats the lint job as nearly free; this keeps the whole scan honest
 // against the 2s budget the egolint_test smoke asserts.

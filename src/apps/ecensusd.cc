@@ -178,10 +178,6 @@ int main(int argc, char** argv) {
     std::cerr << "--log-file and --log-stderr are mutually exclusive\n";
     return Usage();
   }
-  if ((!log_file.empty() || log_stderr) && !GetBuildInfo().obs_enabled) {
-    std::cerr << "warning: built with EGOCENSUS_OBS=OFF; request logging "
-                 "is compiled out and --log-* flags have no effect\n";
-  }
   obs::Logger& logger = obs::Logger::Global();
   if (!log_file.empty()) {
     Status opened = logger.OpenFile(log_file);

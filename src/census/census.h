@@ -75,19 +75,13 @@ struct CensusCommon {
 };
 
 /// The pattern-driven parameters (PT-OPT / PT-RND and pairwise PT-OPT):
-/// center seeding and match clustering (Section IV-B, Fig. 4(f-g)).
+/// center seeding and match clustering (Section IV-B, Fig. 4(f-g)). The
+/// K-means features use the first 12 centers and Lloyd's algorithm runs
+/// 10 iterations, the paper's values (census/pt_common.cc).
 struct PtOptions {
   /// Number of centers used for PMD initialization (paper default: 12;
   /// 0 disables center seeding). Fig. 4(f) sweeps this.
   std::uint32_t num_centers = 12;
-
-  /// Number of centers used to build K-means feature vectors. Fig. 4(f)
-  /// holds this fixed while sweeping num_centers to isolate the two
-  /// effects.
-  std::uint32_t num_cluster_centers = 12;
-
-  /// DEG-CNTR (false) vs RND-CNTR (true).
-  bool random_centers = false;
 
   ClusteringMode clustering = ClusteringMode::kKMeans;
 
@@ -95,14 +89,12 @@ struct PtOptions {
   /// Lloyd's algorithm tractable; the paper uses num_matches / 4).
   std::uint32_t num_clusters = 0;
 
-  /// K-means iterations (paper: 10).
-  std::uint32_t kmeans_iterations = 10;
-
   std::uint64_t seed = 7;
 
-  /// Optional prebuilt center index (must have at least
-  /// max(num_centers, num_cluster_centers) centers). When null the engine
-  /// builds one; its build time is reported in stats.index_seconds.
+  /// Optional prebuilt center index (must have at least max(num_centers,
+  /// 12) centers). When null the engine builds one over the
+  /// highest-degree nodes (DEG-CNTR); its build time is reported in
+  /// stats.index_seconds. A RND-CNTR index comes from PickRandomCenters.
   const CenterDistanceIndex* center_index = nullptr;
 
   /// Optional separate index supplying the K-means feature centers. When

@@ -9,6 +9,13 @@
 
 namespace egocensus::internal {
 
+namespace {
+// The paper's K-means parameters: features are the distances to the first
+// 12 centers, and Lloyd's algorithm runs 10 iterations.
+constexpr std::uint32_t kClusterCenters = 12;
+constexpr std::uint32_t kKMeansIterations = 10;
+}  // namespace
+
 PtSetup BuildPtSetup(const Graph& graph, const Pattern& pattern,
                      const MatchAnchors& anchors, const PtOptions& options,
                      std::uint32_t k, Governor* governor) {
@@ -19,21 +26,13 @@ PtSetup BuildPtSetup(const Graph& graph, const Pattern& pattern,
 
   // Center distance index.
   Timer timer;
-  const std::size_t centers_needed = std::max<std::size_t>(
-      options.num_centers, options.clustering == ClusteringMode::kKMeans
-                               ? options.num_cluster_centers
-                               : 0);
+  const std::uint32_t centers_needed = std::max(
+      options.num_centers,
+      options.clustering == ClusteringMode::kKMeans ? kClusterCenters : 0);
   setup.center_index = options.center_index;
   if (setup.center_index == nullptr && centers_needed > 0) {
-    Rng center_rng(options.seed);
-    std::vector<NodeId> centers =
-        options.random_centers
-            ? PickRandomCenters(graph,
-                                static_cast<std::uint32_t>(centers_needed),
-                                &center_rng)
-            : PickHighestDegreeCenters(
-                  graph, static_cast<std::uint32_t>(centers_needed));
-    setup.local_index = CenterDistanceIndex::Build(graph, std::move(centers));
+    setup.local_index = CenterDistanceIndex::Build(
+        graph, PickHighestDegreeCenters(graph, centers_needed));
     setup.center_index = &setup.local_index;
   }
   setup.index_seconds = timer.ElapsedSeconds();
@@ -88,7 +87,7 @@ PtSetup BuildPtSetup(const Graph& graph, const Pattern& pattern,
       const std::size_t feature_centers =
           feature_index == nullptr
               ? 0
-              : std::min<std::size_t>(options.num_cluster_centers,
+              : std::min<std::size_t>(kClusterCenters,
                                       feature_index->NumCenters());
       if (feature_centers == 0) break;  // no features: degenerate to none
       const std::size_t dim = feature_centers * static_cast<std::size_t>(t);
@@ -109,7 +108,7 @@ PtSetup BuildPtSetup(const Graph& graph, const Pattern& pattern,
         }
       }
       assignment = KMeansCluster(features, num_matches, dim, num_clusters,
-                                 options.kmeans_iterations, &rng, governor);
+                                 kKMeansIterations, &rng, governor);
       clustered = true;
       break;
     }

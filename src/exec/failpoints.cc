@@ -1,7 +1,5 @@
 #include "exec/failpoints.h"
 
-#if EGO_FAILPOINTS_ENABLED
-
 #include <map>
 #include <string>
 #include <utility>
@@ -114,5 +112,3 @@ void ResetHits(std::string_view name) {
 }
 
 }  // namespace egocensus::failpoints
-
-#endif  // EGO_FAILPOINTS_ENABLED

@@ -8,8 +8,9 @@
 //   EGO_FAILPOINT("census/focal");
 //
 // In production nothing is armed and the macro costs one relaxed load of a
-// global "any armed" flag (same double-gating discipline as the obs
-// macros). Tests arm a point by name to run a handler on its N-th hit:
+// global "any armed" flag (the same runtime gate as the obs macros' one
+// load of obs::Enabled()). Tests arm a point by name to run a handler on
+// its N-th hit:
 //
 //   failpoints::Arm("census/focal", 3, [&] { gov.RequestCancel(); });
 //
@@ -19,16 +20,6 @@
 // where exceptions must not escape — inject faults by flipping the state
 // the production code already checks (cancel a token, exhaust a budget),
 // not by unwinding.
-//
-// Compile-time kill switch: -DEGOCENSUS_FAILPOINTS=OFF defines
-// EGO_FAILPOINTS_ENABLED=0 and EGO_FAILPOINT() expands to nothing — the
-// CI kill-switch job proves the hooks vanish from release builds.
-
-#ifndef EGO_FAILPOINTS_ENABLED
-#define EGO_FAILPOINTS_ENABLED 1
-#endif
-
-#if EGO_FAILPOINTS_ENABLED
 
 #include <atomic>
 #include <cstdint>
@@ -39,8 +30,6 @@ namespace egocensus::failpoints {
 
 /// Runs when an armed failpoint reaches its trigger hit. Must not throw.
 using Handler = std::function<void()>;
-
-constexpr bool CompiledIn() { return true; }
 
 namespace internal {
 extern std::atomic<bool> g_any_armed;
@@ -78,32 +67,5 @@ inline void Hit(std::string_view name) {
 }  // namespace egocensus::failpoints
 
 #define EGO_FAILPOINT(name) ::egocensus::failpoints::Hit(name)
-
-#else  // !EGO_FAILPOINTS_ENABLED
-
-#include <cstdint>
-#include <functional>
-#include <string_view>
-
-namespace egocensus::failpoints {
-
-using Handler = std::function<void()>;
-
-constexpr bool CompiledIn() { return false; }
-inline bool Active() { return false; }
-inline void Arm(std::string_view, std::uint64_t, Handler) {}
-inline void Disarm(std::string_view) {}
-inline void DisarmAll() {}
-inline std::uint64_t Hits(std::string_view) { return 0; }
-inline void ResetHits(std::string_view) {}
-inline void Hit(std::string_view) {}
-
-}  // namespace egocensus::failpoints
-
-#define EGO_FAILPOINT(name) \
-  do {                      \
-  } while (false)
-
-#endif  // EGO_FAILPOINTS_ENABLED
 
 #endif  // EGOCENSUS_EXEC_FAILPOINTS_H_

@@ -49,7 +49,6 @@ void FairRequestQueue::RecordWaitLocked(Tenant& tenant,
   ++wait.count;
   wait.sum += wait_us;
   wait.max = std::max(wait.max, wait_us);
-  // egolint: allow-obs(HistogramBucket compiles in both obs builds)
   ++wait.buckets[obs::HistogramBucket(wait_us)];
 }
 

@@ -78,7 +78,6 @@ struct TenantQueueStats {
   std::uint64_t evicted_deadline = 0;
   std::uint64_t evicted_disconnect = 0;
   std::uint64_t evicted_drain = 0;
-  // egolint: allow-obs(HistogramSnapshot compiles in both obs builds)
   obs::HistogramSnapshot wait;
 };
 

@@ -60,7 +60,7 @@ struct RequestContext {
   std::vector<PhaseSpan> spans;
 
   /// Counter deltas of the obs registry across this request's execution
-  /// (empty when obs is off or compiled out) — the "per-phase snapshot
+  /// (empty when obs is off) — the "per-phase snapshot
   /// delta" section of the wide event and the slow-query capture.
   std::map<std::string, std::uint64_t> obs_delta;
 

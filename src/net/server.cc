@@ -82,8 +82,7 @@ std::string RenderStatus(const DaemonSnapshot& s,
   os << "  \"server\": {\"build\": \"" << JsonEscape(BuildInfoString())
      << "\", \"git\": \"" << JsonEscape(build.git_describe)
      << "\", \"build_type\": \"" << JsonEscape(build.build_type)
-     << "\", \"obs\": " << (build.obs_enabled ? "true" : "false")
-     << ", \"failpoints\": " << (build.failpoints_enabled ? "true" : "false")
+     << "\", \"obs\": true, \"failpoints\": true"
      << ", \"protocol\": " << kProtocolVersion
      << ", \"pid\": " << ::getpid()
      << ", \"uptime_us\": " << s.uptime_us << "},\n";
@@ -173,12 +172,10 @@ std::string RenderStatus(const DaemonSnapshot& s,
        << ", \"spans\": " << record.spans.size() << "}";
   }
   os << "]";
-#if EGO_OBS_ENABLED
   if (obs::Enabled()) {
     os << ",\n  \"metrics\": ";
     obs::Registry::Global().Snapshot().WriteJson(os);
   }
-#endif
   os << "\n}\n";
   return os.str();
 }
@@ -221,11 +218,8 @@ std::string RenderSlowQueryTrace(
 /// metrics so the obs exporter renders them like every other family
 /// (`daemon/requests{verb="QUERY"}` becomes a `_total` counter family
 /// under the exporter's `egocensus_` prefix).
-// egolint: allow-obs(MetricsSnapshot compiles in both obs builds)
 obs::MetricsSnapshot DaemonMetrics(const DaemonSnapshot& s) {
-  // egolint: allow-obs(MetricsSnapshot compiles in both obs builds)
   obs::MetricsSnapshot m;
-  // egolint: allow-obs(LabeledName compiles in both obs builds)
   const auto label = &obs::LabeledName;
   m.gauges["daemon/uptime_seconds"] = s.uptime_us / 1'000'000;
   m.gauges["daemon/inflight"] = s.queue.active;
@@ -690,10 +684,8 @@ Message CensusServer::HandleQuery(const Message& request,
   GraphEntry& graph = **entry;
   SharedMutexLock lock(graph.mutex);
   ctx.exec_begin_us = Timer::NowMicros();
-#if EGO_OBS_ENABLED
   obs::MetricsSnapshot before;
   if (obs::Enabled()) before = obs::Registry::Global().Snapshot();
-#endif
   Message response;
   {
     QueryEngine engine(graph.dynamic.base(), &graph.indexes);
@@ -750,7 +742,6 @@ Message CensusServer::HandleQuery(const Message& request,
     WriteQueryResult(table, spec, body);
     response.body = body.str();
   }
-#if EGO_OBS_ENABLED
   // Counter deltas across the execution window: what this request added to
   // the registry, attributable because the graph lock and admission gate
   // do not serialize concurrent queries — the delta is exact only for the
@@ -764,7 +755,6 @@ Message CensusServer::HandleQuery(const Message& request,
       if (value > prior) ctx.obs_delta[name] = value - prior;
     }
   }
-#endif
   return response;
 }
 
@@ -859,15 +849,12 @@ Message CensusServer::HandleMetrics(const Message& request,
   response.type = FrameType::kResult;
   response.headers["content"] = "text/plain; version=0.0.4";
   std::ostringstream os;
-  // egolint: allow-obs(WritePrometheus compiles in both obs builds)
   obs::WritePrometheus(DaemonMetrics(Snapshot()), os);
-#if EGO_OBS_ENABLED
   // The engine-level registry families render from a point-in-time shard
   // merge — recording threads never block on exposition.
   if (obs::Enabled()) {
     obs::WritePrometheus(obs::Registry::Global().Snapshot(), os);
   }
-#endif
   response.body = os.str();
   return response;
 }
@@ -957,7 +944,6 @@ void CensusServer::FinishRequest(const RequestContext& ctx,
     while (ring_.size() > options_.ring_capacity) ring_.pop_back();
   }
 
-#if EGO_OBS_ENABLED
   // Request-scoped registry families, labeled by verb/graph so the METRICS
   // exposition can slice traffic (docs/OBSERVABILITY.md).
   if (obs::Enabled()) {
@@ -971,7 +957,6 @@ void CensusServer::FinishRequest(const RequestContext& ctx,
       obs::CounterAdd(obs::LabeledName("server/request_errors", labels), 1);
     }
   }
-#endif
 
   // The canonical wide event: one line per request (docs/OBSERVABILITY.md,
   // "Request telemetry"). No-op unless a sink is configured.

@@ -1,17 +1,13 @@
 #include "obs/log.h"
 
 #include <cstdio>
-
-#include "util/strings.h"
-#include "util/timer.h"
-
-#if EGO_OBS_ENABLED
 #include <fstream>
 #include <iostream>
 
 #include "util/mutex.h"
+#include "util/strings.h"
 #include "util/thread_annotations.h"
-#endif
+#include "util/timer.h"
 
 namespace egocensus::obs {
 
@@ -35,8 +31,6 @@ LogLevel LogLevelFromName(std::string_view name) {
   if (name == "error") return LogLevel::kError;
   return LogLevel::kInfo;
 }
-
-#if EGO_OBS_ENABLED
 
 LogEvent::LogEvent(std::string_view event_name) {
   fields_ = "\"event\":\"" + JsonEscape(event_name) + "\"";
@@ -174,7 +168,5 @@ void Logger::ResetForTest() {
   written_.store(0, std::memory_order_relaxed);
   dropped_.store(0, std::memory_order_relaxed);
 }
-
-#endif  // EGO_OBS_ENABLED
 
 }  // namespace egocensus::obs

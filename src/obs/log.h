@@ -1,5 +1,5 @@
-#ifndef EGOCENSUS_OBS_LOG_H_
-#define EGOCENSUS_OBS_LOG_H_
+#ifndef EGOCENSUS_SRC_OBS_LOG_H_
+#define EGOCENSUS_SRC_OBS_LOG_H_
 
 // Structured JSON-lines logger for the daemon's request telemetry
 // (docs/OBSERVABILITY.md, "Request telemetry"): one flat JSON object per
@@ -12,17 +12,16 @@
 // mutex in Logger::Write, so concurrent request threads never interleave
 // bytes within a line.
 //
-// Gating: like the metric handles in obs/metrics.h, the whole surface
-// compiles to no-ops when EGO_OBS_ENABLED=0, so call sites stay ungated.
-// Unlike the metrics registry, the logger is independent of the runtime
-// obs::Enabled() toggle: it is active iff a sink is configured (enabled()),
-// because operators want request logs even when the metric shards are off.
+// Gating: unlike the metrics registry, the logger is independent of the
+// runtime obs::Enabled() toggle: it is active iff a sink is configured
+// (enabled()), because operators want request logs even when the metric
+// shards are off.
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <string_view>
 
-#include "obs/obs.h"
 #include "util/status.h"
 
 namespace egocensus::obs {
@@ -39,8 +38,6 @@ const char* LogLevelName(LogLevel level);
 /// Parses "debug"/"info"/"warn"/"error" (the --log-level values); anything
 /// else falls back to kInfo.
 LogLevel LogLevelFromName(std::string_view name);
-
-#if EGO_OBS_ENABLED
 
 /// Ordered JSON-object builder for one log line. Keys are emitted in call
 /// order; values are escaped (Str) or rendered verbatim (Raw, for nested
@@ -119,44 +116,6 @@ class Logger {
   std::atomic<std::uint64_t> dropped_{0};
 };
 
-#else  // !EGO_OBS_ENABLED
-
-/// Kill-switch stubs: same shape, no state, no I/O. Call sites compile and
-/// dead-code eliminate (enabled()/ShouldLog() are constexpr false).
-class LogEvent {
- public:
-  explicit LogEvent(std::string_view) {}
-  LogEvent& Str(std::string_view, std::string_view) { return *this; }
-  LogEvent& Int(std::string_view, std::uint64_t) { return *this; }
-  LogEvent& Float(std::string_view, double) { return *this; }
-  LogEvent& Bool(std::string_view, bool) { return *this; }
-  LogEvent& Raw(std::string_view, std::string_view) { return *this; }
-  const std::string& fields() const {
-    static const std::string kEmpty;
-    return kEmpty;
-  }
-};
-
-class Logger {
- public:
-  static Logger& Global() {
-    static Logger logger;
-    return logger;
-  }
-  [[nodiscard]] Status OpenFile(const std::string&) { return Status::Ok(); }
-  void UseStderr() {}
-  void SetMinLevel(LogLevel) {}
-  void SetRateLimit(std::uint64_t) {}
-  constexpr bool enabled() const { return false; }
-  constexpr bool ShouldLog(LogLevel) const { return false; }
-  void Write(LogLevel, const LogEvent&) {}
-  constexpr std::uint64_t written() const { return 0; }
-  constexpr std::uint64_t dropped() const { return 0; }
-  void ResetForTest() {}
-};
-
-#endif  // EGO_OBS_ENABLED
-
 }  // namespace egocensus::obs
 
-#endif  // EGOCENSUS_OBS_LOG_H_
+#endif  // EGOCENSUS_SRC_OBS_LOG_H_

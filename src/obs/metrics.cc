@@ -14,7 +14,6 @@
 
 namespace egocensus::obs {
 
-#if EGO_OBS_ENABLED
 namespace internal {
 std::atomic<bool> g_enabled{false};
 }  // namespace internal
@@ -22,7 +21,6 @@ std::atomic<bool> g_enabled{false};
 void SetEnabled(bool enabled) {
   internal::g_enabled.store(enabled, std::memory_order_relaxed);
 }
-#endif
 
 std::size_t HistogramBucket(std::uint64_t value) {
   if (value == 0) return 0;

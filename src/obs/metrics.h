@@ -1,5 +1,5 @@
-#ifndef EGOCENSUS_OBS_METRICS_H_
-#define EGOCENSUS_OBS_METRICS_H_
+#ifndef EGOCENSUS_SRC_OBS_METRICS_H_
+#define EGOCENSUS_SRC_OBS_METRICS_H_
 
 // Low-overhead metrics registry: named counters, max-gauges, and
 // log2-bucketed histograms.
@@ -125,9 +125,7 @@ class CounterHandle {
  public:
   CounterHandle() = default;
   explicit CounterHandle(std::string_view name) {
-#if EGO_OBS_ENABLED
     id_ = Registry::Global().InternCounter(name);
-#endif
   }
   void Add(std::uint64_t delta) const {
     if (Enabled()) Registry::Global().CounterAdd(id_, delta);
@@ -141,9 +139,7 @@ class GaugeHandle {
  public:
   GaugeHandle() = default;
   explicit GaugeHandle(std::string_view name) {
-#if EGO_OBS_ENABLED
     id_ = Registry::Global().InternGauge(name);
-#endif
   }
   void Max(std::uint64_t value) const {
     if (Enabled()) Registry::Global().GaugeMax(id_, value);
@@ -157,9 +153,7 @@ class HistogramHandle {
  public:
   HistogramHandle() = default;
   explicit HistogramHandle(std::string_view name) {
-#if EGO_OBS_ENABLED
     id_ = Registry::Global().InternHistogram(name);
-#endif
   }
   void Record(std::uint64_t value) const {
     if (Enabled()) Registry::Global().HistogramRecord(id_, value);
@@ -190,8 +184,7 @@ inline void HistogramRecord(std::string_view name, std::uint64_t value) {
 
 // Macro forms for string-literal sites: the handle is a function-local
 // static, so the name is interned exactly once per site, lazily on the
-// first *enabled* pass. With EGO_OBS_ENABLED=0, Enabled() is constexpr
-// false and the whole statement (static included) is eliminated.
+// first *enabled* pass.
 #define EGO_COUNTER_ADD(name, delta)                               \
   do {                                                             \
     if (::egocensus::obs::Enabled()) {                             \
@@ -216,4 +209,4 @@ inline void HistogramRecord(std::string_view name, std::uint64_t value) {
     }                                                                \
   } while (0)
 
-#endif  // EGOCENSUS_OBS_METRICS_H_
+#endif  // EGOCENSUS_SRC_OBS_METRICS_H_

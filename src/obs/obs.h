@@ -1,31 +1,17 @@
-#ifndef EGOCENSUS_OBS_OBS_H_
-#define EGOCENSUS_OBS_OBS_H_
+#ifndef EGOCENSUS_SRC_OBS_OBS_H_
+#define EGOCENSUS_SRC_OBS_OBS_H_
 
-// Master switches of the observability layer (metrics registry + span
+// Master switch of the observability layer (metrics registry + span
 // tracer, see obs/metrics.h and obs/trace.h).
 //
-// Two independent gates keep the un-instrumented path free:
-//
-//  * Compile-time kill switch: build with -DEGO_OBS_ENABLED=0 (CMake option
-//    EGOCENSUS_OBS=OFF) and every EGO_* macro expands to nothing, Enabled()
-//    folds to constexpr false, and the inline recording helpers dead-code
-//    eliminate — no atomics, no statics, no registry references at the
-//    instrumentation sites.
-//
-//  * Runtime flag: even when compiled in, observability is off by default.
-//    Every instrumentation site is guarded by Enabled(), a single relaxed
-//    atomic load + predictable branch; nothing is interned, allocated, or
-//    recorded until SetEnabled(true).
-
-#ifndef EGO_OBS_ENABLED
-#define EGO_OBS_ENABLED 1
-#endif
+// Observability is compiled in and off by default. Every instrumentation
+// site is guarded by Enabled(), a single relaxed atomic load + predictable
+// branch; nothing is interned, allocated, or recorded until
+// SetEnabled(true).
 
 #include <atomic>
 
 namespace egocensus::obs {
-
-#if EGO_OBS_ENABLED
 
 namespace internal {
 extern std::atomic<bool> g_enabled;
@@ -42,13 +28,6 @@ inline bool Enabled() {
 /// data; callers normally enable before a query and export after it.
 void SetEnabled(bool enabled);
 
-#else  // !EGO_OBS_ENABLED
-
-inline constexpr bool Enabled() { return false; }
-inline void SetEnabled(bool) {}
-
-#endif  // EGO_OBS_ENABLED
-
 }  // namespace egocensus::obs
 
-#endif  // EGOCENSUS_OBS_OBS_H_
+#endif  // EGOCENSUS_SRC_OBS_OBS_H_

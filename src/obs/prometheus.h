@@ -1,5 +1,5 @@
-#ifndef EGOCENSUS_OBS_PROMETHEUS_H_
-#define EGOCENSUS_OBS_PROMETHEUS_H_
+#ifndef EGOCENSUS_SRC_OBS_PROMETHEUS_H_
+#define EGOCENSUS_SRC_OBS_PROMETHEUS_H_
 
 // Prometheus text exposition (format v0.0.4) for a MetricsSnapshot, the
 // body of the daemon's METRICS frame (docs/SERVER.md) and of
@@ -47,4 +47,4 @@ void WritePrometheus(const MetricsSnapshot& snapshot, std::ostream& os);
 
 }  // namespace egocensus::obs
 
-#endif  // EGOCENSUS_OBS_PROMETHEUS_H_
+#endif  // EGOCENSUS_SRC_OBS_PROMETHEUS_H_

@@ -1,5 +1,5 @@
-#ifndef EGOCENSUS_OBS_TRACE_H_
-#define EGOCENSUS_OBS_TRACE_H_
+#ifndef EGOCENSUS_SRC_OBS_TRACE_H_
+#define EGOCENSUS_SRC_OBS_TRACE_H_
 
 // Scoped span tracer: EGO_SPAN("census/match") records one begin/end
 // interval (steady-clock micros via Timer::NowMicros) tagged with a small
@@ -12,8 +12,7 @@
 // Spans are coarse by design (per census phase, per worker job, per
 // dynamic update) — recording costs one push_back into a thread-private
 // vector, but a span per focal node would still dominate small
-// neighborhoods. Guarded by obs::Enabled() like the metrics registry, and
-// compiled out entirely under EGO_OBS_ENABLED=0.
+// neighborhoods. Guarded by obs::Enabled() like the metrics registry.
 //
 // Snapshot()/WriteChromeTrace() must not race with threads actively
 // recording spans; in practice census worker pools are destroyed before a
@@ -120,16 +119,10 @@ class ScopedSpan {
 #define EGO_OBS_CONCAT_INNER_(a, b) a##b
 #define EGO_OBS_CONCAT_(a, b) EGO_OBS_CONCAT_INNER_(a, b)
 
-#if EGO_OBS_ENABLED
 /// EGO_SPAN("name") or EGO_SPAN("name", numeric_arg): scoped span covering
 /// the rest of the enclosing block.
 #define EGO_SPAN(...)                                    \
   ::egocensus::obs::ScopedSpan EGO_OBS_CONCAT_(ego_span_, \
                                                __LINE__)(__VA_ARGS__)
-#else
-#define EGO_SPAN(...) \
-  do {                \
-  } while (0)
-#endif
 
-#endif  // EGOCENSUS_OBS_TRACE_H_
+#endif  // EGOCENSUS_SRC_OBS_TRACE_H_

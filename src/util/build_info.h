@@ -1,10 +1,10 @@
 #ifndef EGOCENSUS_UTIL_BUILD_INFO_H_
 #define EGOCENSUS_UTIL_BUILD_INFO_H_
 
-// Build identity of this binary: git revision, build type, and which
-// compile-time feature gates are on. Clients use the daemon's STATUS copy
-// of this string to detect server capabilities (e.g. whether metrics are
-// compiled in before asking for them); `ecensus --version` and
+// Build identity of this binary: git revision and build type. Every build
+// compiles metrics/tracing and the failpoints in (both inert until turned
+// on at runtime), so the string keeps `obs=on failpoints=on` for clients
+// that read the daemon's STATUS copy; `ecensus --version` and
 // `ecensusd --version` print it.
 
 #include <string>
@@ -15,15 +15,13 @@ namespace egocensus {
 struct BuildInfo {
   std::string git_describe;  // `git describe --always --dirty` at configure
   std::string build_type;    // CMAKE_BUILD_TYPE
-  bool obs_enabled = false;         // EGOCENSUS_OBS (metrics/tracing)
-  bool failpoints_enabled = false;  // EGOCENSUS_FAILPOINTS (fault injection)
 };
 
 /// The identity baked into this binary.
 BuildInfo GetBuildInfo();
 
 /// One-line rendering:
-///   egocensus <git> (<build-type>; obs=on|off failpoints=on|off)
+///   egocensus <git> (<build-type>; obs=on failpoints=on)
 std::string BuildInfoString();
 
 }  // namespace egocensus

@@ -383,6 +383,12 @@ TEST(CensusAgreementTest, PtOptionVariantsAgree) {
   reference_opts.algorithm = CensusAlgorithm::kNdBas;
   auto reference = Counts(g, tri, focal, reference_opts);
 
+  // RND-CNTR: 12 random centers (the K-means features need 12), drawn
+  // with the census seed.
+  CensusOptions defaults;
+  Rng center_rng(defaults.seed);
+  const CenterDistanceIndex random_index =
+      CenterDistanceIndex::Build(g, PickRandomCenters(g, 12, &center_rng));
   struct Variant {
     const char* name;
     std::uint32_t centers;
@@ -403,7 +409,7 @@ TEST(CensusAgreementTest, PtOptionVariantsAgree) {
     opts.k = 2;
     opts.algorithm = CensusAlgorithm::kPtOpt;
     opts.num_centers = variant.centers;
-    opts.random_centers = variant.random_centers;
+    if (variant.random_centers) opts.center_index = &random_index;
     opts.clustering = variant.clustering;
     opts.num_clusters = variant.clusters;
     auto counts = Counts(g, tri, focal, opts);

@@ -77,16 +77,11 @@ struct StreamConfig {
   bool use_gql_matcher = false;
 };
 
-/// Samples recorded in histogram `name` since the last registry reset (0
-/// when observability is compiled out).
+/// Samples recorded in histogram `name` since the last registry reset.
 std::uint64_t HistogramSamples(const char* name) {
-#if EGO_OBS_ENABLED
   obs::MetricsSnapshot snap = obs::Registry::Global().Snapshot();
   auto it = snap.histograms.find(name);
   return it == snap.histograms.end() ? 0 : it->second.count;
-#else
-  return 0;
-#endif
 }
 
 /// Observability on for one scope, and off again with a clean registry.
@@ -94,10 +89,8 @@ struct ScopedObs {
   ScopedObs() { SetEnabled(true); }
   ~ScopedObs() { SetEnabled(false); }
   static void SetEnabled(bool on) {
-#if EGO_OBS_ENABLED
     obs::SetEnabled(on);
     obs::Registry::Global().Reset();
-#endif
   }
 };
 
@@ -201,9 +194,7 @@ void RunRandomStream(Graph base, const Pattern& pattern,
     }
   }
 
-#if EGO_OBS_ENABLED
   EXPECT_GT(used_samples, 0u) << used;
-#endif
 
   // The accumulated listener deltas reproduce the final counts.
   for (NodeId n = 0; n < dg.NumNodes(); ++n) {

@@ -332,75 +332,6 @@ TEST(EgolintCheckpointTest, SuppressionWithReasonSilences) {
   EXPECT_EQ(findings.size(), 0u);
 }
 
-// ---- obs-gating ---------------------------------------------------------
-
-TEST(EgolintObsTest, FlagsUngatedObsInternalReference) {
-  std::vector<Finding> findings = Lint({
-      {"src/census/user.cc", "void F() {\n  obs::Registry::Global();\n}\n"},
-  });
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].check, "obs-gating");
-  EXPECT_EQ(findings[0].line, 2);
-  EXPECT_NE(findings[0].message.find("Registry"), std::string::npos);
-}
-
-TEST(EgolintObsTest, PreprocessorGateSilences) {
-  std::vector<Finding> findings = Lint({
-      {"src/census/user.cc",
-       "void F() {\n"
-       "#if EGO_OBS_ENABLED\n"
-       "  obs::Registry::Global();\n"
-       "#endif\n"
-       "}\n"},
-  });
-  EXPECT_EQ(findings.size(), 0u);
-}
-
-TEST(EgolintObsTest, ElseBranchOfGateIsNotGated) {
-  std::vector<Finding> findings = Lint({
-      {"src/census/user.cc",
-       "void F() {\n"
-       "#if EGO_OBS_ENABLED\n"
-       "  Fine();\n"
-       "#else\n"
-       "  obs::Registry::Global();\n"
-       "#endif\n"
-       "}\n"},
-  });
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].line, 5);
-}
-
-TEST(EgolintObsTest, SelfGatedSurfaceIsExempt) {
-  std::vector<Finding> findings = Lint({
-      {"src/census/user.cc",
-       "void F() {\n"
-       "  obs::CounterAdd(\"census/runs\", 1);\n"
-       "  obs::ScopedSpan span(\"census/count\");\n"
-       "  if (obs::Enabled()) Report();\n"
-       "}\n"},
-  });
-  EXPECT_EQ(findings.size(), 0u);
-}
-
-TEST(EgolintObsTest, ObsDirectoryItselfIsExempt) {
-  std::vector<Finding> findings = Lint({
-      {"src/obs/metrics.cc", "void F() {\n  obs::Registry::Global();\n}\n"},
-  });
-  EXPECT_EQ(findings.size(), 0u);
-}
-
-TEST(EgolintObsTest, SuppressionWithReasonSilences) {
-  std::vector<Finding> findings = Lint({
-      {"src/census/user.cc",
-       "void F() {\n"
-       "  // egolint: allow-obs(export path, only reachable from the CLI)\n"
-       "  obs::Registry::Global();\n"
-       "}\n"},
-  });
-  EXPECT_EQ(findings.size(), 0u);
-}
-
 // ---- request-discipline ---------------------------------------------------
 
 TEST(EgolintRequestTest, FlagsHandlerWithoutRequestContext) {
@@ -767,7 +698,7 @@ TEST(EgolintSuppressionTest, CheckSubsetSkipsTheUnusedAudit) {
   // Without checkpoint-coverage in the run, nothing can tell whether the
   // no-checkpoint comment still silences a finding.
   LintOptions options;
-  options.checks = {"obs-gating"};
+  options.checks = {"lock-discipline"};
   std::vector<Finding> findings =
       RunLint({{"src/census/fake_engine.cc", kStaleSuppression}}, options);
   EXPECT_EQ(findings.size(), 0u);
@@ -786,22 +717,20 @@ TEST(EgolintSuppressionTest, ProseMentioningEgolintIsNotASuppression) {
 
 TEST(EgolintDriverTest, CheckFilterRunsOnlySelectedChecks) {
   LintOptions options;
-  options.checks = {"obs-gating"};
+  options.checks = {"lock-discipline"};
   std::vector<Finding> findings = RunLint(
       {
           {"src/util/thing.h", "class Status;\nStatus Load();\n"},
-          {"src/census/user.cc",
-           "void F() {\n  obs::Registry::Global();\n}\n"},
+          {"src/net/session.h", "class Session {\n  std::mutex mu_;\n};\n"},
       },
       options);
   ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].check, "obs-gating");
+  EXPECT_EQ(findings[0].check, "lock-discipline");
 }
 
 TEST(EgolintDriverTest, KnownCheckNames) {
   EXPECT_TRUE(IsKnownCheck("status-discipline"));
   EXPECT_TRUE(IsKnownCheck("checkpoint-coverage"));
-  EXPECT_TRUE(IsKnownCheck("obs-gating"));
   EXPECT_TRUE(IsKnownCheck("include-hygiene"));
   EXPECT_TRUE(IsKnownCheck("request-discipline"));
   EXPECT_TRUE(IsKnownCheck("lock-discipline"));
@@ -809,8 +738,8 @@ TEST(EgolintDriverTest, KnownCheckNames) {
 }
 
 TEST(EgolintDriverTest, FormatAndJsonCarryFileLineCheck) {
-  Finding f{"src/a.cc", 7, "obs-gating", "allow-obs", "msg"};
-  EXPECT_EQ(FormatFinding(f), "src/a.cc:7: [obs-gating] msg");
+  Finding f{"src/a.cc", 7, "lock-discipline", "allow-raw-mutex", "msg"};
+  EXPECT_EQ(FormatFinding(f), "src/a.cc:7: [lock-discipline] msg");
   std::string json = FindingsToJson({f});
   EXPECT_NE(json.find("\"file\": \"src/a.cc\""), std::string::npos);
   EXPECT_NE(json.find("\"line\": 7"), std::string::npos);

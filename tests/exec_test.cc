@@ -170,14 +170,10 @@ TEST(StatusCodeTest, GovernorCodesHaveNames) {
   EXPECT_EQ(Status::Cancelled("x").code(), StatusCode::kCancelled);
 }
 
-#if EGO_FAILPOINTS_ENABLED
-
 class FailpointsTest : public ::testing::Test {
  protected:
   void TearDown() override { failpoints::DisarmAll(); }
 };
-
-TEST_F(FailpointsTest, CompiledIn) { EXPECT_TRUE(failpoints::CompiledIn()); }
 
 TEST_F(FailpointsTest, UnarmedHitsAreCounted) {
   // Arming any point turns counting on globally; an unarmed *named* point
@@ -232,8 +228,6 @@ TEST_F(FailpointsTest, GovernorCheckpointIsAFailpointSite) {
   // so the 5th checkpoint itself observes the stop: 4 complete.
   EXPECT_EQ(completed, 4);
 }
-
-#endif  // EGO_FAILPOINTS_ENABLED
 
 }  // namespace
 }  // namespace egocensus

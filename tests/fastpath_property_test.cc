@@ -284,8 +284,6 @@ TEST(FastPathPropertyTest, ExpiredDeadlineLeavesEveryFocalPending) {
   }
 }
 
-#if EGO_FAILPOINTS_ENABLED
-
 /// The governance contract of nd_bas, for the fast path: cancel at every
 /// (strided) per-focal checkpoint; completed focals must stay bit-identical
 /// to the uninterrupted run, pending ones untouched.
@@ -343,8 +341,6 @@ TEST(FastPathPropertyTest, CancelAtEveryCheckpointSweep) {
     }
   }
 }
-
-#endif  // EGO_FAILPOINTS_ENABLED
 
 TEST(FastPathPropertyTest, ForceRejectsIneligibleCensuses) {
   Graph g = MakeGraph(4, {{0, 1}, {1, 2}, {2, 0}, {2, 3}}, {0, 1, 2, 0});

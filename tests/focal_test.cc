@@ -243,8 +243,6 @@ TEST(FocalStepTest, CandidatesOfEachForm) {
   EXPECT_EQ(FocalCandidates(nullptr, "", 0), IdRanges{});
 }
 
-#if EGO_OBS_ENABLED
-
 std::uint64_t FocalEvaluated() {
   const obs::MetricsSnapshot snap = obs::Registry::Global().Snapshot();
   auto it = snap.counters.find("lang/focal/evaluated");
@@ -282,8 +280,6 @@ TEST(FocalStepTest, FiftyIdWindowEvaluatesFiftyNodes) {
     obs::Registry::Global().Reset();
   }
 }
-
-#endif  // EGO_OBS_ENABLED
 
 }  // namespace
 }  // namespace egocensus

@@ -217,8 +217,6 @@ TEST_F(GovernorCensusTest, ExplicitCancelDoesNotDegrade) {
   }
 }
 
-#if EGO_FAILPOINTS_ENABLED
-
 TEST_F(GovernorCensusTest, CancelAtEveryCheckpointSweep) {
   Graph g = SweepGraph();
   Pattern tri = MakeTriangle(false);
@@ -612,9 +610,6 @@ TEST_F(GovernorCensusTest, DynamicBatchAbortsAtUpdateBoundary) {
   EXPECT_NE(census->counts(), counts_before);
 }
 
-#endif  // EGO_FAILPOINTS_ENABLED
-
-// Needs no failpoint, so it also runs in the kill-switch build.
 TEST_F(GovernorCensusTest, DynamicExpiredDeadlineLeavesCountsUntouched) {
   Graph g = MakeGraph(4, {{0, 1}, {1, 2}, {2, 0}});
   DynamicGraph dg(std::move(g));

@@ -81,7 +81,6 @@ Observed CallOnce(const Endpoint& endpoint, const std::string& tenant,
 }
 
 TEST(NetChaosTest, ConservationAcrossBurstsDisconnectsAndDrain) {
-  if (!failpoints::CompiledIn()) GTEST_SKIP() << "failpoints compiled out";
   failpoints::DisarmAll();
   // Observe-only counters: the conservation law's three terms.
   failpoints::Arm("net/queue/enqueue", 0, nullptr);

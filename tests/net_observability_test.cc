@@ -180,7 +180,6 @@ TEST(NetObservabilityTest, ClientRequestIdEchoesOnEveryResponseType) {
 
 // ---- the wide log event --------------------------------------------------
 
-#if EGO_OBS_ENABLED
 TEST(NetObservabilityTest, PropagatedIdAppearsInExactlyOneLogLine) {
   obs::Logger& logger = obs::Logger::Global();
   logger.ResetForTest();
@@ -251,7 +250,6 @@ TEST(NetObservabilityTest, RateLimitDropsExcessLines) {
       << "five STATUS requests in one window must exceed 1 line/s";
   logger.ResetForTest();
 }
-#endif  // EGO_OBS_ENABLED
 
 // ---- METRICS exposition ----------------------------------------------------
 
@@ -317,9 +315,7 @@ void ValidateExposition(const std::string& text) {
 }
 
 TEST(NetObservabilityTest, MetricsExpositionParsesAndCountsTraffic) {
-#if EGO_OBS_ENABLED
   obs::SetEnabled(true);
-#endif
   auto server = StartServer(TestGraph(600, 4, 29), {});
   auto client = Client::Connect(EndpointOf(*server));
   ASSERT_TRUE(client.ok());
@@ -336,8 +332,9 @@ TEST(NetObservabilityTest, MetricsExpositionParsesAndCountsTraffic) {
   const std::string& body = metrics->body;
   ValidateExposition(body);
 
-  // The daemon families are always compiled: the QUERY tally and the
-  // per-graph fastpath routing counters must label this traffic.
+  // The daemon families render whether or not the registry is on: the
+  // QUERY tally and the per-graph fastpath routing counters must label
+  // this traffic.
   EXPECT_NE(body.find("egocensus_daemon_requests_total{verb=\"QUERY\"} 1"),
             std::string::npos)
       << body;
@@ -346,7 +343,6 @@ TEST(NetObservabilityTest, MetricsExpositionParsesAndCountsTraffic) {
             std::string::npos)
       << body;
 
-#if EGO_OBS_ENABLED
   // With the registry on, the request-scoped families appear too, labeled
   // by verb and graph, and the latency histogram renders buckets.
   EXPECT_NE(body.find(
@@ -356,13 +352,11 @@ TEST(NetObservabilityTest, MetricsExpositionParsesAndCountsTraffic) {
   EXPECT_NE(body.find("egocensus_server_latency_us"), std::string::npos);
   EXPECT_NE(body.find("_bucket{"), std::string::npos);
   obs::SetEnabled(false);
-#endif
 }
 
 // ---- slow-query capture ----------------------------------------------------
 
 TEST(NetObservabilityTest, SlowQueryRingCapturesDelayedRequest) {
-  if (!failpoints::CompiledIn()) GTEST_SKIP() << "failpoints compiled out";
   failpoints::DisarmAll();
   CensusServer::Options options;
   options.slow_query_threshold_ms = 50;
@@ -494,7 +488,6 @@ std::uint64_t StatusValue(const std::string& json, const std::string& key,
 }
 
 TEST(NetObservabilityTest, StatusAndMetricsReportTheSameSnapshot) {
-  if (!failpoints::CompiledIn()) GTEST_SKIP() << "failpoints compiled out";
   failpoints::DisarmAll();
   CensusServer::Options options;
   options.max_inflight = 1;

@@ -269,7 +269,6 @@ TEST_F(ProtocolServerTest, ResponseTypedRequestIsRejected) {
 }
 
 TEST_F(ProtocolServerTest, MidRequestDisconnectCancelsCensus) {
-  if (!failpoints::CompiledIn()) GTEST_SKIP() << "failpoints compiled out";
   auto client = Client::Connect(endpoint_);
   ASSERT_TRUE(client.ok());
   int fd = client->fd();

@@ -272,7 +272,6 @@ TEST(FairRequestQueueTest, DrainRejectsNewAndFlushesQueued) {
 }
 
 TEST(FairRequestQueueTest, FailpointsObeyConservationLaw) {
-  if (!failpoints::CompiledIn()) GTEST_SKIP() << "failpoints compiled out";
   failpoints::DisarmAll();
   failpoints::Arm("net/queue/enqueue", 0, nullptr);  // observe-only
   failpoints::Arm("net/queue/dequeue", 0, nullptr);

@@ -445,7 +445,6 @@ TEST(NetServerTest, MalformedOptionHeadersAreInvalidArgument) {
 }
 
 TEST(NetServerTest, AdmissionQueuesBurstsAndRejectsBeyondDepth) {
-  if (!failpoints::CompiledIn()) GTEST_SKIP() << "failpoints compiled out";
   failpoints::DisarmAll();
   CensusServer::Options options;
   options.max_inflight = 1;
@@ -565,7 +564,11 @@ TEST(NetServerTest, StatusCarriesBuildInfoAndRing) {
   ASSERT_TRUE(client.ok());
   auto queried = client->Call(Client::QueryRequest("g", kTriangleQuery));
   ASSERT_TRUE(queried.ok());
-  EXPECT_FALSE(queried->Header("server", "").empty());
+  const std::string server_header = queried->Header("server", "");
+  const std::string suffix = "obs=on failpoints=on)";
+  ASSERT_GE(server_header.size(), suffix.size()) << server_header;
+  EXPECT_EQ(server_header.substr(server_header.size() - suffix.size()),
+            suffix);
 
   auto status = client->Call(Client::StatusRequest());
   ASSERT_TRUE(status.ok());
@@ -573,7 +576,7 @@ TEST(NetServerTest, StatusCarriesBuildInfoAndRing) {
   for (const char* key :
        {"\"server\"", "\"build\"", "egocensus", "\"admission\"",
         "\"counters\"", "\"graphs\"", "\"recent\"", "\"QUERY\"",
-        "\"protocol\": 2"}) {
+        "\"protocol\": 2", "\"obs\": true", "\"failpoints\": true"}) {
     EXPECT_NE(json.find(key), std::string::npos) << "missing " << key;
   }
 

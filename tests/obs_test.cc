@@ -85,8 +85,6 @@ TEST(HistogramSnapshotTest, MeanAndPercentile) {
   EXPECT_GE(h.ApproxPercentile(0.99), 17u);
 }
 
-#if EGO_OBS_ENABLED
-
 /// Fixture: observability on, registry/tracer cleared, and off again after
 /// (other tests must not observe instrumentation state).
 class ObsRuntimeTest : public ::testing::Test {
@@ -386,8 +384,6 @@ TEST_F(ObsRuntimeTest, ParallelCensusRecordsWorkerSpansAndPoolCounters) {
   ASSERT_TRUE(serial.ok());
   EXPECT_EQ(parallel->counts, serial->counts);
 }
-
-#endif  // EGO_OBS_ENABLED
 
 }  // namespace
 }  // namespace egocensus

@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include "graph/distance_index.h"
 #include "graph/generators.h"
 #include "pattern/catalog.h"
 #include "pattern/pattern_parser.h"
 #include "tests/test_util.h"
+#include "util/rng.h"
 
 namespace egocensus {
 namespace {
@@ -223,10 +225,15 @@ TEST(PairwiseTest, PtOptionsChangeTraversalNotCounts) {
   ASSERT_TRUE(expected.ok());
   PairwiseCensusOptions no_clusters = base;
   no_clusters.clustering = ClusteringMode::kNone;
+  // RND-CNTR: as many random centers as the seeding uses, drawn with the
+  // census seed.
+  Rng center_rng(base.seed);
+  const CenterDistanceIndex random_index = CenterDistanceIndex::Build(
+      g, PickRandomCenters(g, base.num_centers, &center_rng));
   PairwiseCensusOptions random_clusters = base;
   random_clusters.clustering = ClusteringMode::kRandom;
   random_clusters.num_clusters = 5;
-  random_clusters.random_centers = true;
+  random_clusters.center_index = &random_index;
   PairwiseCensusOptions no_centers = base;
   no_centers.num_centers = 0;
   for (const PairwiseCensusOptions& opts :

@@ -4,7 +4,7 @@
 #   tools/check.sh [build-dir]     (default build dir: build)
 #
 # Enforced (non-zero exit on failure):
-#   * egolint over src/ and tools/ — the six project-invariant checks.
+#   * egolint over src/ and tools/ — the five project-invariant checks.
 #   * clang -Wthread-safety over the annotated lock subsystems (when a
 #     clang++ is installed; skipped loudly otherwise — GCC compiles the
 #     annotations away, which is exactly why the egolint lock-discipline

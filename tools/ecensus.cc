@@ -201,7 +201,6 @@ int WriteObsExports(const ObsExport& o) {
       return Fail(Status::Internal("cannot open trace output: " +
                                    o.trace_path));
     }
-    // egolint: allow-obs(Tracer is declared unconditionally and stubbed under EGO_OBS_ENABLED=0 — the export is an empty trace, not a build break)
     obs::Tracer::Global().WriteChromeTrace(out);
     std::cerr << "trace: " << o.trace_path
               << " (load in chrome://tracing or ui.perfetto.dev)\n";
@@ -212,7 +211,6 @@ int WriteObsExports(const ObsExport& o) {
       return Fail(Status::Internal("cannot open metrics output: " +
                                    o.metrics_path));
     }
-    // egolint: allow-obs(MetricsSnapshot / Registry are declared unconditionally and stubbed under EGO_OBS_ENABLED=0 — the export is empty, not a build break)
     obs::MetricsSnapshot snap = obs::Registry::Global().Snapshot();
     if (EndsWith(o.metrics_path, ".csv")) {
       snap.WriteCsv(out);
@@ -419,7 +417,6 @@ int RunInfo(const Args& args) {
 
 /// Prints the metrics snapshot as aligned text tables (counters, gauges,
 /// histograms with approximate percentiles) — the `ecensus stats` view.
-// egolint: allow-obs(MetricsSnapshot is declared unconditionally and stubbed under EGO_OBS_ENABLED=0 — stats mode prints "no metrics recorded")
 void PrintMetricsTables(const obs::MetricsSnapshot& snap, std::ostream& os) {
   if (snap.empty()) {
     os << "no metrics recorded\n";
@@ -472,7 +469,6 @@ int RunQuery(const Args& args, bool stats_mode) {
     // Result rows are elided: the subcommand's product is the metric view.
     std::cout << "query returned " << run->table.NumRows() << " rows\n\n";
     PrintPlans(run->aggregates, std::cout);
-    // egolint: allow-obs(Registry is declared unconditionally and stubbed under EGO_OBS_ENABLED=0 — stats mode degrades to an empty table)
     PrintMetricsTables(obs::Registry::Global().Snapshot(), std::cout);
   } else {
     WriteQueryResult(run->table, *spec, std::cout);

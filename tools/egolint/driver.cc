@@ -15,14 +15,13 @@ namespace egolint {
 namespace {
 
 const char* const kKnownChecks[] = {"status-discipline", "checkpoint-coverage",
-                                    "obs-gating", "include-hygiene",
-                                    "request-discipline", "lock-discipline"};
+                                    "include-hygiene", "request-discipline",
+                                    "lock-discipline"};
 
 const char* const kKnownSuppressions[] = {
-    "no-nodiscard", "allow-discard",       "no-checkpoint",
-    "allow-obs",    "allow-using-namespace", "allow-include",
-    "no-request-context", "allow-bare-response",
-    "allow-raw-mutex", "no-guard"};
+    "no-nodiscard",       "allow-discard",       "no-checkpoint",
+    "allow-using-namespace", "allow-include",    "no-request-context",
+    "allow-bare-response", "allow-raw-mutex",    "no-guard"};
 
 bool Enabled(const LintOptions& options, const std::string& check) {
   if (options.checks.empty()) return true;
@@ -68,9 +67,6 @@ std::vector<Finding> RunLint(const std::vector<SourceFile>& files,
   }
   if (Enabled(options, "checkpoint-coverage")) {
     internal::CheckCheckpointCoverage(models, &raw);
-  }
-  if (Enabled(options, "obs-gating")) {
-    internal::CheckObsGating(models, &raw);
   }
   if (Enabled(options, "include-hygiene")) {
     internal::CheckIncludeHygiene(models, &raw);

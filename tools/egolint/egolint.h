@@ -3,7 +3,7 @@
 
 // egolint — a token-level static-analysis pass over the egocensus sources
 // enforcing project invariants that the compiler cannot see (see
-// docs/STATIC_ANALYSIS.md). No libclang: a hand-rolled C++ lexer feeds six
+// docs/STATIC_ANALYSIS.md). No libclang: a hand-rolled C++ lexer feeds five
 // named checks, each suppressible per line with an audited
 // `// egolint: <suppression>(<reason>)` comment:
 //
@@ -15,10 +15,6 @@
 //                          that can iterate over focal nodes, matches, or
 //                          clusters must reach a Governor checkpoint
 //                          (suppression: no-checkpoint).
-//  * obs-gating          — obs:: references outside src/obs/ must sit under
-//                          the EGO_OBS_ENABLED preprocessor gate or be one
-//                          of the always-stubbed entry points
-//                          (suppression: allow-obs).
 //  * include-hygiene     — no include cycles among src/ headers
 //                          (suppression: allow-include) and no
 //                          `using namespace` in headers
@@ -62,14 +58,11 @@ struct SourceFile {
 enum class TokenKind { kIdent, kNumber, kString, kChar, kPunct };
 
 /// One code token. Comments and preprocessor lines are not tokens: the
-/// lexer folds them into suppressions / includes / the obs gate flag.
+/// lexer folds them into suppressions and includes.
 struct Token {
   TokenKind kind = TokenKind::kPunct;
   std::string_view text;  // view into SourceFile::content
   int line = 0;
-  /// True when the token sits inside a preprocessor conditional whose
-  /// condition mentions EGO_OBS_ENABLED / EGOCENSUS_OBS.
-  bool obs_gated = false;
 };
 
 /// A `// egolint: name(reason)` comment.
@@ -105,7 +98,7 @@ struct Finding {
 
 struct LintOptions {
   /// Empty = run every check. Otherwise names from: status-discipline,
-  /// checkpoint-coverage, obs-gating, include-hygiene, request-discipline,
+  /// checkpoint-coverage, include-hygiene, request-discipline,
   /// lock-discipline.
   std::vector<std::string> checks;
 };
@@ -129,7 +122,7 @@ std::string FindingsToJson(const std::vector<Finding>& findings);
 /// 0 = clean, 1 = findings.
 int ExitCodeFor(const std::vector<Finding>& findings);
 
-/// True for the six check names accepted by LintOptions / --check.
+/// True for the five check names accepted by LintOptions / --check.
 bool IsKnownCheck(const std::string& name);
 
 namespace internal {
@@ -150,8 +143,6 @@ void CheckStatusDiscipline(const std::vector<FileModel>& models,
                            std::vector<Finding>* findings);
 void CheckCheckpointCoverage(const std::vector<FileModel>& models,
                              std::vector<Finding>* findings);
-void CheckObsGating(const std::vector<FileModel>& models,
-                    std::vector<Finding>* findings);
 void CheckIncludeHygiene(const std::vector<FileModel>& models,
                          std::vector<Finding>* findings);
 void CheckRequestDiscipline(const std::vector<FileModel>& models,

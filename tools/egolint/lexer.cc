@@ -1,6 +1,6 @@
 // Lexer for egolint: turns C++ source into code tokens plus the side
-// channels the checks need (suppression comments, quoted includes, and the
-// EGO_OBS_ENABLED preprocessor gate). Token text is a view into the
+// channels the checks need (suppression comments and quoted includes).
+// Token text is a view into the
 // SourceFile's content, so the model is cheap enough to lex the whole repo
 // per run.
 
@@ -50,16 +50,6 @@ void ParseSuppression(std::string_view comment, int line, FileModel* model) {
   model->suppressions.push_back(sup);
 }
 
-/// One frame of the preprocessor conditional stack.
-struct CondFrame {
-  bool obs_gate = false;  // condition mentions the obs kill switch
-};
-
-bool MentionsObsGate(std::string_view condition) {
-  return condition.find("EGO_OBS_ENABLED") != std::string_view::npos ||
-         condition.find("EGOCENSUS_OBS") != std::string_view::npos;
-}
-
 }  // namespace
 
 FileModel Lex(const SourceFile& file) {
@@ -68,17 +58,9 @@ FileModel Lex(const SourceFile& file) {
   const std::string_view src = file.content;
   std::size_t i = 0;
   int line = 1;
-  std::vector<CondFrame> cond_stack;
 
-  auto gated = [&cond_stack] {
-    for (const CondFrame& f : cond_stack) {
-      if (f.obs_gate) return true;
-    }
-    return false;
-  };
   auto push = [&](TokenKind kind, std::size_t begin, std::size_t end) {
-    model.tokens.push_back(
-        Token{kind, src.substr(begin, end - begin), line, gated()});
+    model.tokens.push_back(Token{kind, src.substr(begin, end - begin), line});
   };
 
   while (i < src.size()) {
@@ -120,7 +102,7 @@ FileModel Lex(const SourceFile& file) {
           ++i;
         }
         std::string_view text = src.substr(begin, i - begin);
-        // Classify the directive.
+        // Of the directives, only a quoted include feeds a check.
         std::size_t p = 1;
         while (p < text.size() &&
                std::isspace(static_cast<unsigned char>(text[p]))) {
@@ -139,23 +121,6 @@ FileModel Lex(const SourceFile& file) {
                   std::string(rest.substr(q1 + 1, q2 - q1 - 1)), begin_line});
             }
           }
-        } else if (kw == "if" || kw == "ifdef" || kw == "ifndef") {
-          CondFrame frame;
-          // `#ifndef EGO_OBS_ENABLED` is the definition guard, not the
-          // enabled branch; only a positive mention gates.
-          frame.obs_gate = kw != "ifndef" && MentionsObsGate(rest) &&
-                           rest.find('!') == std::string_view::npos;
-          cond_stack.push_back(frame);
-        } else if (kw == "elif") {
-          if (!cond_stack.empty()) {
-            cond_stack.back().obs_gate =
-                MentionsObsGate(rest) &&
-                rest.find('!') == std::string_view::npos;
-          }
-        } else if (kw == "else") {
-          if (!cond_stack.empty()) cond_stack.back().obs_gate = false;
-        } else if (kw == "endif") {
-          if (!cond_stack.empty()) cond_stack.pop_back();
         }
         continue;
       }
@@ -196,7 +161,7 @@ FileModel Lex(const SourceFile& file) {
         }
         model.tokens.push_back(Token{TokenKind::kString,
                                      src.substr(begin, end - begin),
-                                     start_line, gated()});
+                                     start_line});
         i = end;
         continue;
       }

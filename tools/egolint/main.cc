@@ -34,8 +34,8 @@ bool InBuildTree(const fs::path& p) {
 int Usage(std::ostream& out, int code) {
   out << "usage: egolint [--check=NAME]... [--report=FILE] "
          "[--list-suppressions] PATH...\n"
-         "checks: status-discipline checkpoint-coverage obs-gating "
-         "include-hygiene request-discipline lock-discipline "
+         "checks: status-discipline checkpoint-coverage include-hygiene "
+         "request-discipline lock-discipline "
          "(default: all)\n";
   return code;
 }
