@@ -53,7 +53,12 @@ inline void InitObsFromEnv() {
     if (!trace_path.empty()) {
       std::ofstream out(trace_path);
       if (out) obs::Tracer::Global().WriteChromeTrace(out);
-      std::cerr << "trace: " << trace_path << "\n";
+      std::cerr << "trace: " << trace_path;
+      if (const std::uint64_t dropped = obs::Tracer::Dropped(); dropped > 0) {
+        std::cerr << ", " << dropped << " spans dropped at the "
+                  << obs::kMaxSpans << "-span cap";
+      }
+      std::cerr << "\n";
     }
     if (!metrics_path.empty()) {
       std::ofstream out(metrics_path);

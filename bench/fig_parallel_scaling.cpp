@@ -18,7 +18,7 @@
 #include "graph/generators.h"
 #include "pattern/catalog.h"
 #include "util/table_printer.h"
-#include "util/thread_pool.h"
+#include "util/parallel_for.h"
 
 namespace {
 
@@ -31,7 +31,7 @@ struct AlgorithmSpec {
 };
 
 std::vector<unsigned> ThreadSweep() {
-  unsigned max_threads = std::max(8u, ThreadPool::HardwareThreads());
+  unsigned max_threads = std::max(8u, HardwareThreads());
   std::vector<unsigned> sweep;
   for (unsigned t = 1; t < max_threads; t *= 2) sweep.push_back(t);
   sweep.push_back(max_threads);
@@ -109,10 +109,10 @@ void RunWorkload(const std::string& figure, const Graph& graph,
 
 int main() {
   std::cerr << "parallel scaling sweep (hardware threads: "
-            << ThreadPool::HardwareThreads()
+            << HardwareThreads()
             << "; set ECENSUS_SCALE to resize graphs)\n";
 
-  std::cout << "{\n  \"hardware_threads\": " << ThreadPool::HardwareThreads()
+  std::cout << "{\n  \"hardware_threads\": " << HardwareThreads()
             << ",\n  \"workloads\": [\n";
 
   {

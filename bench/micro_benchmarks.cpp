@@ -27,7 +27,7 @@
 #include "pattern/catalog.h"
 #include "util/bucket_queue.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
+#include "util/parallel_for.h"
 
 namespace egocensus {
 namespace {
@@ -171,22 +171,23 @@ void BM_SubgraphExtractionInto(benchmark::State& state) {
 }
 BENCHMARK(BM_SubgraphExtractionInto);
 
-void BM_ThreadPoolParallelFor(benchmark::State& state) {
-  ThreadPool pool(static_cast<unsigned>(state.range(0)));
+// Each iteration starts and joins its workers, as every census does.
+void BM_ParallelFor(benchmark::State& state) {
+  const auto workers = static_cast<unsigned>(state.range(0));
   const std::size_t n = 1 << 16;
   std::vector<std::uint64_t> out(n, 0);
   for (auto _ : state) {
-    pool.ParallelFor(0, n, /*grain=*/256,
-                     [&](std::size_t begin, std::size_t end, unsigned) {
-                       for (std::size_t i = begin; i < end; ++i) {
-                         out[i] = i * i;
-                       }
-                     });
+    ParallelFor(workers, 0, n, /*grain=*/256, /*governor=*/nullptr,
+                [&](std::size_t begin, std::size_t end, unsigned) {
+                  for (std::size_t i = begin; i < end; ++i) {
+                    out[i] = i * i;
+                  }
+                });
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_ThreadPoolParallelFor)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK(BM_ParallelFor)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 void BM_ParallelCensus(benchmark::State& state) {
   const Graph& graph = BenchGraph();

@@ -189,7 +189,7 @@ namespace {
   const PivotIndex index(pattern, anchors);
   sampled_census.stats.index_seconds = index_timer.ElapsedSeconds();
 
-  internal::CountPivoted({focal, gov, nullptr}, graph, options.k, index,
+  internal::CountPivoted({focal, gov}, graph, options.k, index,
                          &sampled_census);
   if (gov != nullptr && gov->stopped()) {
     return gov->ToStatus("approximate census");
@@ -219,7 +219,12 @@ namespace {
   ctx.pattern = &pattern;
   ctx.is_focal = &is_focal;
   ctx.options = &options;
-  ctx.loop = {focal, options.governor, nullptr};
+  // The counting drivers start their workers when counting starts and join
+  // them before it ends, so a stopped match step starts no thread. A
+  // requested width beyond the core count (tests use it to widen
+  // interleavings) is honored exactly.
+  ctx.loop = {focal, options.governor,
+              ResolveNumThreads(options.num_threads)};
 
   // Fast-path routing (docs/FAST_PATH.md): eligible <= 4-node censuses go
   // to the combinatorial kernels instead of options.algorithm. The
@@ -251,18 +256,6 @@ namespace {
     }
   }
 
-  // The counting phase is embarrassingly parallel across focal nodes /
-  // match clusters; the pool lives for exactly one census so a caller's
-  // requested width (including widths beyond the core count, which tests
-  // use to widen interleavings) is honored exactly.
-  const unsigned num_threads =
-      ThreadPool::ResolveNumThreads(options.num_threads);
-  std::optional<ThreadPool> pool;
-  if (num_threads > 1) {
-    pool.emplace(num_threads);
-    ctx.loop.pool = &*pool;
-  }
-
   EGO_SPAN("census/run", focal.size());
   CensusResult result = internal::PendingResult(graph);
   Status counted =
@@ -276,7 +269,7 @@ namespace {
     EGO_HIST_RECORD("exec/checkpoints_per_census",
                     options.governor->checkpoints());
   }
-  result.stats.threads_used = num_threads;
+  result.stats.threads_used = ctx.loop.workers;
   result.stats.pattern_nodes = static_cast<std::uint32_t>(pattern.NumNodes());
   result.stats.k = options.k;
   // Graceful degradation: a deadline/budget stop (not an explicit cancel

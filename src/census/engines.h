@@ -10,8 +10,8 @@
 // its engine builds, its per-worker scratch, and the work per unit (focal
 // node, node pair, match or match cluster). The drivers below own the rest
 // (docs/PARALLEL.md): the per-unit failpoint and Checkpoint(), the
-// per-worker scratch and its high-water memory charge, serial versus pool,
-// the merge, and the census/count span and timer.
+// per-worker scratch and its high-water memory charge, serial versus
+// parallel, the merge, and the census/count span and timer.
 
 #include <cstdint>
 #include <deque>
@@ -30,21 +30,17 @@
 #include "match/matcher.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/thread_pool.h"
+#include "util/parallel_for.h"
 #include "util/timer.h"
 
 namespace egocensus::internal {
 
 /// What a counting loop reads of its census: the focal list, the governor
-/// (null = ungoverned) and the worker pool (null = serial).
+/// (null = ungoverned) and the worker count (1 = serial).
 struct CountLoop {
   std::span<const NodeId> focal;
   Governor* governor = nullptr;
-  ThreadPool* pool = nullptr;
-
-  unsigned NumWorkers() const {
-    return pool == nullptr ? 1 : pool->NumWorkers();
-  }
+  unsigned workers = 1;
 };
 
 struct CensusContext {
@@ -56,7 +52,7 @@ struct CensusContext {
   /// the engines that match inside each ball (whole-pattern ND-BAS) or not
   /// at all (the fast path).
   const MatchAnchors* anchors = nullptr;
-  /// The focal list, CensusOptions' governor and the census's pool.
+  /// The focal list, CensusOptions' governor and the census's width.
   CountLoop loop;
 };
 
@@ -134,9 +130,9 @@ class Worker {
 };
 
 /// The sharding under both drivers, which ND-DIFF's chain walk runs on
-/// directly: builds one worker per pool thread (one when serial) from
-/// make(), and runs body(begin, end, worker) over [0, size) — as one range
-/// on the only worker when serial, in `grain`-sized chunks on the pool
+/// directly: builds one worker per rank (one when serial) from make(), and
+/// runs body(begin, end, worker) over [0, size) — as one range on the only
+/// worker when serial, in `grain`-sized chunks under ParallelFor
 /// otherwise. Then, in worker order, it hands each worker to merge() and
 /// sums its counters into *stats. The census/count span and
 /// stats->census_seconds cover all of it.
@@ -148,17 +144,16 @@ void Shard(const CountLoop& loop, std::size_t size, std::size_t grain,
   EGO_SPAN("census/count");
   Timer timer;
   std::deque<Worker<decltype(make()), Sum>> workers;
-  for (unsigned w = 0; w < loop.NumWorkers(); ++w) {
+  for (unsigned w = 0; w < loop.workers; ++w) {
     workers.emplace_back(make, loop.governor);
   }
-  if (loop.pool == nullptr) {
+  if (loop.workers == 1) {
     body(0, size, workers.front());
   } else {
-    loop.pool->ParallelFor(
-        0, size, grain, loop.governor,
-        [&](std::size_t begin, std::size_t end, unsigned w) {
-          body(begin, end, workers[w]);
-        });
+    ParallelFor(loop.workers, 0, size, grain, loop.governor,
+                [&](std::size_t begin, std::size_t end, unsigned w) {
+                  body(begin, end, workers[w]);
+                });
   }
   for (auto& worker : workers) {
     merge(worker);
@@ -224,12 +219,12 @@ bool SumOverUnits(const CountLoop& loop, std::size_t num_units,
                   std::size_t grain, const Make& make, const Kernel& kernel,
                   Sum* total, CensusStats* stats) {
   Governor* const gov = loop.governor;
-  const Sum zero = loop.pool == nullptr ? Sum() : *total;
+  const Sum zero = loop.workers == 1 ? Sum() : *total;
   Shard<Sum>(
       loop, num_units, grain, make,
       [&](std::size_t begin, std::size_t end, auto& worker) {
         Sum* sum = total;
-        if (loop.pool != nullptr) {
+        if (loop.workers > 1) {
           if (worker.sum.empty()) worker.sum = zero;
           sum = &worker.sum;
         }

@@ -166,9 +166,9 @@ void RunNdDiff(const CensusContext& ctx, CensusResult* result) {
   };
 
   // Coarse grain: differential sharing pays off only along long chains,
-  // so keep slices big while still giving the pool room to balance.
+  // so keep slices big while still giving the workers room to balance.
   const std::size_t grain =
-      std::max<std::size_t>(32, loop.focal.size() / (loop.NumWorkers() * 8));
+      std::max<std::size_t>(32, loop.focal.size() / (loop.workers * 8));
   Shard(
       loop, loop.focal.size(), grain, [] { return DiffScratch(); }, walk,
       [](Worker<DiffScratch>&) {}, &result->stats);

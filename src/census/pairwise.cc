@@ -113,7 +113,7 @@ void EmitPairs(const NodeMasks& near, std::uint16_t full_mask,
   const bool intersection =
       options.neighborhood == PairNeighborhood::kIntersection;
   const bool finished = internal::SumOverUnits(
-      CountLoop{{}, gov, nullptr}, setup.clusters.size(), /*grain=*/1,
+      CountLoop{{}, gov}, setup.clusters.size(), /*grain=*/1,
       [&] { return ClusterExpansion(graph, setup.expander); },
       [&](std::size_t c, PairCounts& sum,
           Worker<ClusterExpansion, PairCounts>& w) {
@@ -164,7 +164,7 @@ void EmitPairs(const NodeMasks& near, std::uint16_t full_mask,
       options.neighborhood == PairNeighborhood::kIntersection;
   PairCounts counts;
   const bool finished = internal::SumOverUnits(
-      CountLoop{{}, gov, nullptr}, anchors.NumMatches(), /*grain=*/4,
+      CountLoop{{}, gov}, anchors.NumMatches(), /*grain=*/4,
       [t] { return AnchorBalls(t); },
       [&](std::size_t m, PairCounts& sum, Worker<AnchorBalls, PairCounts>& w) {
         AnchorBalls& balls = w.scratch;
@@ -206,7 +206,7 @@ void EmitPairs(const NodeMasks& near, std::uint16_t full_mask,
   const std::uint32_t k = options.k;
   const bool intersection =
       options.neighborhood == PairNeighborhood::kIntersection;
-  const CountLoop loop{{}, gov, nullptr};
+  const CountLoop loop{{}, gov};
   std::vector<std::uint64_t> counts(pairs.size(), 0);
   auto store = [&counts](std::size_t i, std::uint64_t count) {
     counts[i] = count;
@@ -277,7 +277,7 @@ void EmitPairs(const NodeMasks& near, std::uint16_t full_mask,
 
   std::vector<std::uint64_t> counts(pairs.size(), 0);
   internal::ForEachUnit(
-      CountLoop{{}, gov, nullptr}, pairs, /*grain=*/8,
+      CountLoop{{}, gov}, pairs, /*grain=*/8,
       [intersection] { return PairBalls(intersection); },
       [&](std::pair<NodeId, NodeId> pair, Worker<PairBalls>& w)
           -> std::optional<std::uint64_t> {

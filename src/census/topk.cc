@@ -42,7 +42,7 @@ namespace egocensus {
   };
   std::vector<Bound> bounds(focal.size());
   internal::ForEachUnit(
-      {focal, gov, nullptr}, focal, /*grain=*/8, [] { return BfsWorkspace(); },
+      {focal, gov}, focal, /*grain=*/8, [] { return BfsWorkspace(); },
       [&](NodeId n, internal::Worker<BfsWorkspace>& w) -> std::optional<Bound> {
         // The BFS workspace is the per-worker footprint.
         if (!w.Charge(graph.NumNodes() * sizeof(NodeId))) return std::nullopt;

@@ -16,7 +16,7 @@
 //
 // which makes "cancel at exactly the i-th checkpoint" a reproducible unit
 // test instead of a timing race. Handlers observe, they do not throw:
-// failpoint sites sit inside ThreadPool chunks and Status-returning code
+// failpoint sites sit inside ParallelFor chunks and Status-returning code
 // where exceptions must not escape — inject faults by flipping the state
 // the production code already checks (cancel a token, exhaust a budget),
 // not by unwinding.

@@ -8,7 +8,7 @@
 // of a hub or a dense pattern can blow up matcher time and extraction
 // memory by orders of magnitude — so every long-running loop in the system
 // (matcher search-tree expansion, per-focal counting, per-cluster
-// traversal, pool chunks, dynamic updates) polls a shared Governor at a
+// traversal, ParallelFor chunks, dynamic updates) polls a shared Governor at a
 // cooperative checkpoint and winds down when it says stop. Stops are
 // sticky and propagate to every thread sharing the Governor: the first
 // checkpoint that observes an expired deadline, an exhausted budget, or a
@@ -183,7 +183,7 @@ class Governor {
   bool ChargeMemory(std::uint64_t bytes);
 
   /// Sticky stop state without the deadline poll (the per-chunk check in
-  /// ThreadPool workers): one relaxed load.
+  /// ParallelFor workers): one relaxed load.
   bool stopped() const { return reason() != StopReason::kNone; }
   StopReason reason() const {
     return static_cast<StopReason>(

@@ -11,7 +11,7 @@
 #include "graph/bfs.h"
 #include "lang/engine.h"
 #include "util/strings.h"
-#include "util/thread_pool.h"
+#include "util/parallel_for.h"
 
 namespace egocensus {
 namespace {
@@ -319,7 +319,7 @@ CensusPlan PlanCensus(const AnalyzedQuery::CountItem& item,
   plan.mean_ball = ball.nodes;
   plan.estimates = PriceEngines(
       pattern, census, static_cast<double>(focal.size()),
-      ThreadPool::ResolveNumThreads(census.num_threads), ball,
+      ResolveNumThreads(census.num_threads), ball,
       graph.NumNodes(), labels);
   census.algorithm = plan.estimates.front().algorithm;
   census.fast_path = FastPathMode::kOff;

@@ -114,7 +114,7 @@ struct Registry::Impl {
 namespace {
 
 /// Owns one thread's shard; the destructor folds its values into the
-/// registry's retired accumulator so pool workers leave no data behind.
+/// registry's retired accumulator so census workers leave no data behind.
 struct ShardOwner {
   Registry::Impl* impl = nullptr;
   Registry::Impl::Shard* shard = nullptr;

@@ -14,11 +14,11 @@
 // the merge is order-insensitive, snapshots are identical for any worker
 // count and scheduling.
 //
-// Shards of exiting threads (census worker pools are per-query) fold into
-// a retired accumulator, so metrics survive the threads that produced
-// them. Shard slots are relaxed atomics written by their owner thread only,
-// which makes concurrent Snapshot() calls race-free (TSan-clean) at the
-// cost of one uncontended atomic op per event.
+// Shards of exiting threads (census workers live for one counting loop)
+// fold into a retired accumulator, so metrics survive the threads that
+// produced them. Shard slots are relaxed atomics written by their owner
+// thread only, which makes concurrent Snapshot() calls race-free
+// (TSan-clean) at the cost of one uncontended atomic op per event.
 //
 // Use the EGO_* macros for hot sites with string-literal names (the metric
 // id is interned once per site), handle objects for hot loops with

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 
+#include "obs/metrics.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 
@@ -20,6 +21,9 @@ struct Tracer::Impl {
   std::vector<Buffer*> live EGO_GUARDED_BY(mu);
   std::vector<SpanRecord> retired EGO_GUARDED_BY(mu);
   std::atomic<std::uint32_t> next_tid{0};
+  /// Spans held plus refusals in flight; never above kMaxSpans once the
+  /// refusals back out, so the spans held never exceed the cap.
+  std::atomic<std::size_t> held{0};
 
   Buffer* ThisBuffer();
   void Retire(Buffer* buffer);
@@ -73,6 +77,15 @@ std::uint32_t Tracer::CurrentThreadId() {
 
 void Tracer::Record(const char* name, std::uint64_t begin_us,
                     std::uint64_t end_us, std::uint64_t arg, bool has_arg) {
+  if (impl_->held.fetch_add(1, std::memory_order_relaxed) >= kMaxSpans) {
+    impl_->held.fetch_sub(1, std::memory_order_relaxed);
+    // Counted even if recording was switched off after the span began, so
+    // the counter equals the spans refused.
+    static const std::uint32_t dropped =
+        Registry::Global().InternCounter("obs/trace/dropped_spans");
+    Registry::Global().CounterAdd(dropped, 1);
+    return;
+  }
   SpanRecord record;
   record.name = name;
   record.begin_us = begin_us;
@@ -92,10 +105,17 @@ std::vector<SpanRecord> Tracer::Snapshot() const {
   return spans;
 }
 
+std::uint64_t Tracer::Dropped() {
+  const MetricsSnapshot snap = Registry::Global().Snapshot();
+  auto it = snap.counters.find("obs/trace/dropped_spans");
+  return it == snap.counters.end() ? 0 : it->second;
+}
+
 void Tracer::Reset() {
   MutexLock lock(impl_->mu);
   impl_->retired.clear();
   for (Impl::Buffer* buffer : impl_->live) buffer->spans.clear();
+  impl_->held.store(0, std::memory_order_relaxed);
 }
 
 void Tracer::WriteChromeTrace(std::ostream& os) const {

@@ -4,20 +4,25 @@
 // Scoped span tracer: EGO_SPAN("census/match") records one begin/end
 // interval (steady-clock micros via Timer::NowMicros) tagged with a small
 // sequential thread id, into a thread-local buffer. Buffers of exited
-// threads fold into a retired list, so spans from per-query worker pools
-// survive the pool. WriteChromeTrace emits the Chrome trace_event JSON
-// format — load the file in chrome://tracing or https://ui.perfetto.dev to
-// see the phase/worker timeline.
+// threads fold into a retired list, so spans from census workers survive
+// the workers. WriteChromeTrace emits the Chrome trace_event JSON format —
+// load the file in chrome://tracing or https://ui.perfetto.dev to see the
+// phase/worker timeline.
 //
-// Spans are coarse by design (per census phase, per worker job, per
-// dynamic update) — recording costs one push_back into a thread-private
-// vector, but a span per focal node would still dominate small
-// neighborhoods. Guarded by obs::Enabled() like the metrics registry.
+// Spans are coarse by design (per census phase, per worker, per dynamic
+// update) — recording costs one relaxed fetch_add and one push_back into a
+// thread-private vector, but a span per focal node would still dominate
+// small neighborhoods. Guarded by obs::Enabled() like the metrics registry.
+// The tracer holds at most kMaxSpans spans, so a long-running process
+// with observability on (ecensusd --obs) that nobody exports from stays
+// bounded; spans past the cap are dropped and counted in the
+// `obs/trace/dropped_spans` counter.
 //
 // Snapshot()/WriteChromeTrace() must not race with threads actively
-// recording spans; in practice census worker pools are destroyed before a
-// query returns, so exporting after the query sees a quiesced tracer.
+// recording spans; in practice census workers are joined before a query
+// returns, so exporting after the query sees a quiesced tracer.
 
+#include <cstddef>
 #include <cstdint>
 #include <ostream>
 #include <vector>
@@ -36,18 +41,31 @@ struct SpanRecord {
   bool has_arg = false;
 };
 
+/// Most spans the tracer holds (48 bytes each, 3 MB in all): far above the
+/// largest trace an in-tree tool writes (docs/OBSERVABILITY.md, "The span
+/// cap").
+inline constexpr std::size_t kMaxSpans = std::size_t{1} << 16;
+
 class Tracer {
  public:
   /// Leaked singleton (outlives thread_local buffer destructors).
   static Tracer& Global();
 
+  /// Keeps the span unless the tracer already holds kMaxSpans; a dropped
+  /// span adds 1 to the `obs/trace/dropped_spans` counter.
   void Record(const char* name, std::uint64_t begin_us, std::uint64_t end_us,
               std::uint64_t arg, bool has_arg);
 
   /// All recorded spans (retired + live buffers), unordered.
   std::vector<SpanRecord> Snapshot() const;
 
-  /// Drops all recorded spans (live buffers and retired).
+  /// The `obs/trace/dropped_spans` counter: spans refused at the cap since
+  /// the registry was last reset.
+  static std::uint64_t Dropped();
+
+  /// Drops all recorded spans (live buffers and retired), which frees the
+  /// cap for new ones. The drop counter is a registry metric, which
+  /// Registry::Reset() zeroes.
   void Reset();
 
   /// Chrome trace_event JSON ("X" complete events, ts normalized so the

@@ -31,7 +31,7 @@
 #include "pattern/catalog.h"
 #include "pattern/pattern_parser.h"
 #include "tests/test_util.h"
-#include "util/thread_pool.h"
+#include "util/parallel_for.h"
 
 namespace egocensus {
 namespace {
@@ -553,20 +553,18 @@ TEST_F(GovernorCensusTest, BudgetExhaustionMidMergeIsAllOrNothing) {
 }
 
 TEST_F(GovernorCensusTest, PoolChunkCancellationPropagatesToSiblings) {
-  ThreadPool pool(4);
   Governor gov;
   std::atomic<std::size_t> processed{0};
   failpoints::Arm("pool/chunk", 5, [&gov] { gov.RequestCancel(); });
   // The chunk body checkpoints like every governed engine chunk does: the
   // cancel becomes a recorded stop at the next checkpoint, and the per-pop
   // stopped() check then propagates it to every sibling worker.
-  pool.ParallelFor(0, 10'000, /*grain=*/1, &gov,
-                   [&processed, &gov](std::size_t begin, std::size_t end,
-                                      unsigned) {
-                     if (gov.Checkpoint() != StopReason::kNone) return;
-                     processed.fetch_add(end - begin,
-                                         std::memory_order_relaxed);
-                   });
+  ParallelFor(4, 0, 10'000, /*grain=*/1, &gov,
+              [&processed, &gov](std::size_t begin, std::size_t end,
+                                 unsigned) {
+                if (gov.Checkpoint() != StopReason::kNone) return;
+                processed.fetch_add(end - begin, std::memory_order_relaxed);
+              });
   EXPECT_TRUE(gov.stopped());
   EXPECT_EQ(gov.reason(), StopReason::kCancelled);
   // With 10k single-item chunks and a cancel at chunk #5, most of the

@@ -233,6 +233,30 @@ TEST_F(ObsRuntimeTest, SpanStartedDisabledNotRecorded) {
   EXPECT_TRUE(Tracer::Global().Snapshot().empty());
 }
 
+// The tracer holds at most kMaxSpans spans and counts every span it
+// refuses, here from two threads racing to the cap; the resets clear both
+// and free the cap again.
+TEST_F(ObsRuntimeTest, TracerKeepsCapSpansAndCountsTheRest) {
+  constexpr std::size_t kExtra = 5;
+  auto record = [](std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      Tracer::Global().Record("test/span", 0, 1, 0, false);
+    }
+  };
+  std::thread other(record, obs::kMaxSpans / 2 + kExtra);
+  record(obs::kMaxSpans - obs::kMaxSpans / 2);
+  other.join();
+  EXPECT_EQ(Tracer::Global().Snapshot().size(), obs::kMaxSpans);
+  EXPECT_EQ(Tracer::Dropped(), kExtra);
+
+  Tracer::Global().Reset();
+  Registry::Global().Reset();
+  EXPECT_TRUE(Tracer::Global().Snapshot().empty());
+  EXPECT_EQ(Tracer::Dropped(), 0u);
+  record(1);
+  EXPECT_EQ(Tracer::Global().Snapshot().size(), 1u);
+}
+
 /// End-to-end: a census run populates matcher + engine metrics and phase
 /// spans, for both the CN and the GQL matcher, whether it matches the whole
 /// graph or inside each extracted region.

@@ -2,15 +2,18 @@
 // every thread count, per-node counts and total match counts must be
 // bit-identical to the single-threaded run. Exercises plain, negated-edge
 // and subpattern (COUNTSP) censuses on seeded preferential-attachment,
-// DBLP-like and random directed graphs. Also unit-tests the thread pool
+// DBLP-like and random directed graphs. Also unit-tests ParallelFor
 // itself. The whole binary doubles as the ThreadSanitizer workload in CI.
 
-#include "util/thread_pool.h"
+#include "util/parallel_for.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <mutex>
 #include <numeric>
+#include <set>
+#include <thread>
 #include <vector>
 
 #include "apps/dblp_gen.h"
@@ -23,39 +26,92 @@
 namespace egocensus {
 namespace {
 
-TEST(ThreadPoolTest, CoversRangeExactlyOnce) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.NumWorkers(), 4u);
+/// Runs ParallelFor over [begin, end) and returns how often each item ran.
+std::vector<int> Coverage(unsigned workers, std::size_t begin,
+                          std::size_t end, std::size_t grain) {
+  std::vector<std::atomic<int>> touched(end - begin);
+  ParallelFor(workers, begin, end, grain, /*governor=*/nullptr,
+              [&](std::size_t lo, std::size_t hi, unsigned) {
+                for (std::size_t i = lo; i < hi; ++i) {
+                  touched[i - begin].fetch_add(1, std::memory_order_relaxed);
+                }
+              });
+  return {touched.begin(), touched.end()};
+}
+
+TEST(ParallelForTest, CoversRangeExactlyOnce) {
+  std::atomic<unsigned> max_rank{0};
   std::vector<std::atomic<int>> touched(1000);
-  pool.ParallelFor(0, touched.size(), /*grain=*/7,
-                   [&](std::size_t begin, std::size_t end, unsigned) {
-                     for (std::size_t i = begin; i < end; ++i) {
-                       touched[i].fetch_add(1, std::memory_order_relaxed);
-                     }
-                   });
+  ParallelFor(4, 0, touched.size(), /*grain=*/7, /*governor=*/nullptr,
+              [&](std::size_t begin, std::size_t end, unsigned worker) {
+                unsigned seen = max_rank.load(std::memory_order_relaxed);
+                while (worker > seen &&
+                       !max_rank.compare_exchange_weak(seen, worker)) {
+                }
+                for (std::size_t i = begin; i < end; ++i) {
+                  touched[i].fetch_add(1, std::memory_order_relaxed);
+                }
+              });
+  EXPECT_LT(max_rank.load(), 4u);
   for (const auto& t : touched) EXPECT_EQ(t.load(), 1);
 }
 
-TEST(ThreadPoolTest, ReusableAcrossJobsAndOddShapes) {
-  ThreadPool pool(3);
+// Successive calls of odd sizes; each call starts and joins its own
+// workers.
+TEST(ParallelForTest, OddShapes) {
   for (std::size_t count : {0ul, 1ul, 2ul, 17ul, 256ul}) {
     std::vector<int> out(count, 0);
-    pool.ParallelFor(5, 5 + count, /*grain=*/4,
-                     [&](std::size_t begin, std::size_t end, unsigned) {
-                       for (std::size_t i = begin; i < end; ++i) {
-                         out[i - 5] = static_cast<int>(i);
-                       }
-                     });
+    ParallelFor(3, 5, 5 + count, /*grain=*/4, /*governor=*/nullptr,
+                [&](std::size_t begin, std::size_t end, unsigned) {
+                  for (std::size_t i = begin; i < end; ++i) {
+                    out[i - 5] = static_cast<int>(i);
+                  }
+                });
     for (std::size_t i = 0; i < count; ++i) {
       EXPECT_EQ(out[i], static_cast<int>(i + 5));
     }
   }
 }
 
-TEST(ThreadPoolTest, ResolveNumThreads) {
-  EXPECT_GE(ThreadPool::ResolveNumThreads(0), 1u);
-  EXPECT_EQ(ThreadPool::ResolveNumThreads(1), 1u);
-  EXPECT_EQ(ThreadPool::ResolveNumThreads(6), 6u);
+// 8 workers over 3 chunks: only ranks 0-2 exist, so no idle thread starts.
+TEST(ParallelForTest, StartsNoWorkerWithoutAChunk) {
+  std::mutex mu;
+  std::set<unsigned> ranks;
+  std::set<std::thread::id> threads;
+  std::vector<std::atomic<int>> touched(12);
+  ParallelFor(8, 0, touched.size(), /*grain=*/4, /*governor=*/nullptr,
+              [&](std::size_t begin, std::size_t end, unsigned worker) {
+                {
+                  std::lock_guard<std::mutex> lock(mu);
+                  ranks.insert(worker);
+                  threads.insert(std::this_thread::get_id());
+                }
+                for (std::size_t i = begin; i < end; ++i) {
+                  touched[i].fetch_add(1, std::memory_order_relaxed);
+                }
+              });
+  ASSERT_FALSE(ranks.empty());
+  EXPECT_LE(*ranks.rbegin(), 2u);
+  EXPECT_LE(threads.size(), 3u);
+  for (const auto& t : touched) EXPECT_EQ(t.load(), 1);
+}
+
+// Calls share no state: two threads may run ParallelFor at once, and each
+// call covers its own range exactly once.
+TEST(ParallelForTest, ConcurrentCallsEachCoverTheirRange) {
+  std::vector<int> first;
+  std::vector<int> second;
+  std::thread other([&] { second = Coverage(4, 100, 5100, 3); });
+  first = Coverage(4, 0, 7000, 5);
+  other.join();
+  EXPECT_EQ(first, std::vector<int>(7000, 1));
+  EXPECT_EQ(second, std::vector<int>(5000, 1));
+}
+
+TEST(ParallelForTest, ResolveNumThreads) {
+  EXPECT_GE(ResolveNumThreads(0), 1u);
+  EXPECT_EQ(ResolveNumThreads(1), 1u);
+  EXPECT_EQ(ResolveNumThreads(6), 6u);
 }
 
 constexpr CensusAlgorithm kAllAlgorithms[] = {
@@ -204,7 +260,7 @@ TEST(ParallelCensusTest, HardwareThreadCountRuns) {
   opts.num_threads = 0;  // hardware concurrency
   auto result = RunCensus(graph, MakeTriangle(false), AllNodes(graph), opts);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(result->stats.threads_used, ThreadPool::ResolveNumThreads(0));
+  EXPECT_EQ(result->stats.threads_used, ResolveNumThreads(0));
   std::uint64_t total =
       std::accumulate(result->counts.begin(), result->counts.end(),
                       std::uint64_t{0});

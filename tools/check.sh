@@ -40,8 +40,8 @@ if command -v clang++ >/dev/null 2>&1; then
   echo "== clang -Wthread-safety (enforced) =="
   TSA_FAILED=0
   for tu in src/net/registry.cc src/net/queue.cc src/net/server.cc \
-            src/util/thread_pool.cc src/obs/log.cc src/obs/trace.cc \
-            src/obs/metrics.cc src/exec/failpoints.cc; do
+            src/obs/log.cc src/obs/trace.cc src/obs/metrics.cc \
+            src/exec/failpoints.cc; do
     if ! clang++ -std=c++20 -fsyntax-only -I src \
          -Wthread-safety -Werror=thread-safety "${tu}"; then
       echo "   thread-safety violation in ${tu}"

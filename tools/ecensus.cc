@@ -25,6 +25,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dynamic/dynamic_graph.h"
@@ -93,6 +94,27 @@ class Args {
                     : fallback;
   }
   [[nodiscard]] const Status& status() const { return status_; }
+
+  /// INVALID_ARGUMENT naming the first flag that is neither in `known` nor,
+  /// with `query_options`, a flag of the query option table. Without it a
+  /// mistyped flag (`--thread 4`) would be ignored and its option would
+  /// silently keep its default.
+  [[nodiscard]] Status CheckFlags(const std::string& command,
+                                  const std::vector<std::string_view>& known,
+                                  bool query_options) const {
+    for (const auto& [key, value] : values_) {
+      if (std::find(known.begin(), known.end(), key) != known.end()) continue;
+      if (query_options &&
+          std::any_of(QueryOptions().begin(), QueryOptions().end(),
+                      [&key](const QueryOption& option) {
+                        return key == option.flag;
+                      })) {
+        continue;
+      }
+      return Status::InvalidArgument(command + ": unknown flag --" + key);
+    }
+    return Status::Ok();
+  }
 
  private:
   template <typename T>
@@ -203,7 +225,12 @@ int WriteObsExports(const ObsExport& o) {
     }
     obs::Tracer::Global().WriteChromeTrace(out);
     std::cerr << "trace: " << o.trace_path
-              << " (load in chrome://tracing or ui.perfetto.dev)\n";
+              << " (load in chrome://tracing or ui.perfetto.dev)";
+    if (const std::uint64_t dropped = obs::Tracer::Dropped(); dropped > 0) {
+      std::cerr << ", " << dropped << " spans dropped at the "
+                << obs::kMaxSpans << "-span cap";
+    }
+    std::cerr << "\n";
   }
   if (!o.metrics_path.empty()) {
     std::ofstream out(o.metrics_path);
@@ -310,6 +337,11 @@ void WriteStatsCsv(const std::vector<AggregateExec>& aggregates,
 }
 
 int RunGenerate(Args& args) {
+  Status flags = args.CheckFlags("generate",
+                                 {"type", "out", "nodes", "labels",
+                                  "edges-per-node", "edges", "seed", "rewire"},
+                                 /*query_options=*/false);
+  if (!flags.ok()) return Fail(flags);
   std::string type = args.Get("type", "pa");
   std::string out = args.Get("out", "");
   if (out.empty()) {
@@ -350,6 +382,8 @@ int RunGenerate(Args& args) {
 }
 
 int RunInfo(const Args& args) {
+  Status flags = args.CheckFlags("info", {"graph"}, /*query_options=*/false);
+  if (!flags.ok()) return Fail(flags);
   auto graph = LoadGraph(args.Get("graph", ""));
   if (!graph.ok()) return Fail(graph.status());
   std::uint64_t degree_sum = 0;
@@ -448,6 +482,11 @@ void PrintMetricsTables(const obs::MetricsSnapshot& snap, std::ostream& os) {
 }
 
 int RunQuery(const Args& args, bool stats_mode) {
+  Status flags =
+      args.CheckFlags(stats_mode ? "stats" : "query",
+                      {"graph", "query", "query-file", "trace", "metrics"},
+                      /*query_options=*/true);
+  if (!flags.ok()) return Fail(flags);
   auto spec = ParseQuerySpec(args.values(), OptionSurface::kCli);
   if (!spec.ok()) return Fail(spec.status());
   auto graph = LoadGraph(args.Get("graph", ""));
@@ -497,6 +536,11 @@ int RunQuery(const Args& args, bool stats_mode) {
 }
 
 int RunUpdate(Args& args) {
+  Status flags = args.CheckFlags("update",
+                                 {"graph", "query", "query-file", "trace",
+                                  "metrics", "updates", "batch-size"},
+                                 /*query_options=*/true);
+  if (!flags.ok()) return Fail(flags);
   auto spec = ParseQuerySpec(args.values(), OptionSurface::kCli);
   if (!spec.ok()) return Fail(spec.status());
   auto graph = LoadGraph(args.Get("graph", ""));
@@ -574,6 +618,25 @@ int RunUpdate(Args& args) {
 /// back through the same Fail() (2 for usage errors, 1 for everything else,
 /// including governed stops reported in exec_status).
 int RunRemote(const std::string& action, Args& args) {
+  // Every verb reads the connection, correlation and retry flags, and then
+  // its own.
+  std::vector<std::string_view> known = {
+      "connect",       "request-id", "tenant",         "connect-timeout-ms",
+      "io-timeout-ms", "retries",    "retry-budget-ms"};
+  if (action == "query") {
+    known.insert(known.end(), {"graph", "query", "query-file"});
+  } else if (action == "update") {
+    known.insert(known.end(), {"graph", "updates", "idempotent"});
+  } else if (action == "status") {
+    known.push_back("slow-trace");
+  } else if (action == "load") {
+    known.insert(known.end(), {"name", "path"});
+  } else if (action == "unload") {
+    known.push_back("name");
+  }
+  Status flags = args.CheckFlags("remote " + action, known,
+                                 action == "query" || action == "update");
+  if (!flags.ok()) return Fail(flags);
   std::string connect = args.Get("connect", "");
   if (connect.empty()) {
     std::cerr << "remote: --connect HOST:PORT is required\n";

@@ -16,9 +16,8 @@
 //     variables), leading-`const` value members, and `static` members are
 //     exempt. Everything else either names its guard or carries an audited
 //     `// egolint: no-guard(<why>)` suppression — the suppression is the
-//     paper trail for deliberate lock-free protocols (see
-//     util/thread_pool.h's generation-protocol fields)
-//     (suppression: no-guard).
+//     paper trail for deliberate lock-free protocols and lifecycle-only
+//     members (see net/server.h's thread handles) (suppression: no-guard).
 //
 // The member parse is deliberately shallow: a declaration is a member
 // *variable* when its head (tokens before `=` / `{` / `;`) has no
